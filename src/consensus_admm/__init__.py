@@ -15,16 +15,14 @@ from .admm import (AdmmConfig, BoundReport, ConsensusPhaseResult, PhaseFlags,
                    ProbeReport, RunRecord, StoppingReport,
                    TerminationRunResult, check_o1k_bound,
                    composite_objective, ergodic_averages, ftdt_run,
-                   lambda_update, rlinear_probe, run_dadmm_fterc,
-                   run_epsilon_baseline, run_fdadmm_ftdt, stopping_criterion,
-                   x_update, z_update_consensus)
+                   rlinear_probe, run_dadmm_fterc, run_epsilon_baseline,
+                   run_fdadmm_ftdt, stopping_criterion, z_update_consensus)
 from .cli import (CSV_COLUMNS, Comparison, ExperimentConfig, GraphSpec,
                   ProblemSpec, compare_runs, parse_config, read_csv,
                   run_experiment, write_csv)
-from .consensus import (ConsensusResult, HankelDetector, RatioState,
-                        epsilon_consensus, final_values, fterc_final,
-                        fterc_run, max_consensus_step, ratio_step,
-                        ratio_update)
+from .consensus import (ConsensusResult, HankelDetector, epsilon_consensus,
+                        final_values, fterc_final, fterc_run,
+                        max_consensus_step, ratio_step, ratio_update)
 from .errors import (AlreadyFrozen, ConfigError, ConsensusAdmmError,
                      DegenerateSequence, Disconnected, InsufficientData,
                      InvalidEdge, MaxIterations, MissingMessage,

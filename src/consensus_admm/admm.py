@@ -30,7 +30,7 @@ from .errors import (DegenerateSequence, InsufficientData, NonIntegerResult,
 from .exact import exact_consensus_run
 from .graph import Digraph
 from .netsim import RoundEngine, phase_lengths
-from .objectives import L1Regularizer, LocalObjective, l1_z_update
+from .objectives import L1Regularizer, l1_z_update
 from .oracle import Reference
 from .termination import (TerminationState, counter_message, derive_max_defect,
                           freeze_counter, ftdt_step)
@@ -58,7 +58,6 @@ class AdmmConfig:
     epsilon: float = 0.01
     stop_on_tolerance: bool = True
     record_messages: bool = False
-    parallel: bool = False
 
     def validate(self, n: int) -> int:
         """Check field ranges against a concrete network size; return n'."""
@@ -110,17 +109,6 @@ def stopping_criterion(x_stack, z_stack, z_prev_stack, lam_stack, rho: float,
     eps_dual = scale * eps_abs + eps_rel * float(np.linalg.norm(lam_stack))
     return StoppingReport(primal <= eps_pri and dual <= eps_dual,
                           primal, dual, float(eps_pri), float(eps_dual))
-
-
-def x_update(objective: LocalObjective, z, lam, rho: float) -> np.ndarray:
-    """Local proximal step: argmin f_i(x) + lam.x + (rho/2)||x - z||^2."""
-    return objective.solve_x_update(z, lam, rho)
-
-
-def lambda_update(lam, x, z, rho: float) -> np.ndarray:
-    """Dual ascent step lam + rho (x - z)."""
-    return np.asarray(lam, dtype=float) + rho * (np.asarray(x, dtype=float)
-                                                 - np.asarray(z, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +524,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     z_stack = np.tile(z0, (n, 1))
 
     engine = RoundEngine(graph, [None] * n,
-                         record_messages=config.record_messages,
-                         parallel=config.parallel)
+                         record_messages=config.record_messages)
     betas: list = [None] * n
     defect: list = [None] * n
     t_max: int | None = None

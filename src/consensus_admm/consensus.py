@@ -12,7 +12,7 @@ limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,24 +26,6 @@ RANK_TOL = 1e-12    # singular values below RANK_TOL * sigma_max count as zero
 DENOM_TOL = 1e-12   # denominators/normalizers below this are a breakdown
 ABS_TOL = 1e-13     # first-difference magnitude that counts as "no motion"
 STAB_TOL = 1e-9     # max relative cross-ratio drift tolerated at a defect fire
-
-
-@dataclass
-class RatioState:
-    """Per-node numerator/denominator pair plus the recorded trajectory."""
-
-    y: np.ndarray
-    x: float = 1.0
-    traj_y: list = field(default_factory=list)
-    traj_x: list = field(default_factory=list)
-
-    def record(self) -> None:
-        self.traj_y.append(np.array(self.y, dtype=float))
-        self.traj_x.append(float(self.x))
-
-    def observation(self) -> np.ndarray:
-        """Denominator first, then numerator coordinates — detector channels."""
-        return np.concatenate(([self.x], np.atleast_1d(self.y)))
 
 
 def ratio_update(own_y, own_x: float, out_degree: int, received,
@@ -112,7 +94,7 @@ class HankelDetector:
         return self.defect is not None
 
     def __digest__(self):
-        # Stable content identity for round-log hashing.
+        # Stable content identity for state audits with stable_digest.
         return ("hankel", self.channels, self.defect, self.beta, self._seq)
 
     def feed(self, values) -> bool:
@@ -180,11 +162,6 @@ class HankelDetector:
         mu1 = combo1[1:] / combo1[0]
         drift = np.abs(mu1 - mu0) / (1.0 + np.abs(mu0))
         return bool(np.all(drift <= self.stab_tol))
-
-
-def hankel_feed(detector: HankelDetector, values) -> bool:
-    """Feed one observation into ``detector``; True once the defect is found."""
-    return detector.feed(values)
 
 
 def final_values(traj, beta) -> float | np.ndarray:

@@ -8,6 +8,11 @@ guarantees are round counts, values, and replayable logs.
 A phase of ``R`` rounds is ``R`` exchanges. Seed values enter via
 :meth:`RoundEngine.prime`, which also discards messages still pending from a
 previous phase (phase boundaries are barriers).
+
+Each log entry holds one digest per node: :func:`stable_digest` of the outbox
+that node emitted, so identical runs give identical logs and the cost of a
+digest is the size of the payload, not of the node's state. To audit the
+states themselves, call ``stable_digest(engine.states)``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import dataclasses
 import hashlib
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -30,32 +34,47 @@ Emitter = Callable[[int, Any], dict]
 
 
 def _digest_update(h, obj) -> None:
-    if isinstance(obj, np.ndarray):
-        h.update(b"a")
-        h.update(str(obj.dtype).encode())
-        h.update(struct.pack("<%dq" % len(obj.shape), *obj.shape))
-        h.update(np.ascontiguousarray(obj).tobytes())
-    elif isinstance(obj, (bool, np.bool_)):
-        h.update(b"b1" if obj else b"b0")
-    elif isinstance(obj, (int, np.integer)):
-        h.update(b"i" + str(int(obj)).encode())
-    elif isinstance(obj, (float, np.floating)):
-        h.update(b"f" + struct.pack("<d", float(obj)))
-    elif isinstance(obj, str):
-        h.update(b"s" + obj.encode())
-    elif obj is None:
-        h.update(b"n")
-    elif isinstance(obj, (list, tuple)):
-        h.update(b"l" + str(len(obj)).encode())
-        for item in obj:
-            _digest_update(h, item)
-    elif hasattr(obj, "__digest__"):
-        _digest_update(h, obj.__digest__())
-    elif isinstance(obj, dict):
-        h.update(b"d" + str(len(obj)).encode())
+    kind = type(obj)
+    if kind is np.ndarray:
+        h.update(b"a" + obj.dtype.str.encode()
+                 + struct.pack("<%dq" % obj.ndim, *obj.shape))
+        h.update(obj.tobytes())  # C order, also for non-contiguous views
+    elif kind is float:
+        h.update(b"f" + struct.pack("<d", obj))
+    elif kind is int:
+        h.update(b"i%d" % obj)
+    elif kind is dict:
+        h.update(b"d%d" % len(obj))
         for key in sorted(obj):
             _digest_update(h, key)
             _digest_update(h, obj[key])
+    elif kind is str:
+        h.update(b"s" + obj.encode())
+    elif kind is list or kind is tuple:
+        h.update(b"l%d" % len(obj))
+        for item in obj:
+            _digest_update(h, item)
+    elif kind is bool:
+        h.update(b"b1" if obj else b"b0")
+    elif obj is None:
+        h.update(b"n")
+    # Subclasses and numpy scalars hash as the built-in type they extend.
+    elif isinstance(obj, np.ndarray):
+        _digest_update(h, obj.view(np.ndarray))
+    elif isinstance(obj, np.bool_):
+        _digest_update(h, bool(obj))
+    elif isinstance(obj, (int, np.integer)):
+        _digest_update(h, int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        _digest_update(h, float(obj))
+    elif isinstance(obj, str):
+        _digest_update(h, str(obj))
+    elif isinstance(obj, (list, tuple)):
+        _digest_update(h, list(obj))
+    elif hasattr(obj, "__digest__"):
+        _digest_update(h, obj.__digest__())
+    elif isinstance(obj, dict):
+        _digest_update(h, dict(obj))
     elif dataclasses.is_dataclass(obj):
         h.update(b"c" + type(obj).__name__.encode())
         for f in dataclasses.fields(obj):
@@ -87,7 +106,13 @@ def _jsonable(obj):
 
 @dataclass
 class RoundRecord:
-    """One append-only log entry: a seed emission or a full exchange."""
+    """One append-only log entry: a seed emission or a full exchange.
+
+    ``digests[i]`` is :func:`stable_digest` of the outbox node ``i`` emitted
+    in this entry, so a log fingerprints the traffic at a cost that does not
+    grow with phase length. A full state audit is
+    ``stable_digest(engine.states)``.
+    """
 
     tick: int
     phase: str
@@ -104,7 +129,6 @@ class RoundEngine:
     graph: Digraph
     states: list
     record_messages: bool = False
-    parallel: bool = False
     tick: int = 0
     log: list[RoundRecord] = field(default_factory=list)
     _pending: list[list[tuple[int, Any]]] = field(default_factory=list)
@@ -126,22 +150,26 @@ class RoundEngine:
                 f"node {sender}: sent to non-edges {sorted(extra)}, "
                 f"omitted edges {sorted(missing)}")
 
-    def _enqueue(self, outboxes: list[dict]) -> tuple[int, list]:
+    def _enqueue(self, outboxes: list[dict], phase: str,
+                 kind: str) -> RoundRecord:
+        """Validate and queue one wave of outboxes, and log it."""
         pending: list[list[tuple[int, Any]]] = [[] for _ in range(self.graph.n)]
         captured = [] if self.record_messages else None
         count = 0
+        digests = []
         for sender, outbox in enumerate(outboxes):
             self._validate_outbox(sender, outbox)
+            digests.append(stable_digest(outbox))
             for receiver in self.graph.out_neighbors[sender]:
                 pending[receiver].append((sender, outbox[receiver]))
                 count += 1
                 if captured is not None:
                     captured.append([sender, receiver, _jsonable(outbox[receiver])])
         self._pending = pending
-        return count, captured
-
-    def _snapshot_digests(self) -> tuple[str, ...]:
-        return tuple(stable_digest(s) for s in self.states)
+        record = RoundRecord(self.tick, phase, kind, count, tuple(digests),
+                             captured)
+        self.log.append(record)
+        return record
 
     # -- public API ------------------------------------------------------
 
@@ -152,11 +180,7 @@ class RoundEngine:
         like any round's emission.
         """
         outboxes = [emitter(i, self.states[i]) for i in range(self.graph.n)]
-        count, captured = self._enqueue(outboxes)
-        record = RoundRecord(self.tick, phase, "seed", count,
-                             self._snapshot_digests(), captured)
-        self.log.append(record)
-        return record
+        return self._enqueue(outboxes, phase, "seed")
 
     def run_round(self, handler: Handler, phase: str = "") -> RoundRecord:
         """Deliver pending messages, update every node, emit the next wave.
@@ -167,26 +191,11 @@ class RoundEngine:
         """
         inboxes = [sorted(box, key=lambda m: m[0]) for box in self._pending]
         self.tick += 1
-        tick = self.tick
-
-        def work(i: int):
-            return handler(i, self.states[i], inboxes[i], tick)
-
-        if self.parallel and self.graph.n > 1:
-            with ThreadPoolExecutor() as pool:
-                results = list(pool.map(work, range(self.graph.n)))
-        else:
-            results = [work(i) for i in range(self.graph.n)]
-
-        outboxes = []
-        for i, (new_state, outbox) in enumerate(results):
-            self.states[i] = new_state
-            outboxes.append(outbox)
-        count, captured = self._enqueue(outboxes)
-        record = RoundRecord(tick, phase, "exchange", count,
-                             self._snapshot_digests(), captured)
-        self.log.append(record)
-        return record
+        results = [handler(i, self.states[i], inboxes[i], self.tick)
+                   for i in range(self.graph.n)]
+        self.states[:] = [state for state, _ in results]
+        return self._enqueue([outbox for _, outbox in results], phase,
+                             "exchange")
 
     def run_phase(self, handler: Handler, rounds: int, phase: str = "") -> None:
         """Execute exactly ``rounds`` exchanges under one phase label."""

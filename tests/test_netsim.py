@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from consensus_admm import (ProtocolViolation, RoundEngine, build_digraph,
@@ -138,21 +139,51 @@ def test_identical_runs_have_identical_digests():
     assert run() == run()
 
 
-def test_parallel_matches_serial():
-    def run(parallel):
-        g = _cycle(6)
-        engine = RoundEngine(g, list(range(6)), parallel=parallel)
-        seed_emit, handler = _flood(g)
-        engine.prime(seed_emit)
-        engine.run_phase(handler, 5)
-        return engine.states, [rec.digests for rec in engine.log]
+def test_digest_is_the_emitted_outbox():
+    g = build_digraph(4, [(1, 0), (2, 0), (3, 1), (0, 2), (0, 3), (2, 3)])
+    engine = RoundEngine(g, [3, 1, 4, 1])
+    seed_emit, handler = _flood(g)
+    emitted = []
 
-    assert run(False) == run(True)
+    def recording(i, state, inbox, tick):
+        new, outbox = handler(i, state, inbox, tick)
+        emitted.append(outbox)
+        return new, outbox
+
+    seed = engine.prime(seed_emit)
+    assert seed.digests == tuple(stable_digest(seed_emit(i, s))
+                                 for i, s in enumerate([3, 1, 4, 1]))
+    for _ in range(3):
+        emitted.clear()
+        rec = engine.run_round(recording)
+        assert rec.digests == tuple(stable_digest(box) for box in emitted)
+
+
+def test_digests_ignore_state_that_is_never_sent():
+    g = _cycle(4)
+
+    def emit(i, state):
+        return {dest: state["v"] for dest in g.out_neighbors[i]}
+
+    def handler(i, state, inbox, tick):
+        new = {"v": max([state["v"]] + [m for _, m in inbox]),
+               "private": state["private"] + [tick]}
+        return new, emit(i, new)
+
+    def digests(values, private):
+        engine = RoundEngine(g, [{"v": v, "private": list(private)}
+                                 for v in values])
+        engine.prime(emit)
+        engine.run_phase(handler, 3)
+        return [rec.digests for rec in engine.log]
+
+    base = digests([0, 1, 2, 3], [])
+    assert digests([0, 1, 2, 3], range(50)) == base
+    changed = digests([0, 1, 2, 7], [])
+    assert changed[0][:3] == base[0][:3] and changed[0][3] != base[0][3]
 
 
 def test_stable_digest_discriminates():
-    import numpy as np
-
     a = np.arange(4, dtype=float)
     assert stable_digest(a) == stable_digest(a.copy())
     assert stable_digest(a) != stable_digest(a.astype(int))
@@ -161,3 +192,20 @@ def test_stable_digest_discriminates():
     assert stable_digest({"x": 1, "y": 2}) == stable_digest({"y": 2, "x": 1})
     assert stable_digest(1) != stable_digest(1.0)
     assert stable_digest((1, 2)) == stable_digest([1, 2])
+    assert stable_digest(True) != stable_digest(1)
+    assert stable_digest(np.bool_(True)) == stable_digest(True)
+    assert stable_digest(np.float64(0.1)) == stable_digest(0.1)
+    assert stable_digest(np.int64(7)) == stable_digest(7)
+    grid = np.arange(12.0).reshape(3, 4)
+    view = grid[:, ::2]
+    assert not view.flags.c_contiguous
+    assert stable_digest(view) == stable_digest(view.copy())
+    assert stable_digest(view) != stable_digest(grid[:, :2])
+    scalar = np.array(2.0)
+    assert stable_digest(scalar) == stable_digest(scalar.copy())
+    assert stable_digest(scalar) != stable_digest(2.0)
+    assert stable_digest(scalar) != stable_digest(np.array([2.0]))
+    # byte order is part of the dtype, so equal values still differ
+    big, little = a.astype(">f8"), a.astype("<f8")
+    assert np.array_equal(big, little)
+    assert stable_digest(big) != stable_digest(little)
