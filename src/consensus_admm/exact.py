@@ -7,10 +7,15 @@ the final-value evaluation in exact rational arithmetic: seeds are taken at
 their exact binary values, the push-sum weights ``1/(1+d_out)`` are exact
 fractions, and every returned value is the correctly rounded exact average.
 
+All of it runs on integers: trajectories are kept scaled by powers of the
+lcm of the divisors, so no fraction is formed until the reported kernel.
 Rank certificates are cheap in the common direction: full rank modulo a
-word-size prime proves full rank over the rationals, so only the one
-genuinely deficient size per node pays for fraction-free integer
-elimination (Bareiss), which also yields the exact kernel vector.
+word-size prime proves full rank over the rationals, and all nodes and
+block sizes are certified together in a few batched eliminations (sizes
+grow in doubling chunks). Only the one deficient
+size per node pays for fraction-free integer elimination (Bareiss), on its
+modular basis rows alone; the exact kernel vector it yields is then checked
+against the whole block.
 """
 
 from __future__ import annotations
@@ -30,21 +35,27 @@ _PRIME = (1 << 31) - 1
 def _exact_trajectories(g: Digraph, seeds: np.ndarray, rounds: int):
     """Evolve (numerators, denominator) exactly for ``rounds`` exchanges.
 
-    Returns per-node channel sequences: ``chans[j][c][t]`` is node ``j``'s
-    channel ``c`` at round ``t``, channel 0 being the denominator.
+    Returns ``(chans, base)``. ``chans[j][c][t]`` is node ``j``'s channel
+    ``c`` at round ``t`` (channel 0 being the denominator), as an integer
+    scaled by ``base**t * 2**e`` for one ``e`` shared by every entry;
+    ``base`` is the lcm of the push-sum divisors ``1 + d_out``, so one
+    exchange is integer multiply-adds only.
     """
     n, p = seeds.shape
-    shares = [Fraction(1, 1 + g.out_degree(j)) for j in range(n)]
-    y = [[Fraction(float(seeds[j, c])) for c in range(p)] for j in range(n)]
-    x = [Fraction(1)] * n
+    base = math.lcm(*(1 + g.out_degree(j) for j in range(n)))
+    gains = [base // (1 + g.out_degree(j)) for j in range(n)]
+    ratios = [[float(v).as_integer_ratio() for v in row] for row in seeds]
+    unit = max(den for row in ratios for _, den in row)   # a power of two
+    y = [[num * (unit // den) for num, den in row] for row in ratios]
+    x = [unit] * n
     chans = [[[x[j]] if c == 0 else [y[j][c - 1]] for c in range(p + 1)]
              for j in range(n)]
     for _ in range(rounds):
-        ny = [[Fraction(0)] * p for _ in range(n)]
-        nx = [Fraction(0)] * n
+        ny = [[0] * p for _ in range(n)]
+        nx = [0] * n
         for j in range(n):
-            wy = [shares[j] * v for v in y[j]]
-            wx = shares[j] * x[j]
+            wy = [gains[j] * v for v in y[j]]
+            wx = gains[j] * x[j]
             for r in (j, *g.out_neighbors[j]):
                 row = ny[r]
                 for c in range(p):
@@ -55,38 +66,54 @@ def _exact_trajectories(g: Digraph, seeds: np.ndarray, rounds: int):
             chans[j][0].append(x[j])
             for c in range(p):
                 chans[j][c + 1].append(y[j][c])
-    return chans
+    return chans, base
 
 
-def _rank_mod_p(a: np.ndarray, p: int = _PRIME) -> int:
-    """Row-echelon rank of a pre-reduced int64 matrix modulo a prime.
+def _hankel_bases_mod_p(mods: np.ndarray, sizes: range,
+                        p: int = _PRIME) -> list[list[list[int]]]:
+    """Basis rows modulo a prime of stacked Hankel blocks, per node and size.
 
-    Never exceeds the rational rank, so full rank here proves full rank
-    over the rationals.
+    ``mods[k]`` holds node ``k``'s channels. Its size-``m`` block has rows
+    ``(c, i)`` (index ``c * m + i``), columns ``j < m`` and entries
+    ``mods[k, c, i + j]``. All nodes and sizes are eliminated together,
+    zero-padded to the largest size. Rows independent modulo a prime are
+    independent over the rationals, so a basis of ``m`` rows proves full
+    rank over the rationals.
     """
-    a = a.copy()
-    nrows, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        pivots = np.nonzero(a[rank:, col])[0]
-        if pivots.size == 0:
-            continue
-        piv = rank + int(pivots[0])
-        a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        rest = a[rank + 1:, col]
-        a[rank + 1:] = (a[rank + 1:] - np.outer(rest, a[rank])) % p
-        rank += 1
-        if rank == min(nrows, ncols):
-            break
-    return rank
+    nodes, chans, _ = mods.shape
+    top = sizes[-1]
+    a = np.zeros((nodes, len(sizes), chans, top, top), dtype=np.int64)
+    for b, m in enumerate(sizes):
+        a[:, b, :, :m, :m] = mods[:, :, np.add.outer(np.arange(m),
+                                                     np.arange(m))]
+    a = a.reshape(nodes * len(sizes), chans * top, top)
+    batch = np.arange(a.shape[0])
+    used = np.zeros(a.shape[:2], dtype=bool)
+    for col in range(top):
+        cand = (a[:, :, col] != 0) & ~used
+        has = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        used[batch[has], piv[has]] = True
+        # Cross-multiplied elimination needs no modular inverse; both
+        # products stay below 2**62, so int64 cannot overflow. A batch with
+        # no pivot in this column gets the identity step (scale 1, row 0).
+        prow = np.where(has[:, None], a[batch, piv, col:], 0)
+        scale = np.where(has, prow[:, 0], 1)
+        drop = a[:, :, col, None] * prow[:, None, :]
+        rest = a[:, :, col:]          # a view: updated in place
+        rest *= scale[:, None, None]
+        rest -= drop
+        np.remainder(rest, p, out=rest)
+    used = used.reshape(nodes, len(sizes), chans, top)
+    return [[[c * m + i for c in range(chans) for i in range(m)
+              if used[k, b, c, i]] for b, m in enumerate(sizes)]
+            for k in range(nodes)]
 
 
-def _bareiss_echelon(int_rows: list[list[int]]):
+def _bareiss_echelon(int_rows: list[list[int]], ncols: int):
     """Fraction-free integer elimination; returns (rank, echelon, pivot cols)."""
     a = [row[:] for row in int_rows]
-    nrows, ncols = len(a), len(a[0])
+    nrows = len(a)
     prev = 1
     rank = 0
     pivots: list[int] = []
@@ -96,10 +123,12 @@ def _bareiss_echelon(int_rows: list[list[int]]):
             continue
         a[rank], a[piv] = a[piv], a[rank]
         lead = a[rank][col]
+        # Rows below the pivot are already zero left of ``col``.
         for r in range(rank + 1, nrows):
             factor = a[r][col]
-            a[r] = [(lead * a[r][c] - factor * a[rank][c]) // prev
-                    for c in range(ncols)]
+            a[r] = [0] * (col + 1) + [
+                (lead * a[r][c] - factor * a[rank][c]) // prev
+                for c in range(col + 1, ncols)]
         prev = lead
         pivots.append(col)
         rank += 1
@@ -108,51 +137,100 @@ def _bareiss_echelon(int_rows: list[list[int]]):
     return rank, a, pivots
 
 
-def _kernel_vector(echelon, pivots, ncols: int) -> list[Fraction]:
-    """Back-substitute one exact kernel vector (rank == ncols - 1)."""
+def _kernel_vector(echelon, pivots, ncols: int) -> list[int]:
+    """Back-substitute the integer kernel vector (rank == ncols - 1).
+
+    The free entry is the last Bareiss pivot, the determinant (up to sign)
+    of the pivot columns' minor, so by Cramer's rule every entry is an
+    integer minor and every division below is exact.
+    """
     free = next(c for c in range(ncols) if c not in pivots)
-    beta = [Fraction(0)] * ncols
-    beta[free] = Fraction(1)
+    beta = [0] * ncols
+    beta[free] = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
     for r in range(len(pivots) - 1, -1, -1):
         col = pivots[r]
-        acc = Fraction(0)
-        for c in range(col + 1, ncols):
-            if echelon[r][c]:
-                acc += Fraction(echelon[r][c]) * beta[c]
-        beta[col] = -acc / echelon[r][col]
+        acc = sum(echelon[r][c] * beta[c] for c in range(col + 1, ncols)
+                  if echelon[r][c])
+        beta[col], rem = divmod(-acc, echelon[r][col])
+        if rem:
+            raise NumericBreakdown("inexact kernel back-substitution")
     return beta
 
 
-def _detect_node(chans) -> tuple[int, list[Fraction]]:
-    """Exact defect index and kernel for one node's channel sequences."""
+def _node_diffs(chans, base: int) -> list[list[int]] | None:
+    """Integer first differences of one node's channels; None if constant.
+
+    Entry ``t`` is the rational difference between rounds ``t + 1`` and
+    ``t`` scaled by ``base**(t + 1) * 2**e``. Hankel entry ``(i, j)`` then
+    carries the rational one times ``base**(i + 1) * 2**e`` (a row scale,
+    which keeps ranks and kernels) times ``base**j`` (a column scale, which
+    divides kernel entry ``j`` by ``base**j``).
+    """
     samples = len(chans[0])
-    diffs = [[seq[t + 1] - seq[t] for t in range(samples - 1)]
+    diffs = [[seq[t + 1] - base * seq[t] for t in range(samples - 1)]
              for seq in chans]
     if all(d[0] == 0 for d in diffs):
-        return 0, [Fraction(1)]     # constant from the very first exchange
-    # One global denominator clearing; every block below is then an integer
-    # submatrix (uniform scaling changes neither ranks nor kernels).
-    scale = 1
-    for d in diffs:
-        for v in d:
-            scale = math.lcm(scale, v.denominator)
-    ints = [[int(v * scale) for v in d] for d in diffs]
-    mods = np.array([[v % _PRIME for v in d] for d in ints], dtype=np.int64)
-    for m in range(1, samples // 2 + 1):
-        window = np.add.outer(np.arange(m), np.arange(m))
-        if _rank_mod_p(mods[:, window].reshape(-1, m)) == m:
-            continue
-        block = [[row[i + j] for j in range(m)]
-                 for row in ints for i in range(m)]
-        rank, echelon, pivots = _bareiss_echelon(block)
-        if rank == m:        # modular false alarm; keep growing
-            continue
-        if rank != m - 1:
-            raise NumericBreakdown(
-                f"defect kernel at size {m} is {m - rank}-dimensional")
-        return m - 1, _kernel_vector(echelon, pivots, m)
-    raise NumericBreakdown(
-        f"no exact defect within {samples - 1} exchanges")
+        return None     # constant from the very first exchange
+    return diffs
+
+
+def _detect_nodes(chans, base: int) -> list[tuple[int, list[int]]]:
+    """Defect index and integer kernel of :func:`_node_diffs`, per node.
+
+    Kernel entry ``t`` is the rational kernel's entry over ``base**t``.
+    """
+    samples = len(chans[0][0])
+    ints = [_node_diffs(node, base) for node in chans]
+    found: list = [(0, [1]) if rows is None else None for rows in ints]
+    pending = [k for k, rows in enumerate(ints) if rows is not None]
+    mods = np.array([[[v % _PRIME for v in d] for d in ints[k]]
+                     for k in pending], dtype=np.int64)
+    slot = {k: i for i, k in enumerate(pending)}
+    # Sizes are tried in doubling chunks, so a small defect index eliminates
+    # few blocks and a large one few batches.
+    top = samples // 2
+    for lo in (1 << k for k in range(top.bit_length())):
+        if not pending:
+            break
+        sizes = range(lo, min(2 * lo, top + 1))
+        bases = _hankel_bases_mod_p(mods[[slot[k] for k in pending]], sizes)
+        for k, node_bases in zip(pending, bases):
+            for m, basis in zip(sizes, node_bases):
+                kernel = _exact_kernel(ints[k], m, basis)
+                if kernel is not None:
+                    found[k] = (m - 1, kernel)
+                    break
+        pending = [k for k in pending if found[k] is None]
+    if pending:
+        raise NumericBreakdown(
+            f"no exact defect within {samples - 1} exchanges")
+    return found
+
+
+def _exact_kernel(ints, m: int, basis: list[int]) -> list[int] | None:
+    """Integer kernel of the size-``m`` integer block, or None at full rank.
+
+    ``basis`` is the block's modular basis (see :func:`_hankel_bases_mod_p`).
+    """
+    if len(basis) == m:
+        return None
+    block = [[row[i + j] for j in range(m)] for row in ints for i in range(m)]
+    if len(basis) == m - 1:
+        # The basis rows are independent over the rationals, so their
+        # kernel is the block's kernel unless some other row leaves it
+        # (a modular false alarm: the block has full rank after all).
+        _, echelon, pivots = _bareiss_echelon([block[r] for r in basis], m)
+        kernel = _kernel_vector(echelon, pivots, m)
+        if any(sum(v * k for v, k in zip(row, kernel)) for row in block):
+            return None
+        return kernel
+    rank, echelon, pivots = _bareiss_echelon(block, m)
+    if rank == m:        # modular false alarm; keep growing
+        return None
+    if rank != m - 1:
+        raise NumericBreakdown(
+            f"defect kernel at size {m} is {m - rank}-dimensional")
+    return _kernel_vector(echelon, pivots, m)
 
 
 def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
@@ -169,22 +247,25 @@ def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
     mat = arr.reshape(g.n, -1)
     if mat.shape[0] != g.n:
         raise ValueError("seed count must match node count")
-    chans = _exact_trajectories(g, mat, 2 * g.n + 1)
+    chans, base = _exact_trajectories(g, mat, 2 * g.n + 1)
     results = []
-    for j in range(g.n):
-        defect, kernel = _detect_node(chans[j])
+    for j, (defect, kernel) in enumerate(_detect_nodes(chans, base)):
         if kernel[-1] == 0:
             raise NumericBreakdown("kernel vector has a vanishing last entry")
-        beta = [b / kernel[-1] for b in kernel]
-        den = sum(b * chans[j][0][t] for t, b in enumerate(beta))
+        # Kernel entry t over base**t meets channel entries over base**t, so
+        # the powers cancel in every sum; the value ratio is invariant to the
+        # kernel's scale, and int / int is correctly rounded.
+        den = sum(b * chans[j][0][t] for t, b in enumerate(kernel))
         if den == 0:
             raise NumericBreakdown("exact combination denominator is zero")
-        mu = np.array([float(sum(b * chans[j][c][t]
-                                 for t, b in enumerate(beta)) / den)
-                       for c in range(1, len(chans[j]))])
+        mu = np.array([sum(b * chans[j][c][t] for t, b in enumerate(kernel))
+                       / den for c in range(1, len(chans[j]))])
+        last = len(kernel) - 1
+        beta = [float(Fraction(b, kernel[-1] * base ** (last - t)))
+                for t, b in enumerate(kernel)]
         results.append(ConsensusResult(
             mu=mu[0] if scalar else mu,
             defect=defect,
-            beta=np.array([float(b) for b in beta]),
+            beta=np.array(beta),
             rounds_used=2 * (defect + 1) - 1))
     return results

@@ -13,6 +13,7 @@ from consensus_admm import (HankelDetector, MissingMessage, NumericBreakdown,
                             fterc_run, max_consensus_step,
                             random_strongly_connected, ratio_step,
                             ratio_update, ratio_weights)
+from consensus_admm.exact import _PRIME, _exact_kernel, _hankel_bases_mod_p
 
 THREE_CYCLE = build_digraph(3, [(1, 0), (2, 1), (0, 2)])
 
@@ -201,6 +202,35 @@ def test_float_lane_never_silently_wrong_on_stacked_ring():
 def test_exact_lane_validates_seed_count():
     with pytest.raises(ValueError):
         exact_consensus_run(THREE_CYCLE, np.ones((4, 2)))
+
+
+def test_exact_lane_modular_bases_match_rational_ranks():
+    # Small integers, so float64 ranks are exact referees; several nodes and
+    # sizes share one zero-padded elimination.
+    rng = np.random.default_rng(4)
+    seqs = rng.integers(-3, 4, size=(5, 2, 9))
+    seqs[1, 1] = 0                        # a silent channel
+    seqs[2] = 2 ** np.arange(9)           # a geometric run: rank 1
+    sizes = range(2, 5)
+    bases = _hankel_bases_mod_p(seqs % _PRIME, sizes)
+    for k in range(5):
+        for m, basis in zip(sizes, bases[k]):
+            block = np.array([[seqs[k, c, i + j] for j in range(m)]
+                              for c in range(2) for i in range(m)], float)
+            assert len(basis) == np.linalg.matrix_rank(block)
+            assert np.linalg.matrix_rank(block[basis]) == len(basis)
+
+
+def test_exact_kernel_checks_the_modular_basis():
+    geometric = [[1, 2, 4]]
+    # Basis row [1, 2] gives the integer kernel [-2, 1].
+    assert _exact_kernel(geometric, 2, [0]) == [-2, 1]
+    # A basis short of m - 1 rows falls back to the whole block.
+    assert _exact_kernel(geometric, 2, []) == [-2, 1]
+    # A row outside the basis kernel is a modular false alarm: full rank.
+    assert _exact_kernel(geometric + [[1, 0, 1]], 2, [0]) is None
+    with pytest.raises(NumericBreakdown, match="2-dimensional"):
+        _exact_kernel([[0, 0, 0]], 2, [])
 
 
 def test_max_consensus_step():
