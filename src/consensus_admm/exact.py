@@ -7,15 +7,10 @@ the final-value evaluation in exact rational arithmetic: seeds are taken at
 their exact binary values, the push-sum weights ``1/(1+d_out)`` are exact
 fractions, and every returned value is the correctly rounded exact average.
 
-All of it runs on integers: trajectories are kept scaled by powers of the
-lcm of the divisors, so no fraction is formed until the reported kernel.
-Rank certificates are cheap in the common direction: full rank modulo a
-word-size prime proves full rank over the rationals, and all nodes and
-block sizes are certified together in a few batched eliminations (sizes
-grow in doubling chunks). Only the one deficient
-size per node pays for fraction-free integer elimination (Bareiss), on its
-modular basis rows alone; the exact kernel vector it yields is then checked
-against the whole block.
+It all runs on integers scaled by powers of the lcm of those divisors.
+Full rank modulo a word-size prime proves full rank over the rationals, so
+only the one deficient block size per node pays for fraction-free integer
+elimination (Bareiss), on its modular basis rows alone.
 """
 
 from __future__ import annotations
@@ -35,59 +30,47 @@ _PRIME = (1 << 31) - 1
 def _exact_trajectories(g: Digraph, seeds: np.ndarray, rounds: int):
     """Evolve (numerators, denominator) exactly for ``rounds`` exchanges.
 
-    Returns ``(chans, base)``. ``chans[j][c][t]`` is node ``j``'s channel
-    ``c`` at round ``t`` (channel 0 being the denominator), as an integer
-    scaled by ``base**t * 2**e`` for one ``e`` shared by every entry;
-    ``base`` is the lcm of the push-sum divisors ``1 + d_out``, so one
-    exchange is integer multiply-adds only.
+    Returns ``(chans, base)``: ``chans[j][c][t]`` is node ``j``'s channel
+    ``c`` (0 being the denominator) at round ``t``, scaled by ``base**t *
+    2**e`` into an integer; ``base`` is the lcm of the divisors ``1 + d_out``.
     """
-    n, p = seeds.shape
+    n = seeds.shape[0]
     base = math.lcm(*(1 + g.out_degree(j) for j in range(n)))
     gains = [base // (1 + g.out_degree(j)) for j in range(n)]
     ratios = [[float(v).as_integer_ratio() for v in row] for row in seeds]
     unit = max(den for row in ratios for _, den in row)   # a power of two
-    y = [[num * (unit // den) for num, den in row] for row in ratios]
-    x = [unit] * n
-    chans = [[[x[j]] if c == 0 else [y[j][c - 1]] for c in range(p + 1)]
-             for j in range(n)]
+    state = [[unit] + [num * (unit // den) for num, den in row]
+             for row in ratios]
+    history = [[row] for row in state]
     for _ in range(rounds):
-        ny = [[0] * p for _ in range(n)]
-        nx = [0] * n
+        nxt = [[0] * len(row) for row in state]
         for j in range(n):
-            wy = [gains[j] * v for v in y[j]]
-            wx = gains[j] * x[j]
+            share = [gains[j] * v for v in state[j]]
             for r in (j, *g.out_neighbors[j]):
-                row = ny[r]
-                for c in range(p):
-                    row[c] += wy[c]
-                nx[r] += wx
-        y, x = ny, nx
+                nxt[r] = [a + b for a, b in zip(nxt[r], share)]
+        state = nxt
         for j in range(n):
-            chans[j][0].append(x[j])
-            for c in range(p):
-                chans[j][c + 1].append(y[j][c])
+            history[j].append(state[j])
+    chans = [[list(seq) for seq in zip(*rows)] for rows in history]
     return chans, base
 
 
 def _hankel_bases_mod_p(mods: np.ndarray, sizes: range,
-                        p: int = _PRIME) -> list[list[list[int]]]:
-    """Basis rows modulo a prime of stacked Hankel blocks, per node and size.
+                        p: int = _PRIME) -> list[list[int]]:
+    """Basis rows modulo a prime of one node's stacked Hankel blocks, per size.
 
-    ``mods[k]`` holds node ``k``'s channels. Its size-``m`` block has rows
-    ``(c, i)`` (index ``c * m + i``), columns ``j < m`` and entries
-    ``mods[k, c, i + j]``. All nodes and sizes are eliminated together,
-    zero-padded to the largest size. Rows independent modulo a prime are
-    independent over the rationals, so a basis of ``m`` rows proves full
-    rank over the rationals.
+    The size-``m`` block has rows ``(c, i)`` (index ``c * m + i``), columns
+    ``j < m`` and entries ``mods[c, i + j]``; all sizes are eliminated
+    together, zero-padded to the largest. Rows independent modulo a prime
+    are independent over the rationals.
     """
-    nodes, chans, _ = mods.shape
+    chans = mods.shape[0]
     top = sizes[-1]
-    a = np.zeros((nodes, len(sizes), chans, top, top), dtype=np.int64)
+    a = np.zeros((len(sizes), chans, top, top), dtype=np.int64)
     for b, m in enumerate(sizes):
-        a[:, b, :, :m, :m] = mods[:, :, np.add.outer(np.arange(m),
-                                                     np.arange(m))]
-    a = a.reshape(nodes * len(sizes), chans * top, top)
-    batch = np.arange(a.shape[0])
+        a[b, :, :m, :m] = mods[:, np.add.outer(np.arange(m), np.arange(m))]
+    a = a.reshape(len(sizes), chans * top, top)
+    batch = np.arange(len(sizes))
     used = np.zeros(a.shape[:2], dtype=bool)
     for col in range(top):
         cand = (a[:, :, col] != 0) & ~used
@@ -95,54 +78,47 @@ def _hankel_bases_mod_p(mods: np.ndarray, sizes: range,
         piv = cand.argmax(axis=1)
         used[batch[has], piv[has]] = True
         # Cross-multiplied elimination needs no modular inverse; both
-        # products stay below 2**62, so int64 cannot overflow. A batch with
+        # products stay below 2**62, so int64 cannot overflow. A size with
         # no pivot in this column gets the identity step (scale 1, row 0).
         prow = np.where(has[:, None], a[batch, piv, col:], 0)
-        scale = np.where(has, prow[:, 0], 1)
         drop = a[:, :, col, None] * prow[:, None, :]
         rest = a[:, :, col:]          # a view: updated in place
-        rest *= scale[:, None, None]
+        rest *= np.where(has, prow[:, 0], 1)[:, None, None]
         rest -= drop
         np.remainder(rest, p, out=rest)
-    used = used.reshape(nodes, len(sizes), chans, top)
-    return [[[c * m + i for c in range(chans) for i in range(m)
-              if used[k, b, c, i]] for b, m in enumerate(sizes)]
-            for k in range(nodes)]
+    return [[c * m + i for c in range(chans) for i in range(m)
+             if used[b, c * top + i]] for b, m in enumerate(sizes)]
 
 
 def _bareiss_echelon(int_rows: list[list[int]], ncols: int):
     """Fraction-free integer elimination; returns (rank, echelon, pivot cols)."""
     a = [row[:] for row in int_rows]
-    nrows = len(a)
     prev = 1
-    rank = 0
     pivots: list[int] = []
     for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if a[r][col]), None)
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
         lead = a[rank][col]
         # Rows below the pivot are already zero left of ``col``.
-        for r in range(rank + 1, nrows):
+        for r in range(rank + 1, len(a)):
             factor = a[r][col]
             a[r] = [0] * (col + 1) + [
                 (lead * a[r][c] - factor * a[rank][c]) // prev
                 for c in range(col + 1, ncols)]
         prev = lead
         pivots.append(col)
-        rank += 1
-        if rank == min(nrows, ncols):
-            break
-    return rank, a, pivots
+    return len(pivots), a, pivots
 
 
 def _kernel_vector(echelon, pivots, ncols: int) -> list[int]:
     """Back-substitute the integer kernel vector (rank == ncols - 1).
 
-    The free entry is the last Bareiss pivot, the determinant (up to sign)
-    of the pivot columns' minor, so by Cramer's rule every entry is an
-    integer minor and every division below is exact.
+    The free entry is the last Bareiss pivot, a minor of the pivot columns,
+    so by Cramer's rule every entry is an integer minor and every division
+    below is exact.
     """
     free = next(c for c in range(ncols) if c not in pivots)
     beta = [0] * ncols
@@ -157,80 +133,53 @@ def _kernel_vector(echelon, pivots, ncols: int) -> list[int]:
     return beta
 
 
-def _node_diffs(chans, base: int) -> list[list[int]] | None:
-    """Integer first differences of one node's channels; None if constant.
+def _detect_node(chans, base: int) -> tuple[int, list[int]]:
+    """Exact defect index and integer kernel for one node's channels.
 
-    Entry ``t`` is the rational difference between rounds ``t + 1`` and
-    ``t`` scaled by ``base**(t + 1) * 2**e``. Hankel entry ``(i, j)`` then
-    carries the rational one times ``base**(i + 1) * 2**e`` (a row scale,
-    which keeps ranks and kernels) times ``base**j`` (a column scale, which
-    divides kernel entry ``j`` by ``base**j``).
+    Difference ``t`` (rounds ``t + 1`` minus ``t``) is scaled by
+    ``base**(t + 1) * 2**e``, so Hankel entry ``(i, j)`` carries a row scale,
+    which keeps ranks and kernels, times ``base**j``: kernel entry ``t`` is
+    the rational kernel's entry over ``base**t``.
     """
     samples = len(chans[0])
-    diffs = [[seq[t + 1] - base * seq[t] for t in range(samples - 1)]
-             for seq in chans]
-    if all(d[0] == 0 for d in diffs):
-        return None     # constant from the very first exchange
-    return diffs
-
-
-def _detect_nodes(chans, base: int) -> list[tuple[int, list[int]]]:
-    """Defect index and integer kernel of :func:`_node_diffs`, per node.
-
-    Kernel entry ``t`` is the rational kernel's entry over ``base**t``.
-    """
-    samples = len(chans[0][0])
-    ints = [_node_diffs(node, base) for node in chans]
-    found: list = [(0, [1]) if rows is None else None for rows in ints]
-    pending = [k for k, rows in enumerate(ints) if rows is not None]
-    mods = np.array([[[v % _PRIME for v in d] for d in ints[k]]
-                     for k in pending], dtype=np.int64)
-    slot = {k: i for i, k in enumerate(pending)}
-    # Sizes are tried in doubling chunks, so a small defect index eliminates
-    # few blocks and a large one few batches.
+    ints = [[seq[t + 1] - base * seq[t] for t in range(samples - 1)]
+            for seq in chans]
+    if all(d[0] == 0 for d in ints):
+        return 0, [1]     # constant from the very first exchange
+    mods = np.array([[v % _PRIME for v in d] for d in ints], dtype=np.int64)
+    # Sizes are screened in doubling chunks, so a small defect index
+    # eliminates few blocks and a large one few batches.
     top = samples // 2
     for lo in (1 << k for k in range(top.bit_length())):
-        if not pending:
-            break
         sizes = range(lo, min(2 * lo, top + 1))
-        bases = _hankel_bases_mod_p(mods[[slot[k] for k in pending]], sizes)
-        for k, node_bases in zip(pending, bases):
-            for m, basis in zip(sizes, node_bases):
-                kernel = _exact_kernel(ints[k], m, basis)
-                if kernel is not None:
-                    found[k] = (m - 1, kernel)
-                    break
-        pending = [k for k in pending if found[k] is None]
-    if pending:
-        raise NumericBreakdown(
-            f"no exact defect within {samples - 1} exchanges")
-    return found
+        for m, basis in zip(sizes, _hankel_bases_mod_p(mods, sizes)):
+            kernel = _exact_kernel(ints, m, basis)
+            if kernel is not None:
+                return m - 1, kernel
+    raise NumericBreakdown(f"no exact defect within {samples - 1} exchanges")
 
 
 def _exact_kernel(ints, m: int, basis: list[int]) -> list[int] | None:
     """Integer kernel of the size-``m`` integer block, or None at full rank.
 
-    ``basis`` is the block's modular basis (see :func:`_hankel_bases_mod_p`).
+    Bareiss runs on the ``m - 1`` rows of the modular ``basis`` (independent
+    over the rationals), or on the whole block if the basis is shorter. A
+    block row outside the kernel means a modular false alarm: full rank.
     """
     if len(basis) == m:
         return None
     block = [[row[i + j] for j in range(m)] for row in ints for i in range(m)]
-    if len(basis) == m - 1:
-        # The basis rows are independent over the rationals, so their
-        # kernel is the block's kernel unless some other row leaves it
-        # (a modular false alarm: the block has full rank after all).
-        _, echelon, pivots = _bareiss_echelon([block[r] for r in basis], m)
-        kernel = _kernel_vector(echelon, pivots, m)
-        if any(sum(v * k for v, k in zip(row, kernel)) for row in block):
-            return None
-        return kernel
-    rank, echelon, pivots = _bareiss_echelon(block, m)
-    if rank == m:        # modular false alarm; keep growing
+    rows = [block[r] for r in basis] if len(basis) == m - 1 else block
+    rank, echelon, pivots = _bareiss_echelon(rows, m)
+    if rank == m:
         return None
     if rank != m - 1:
         raise NumericBreakdown(
             f"defect kernel at size {m} is {m - rank}-dimensional")
-    return _kernel_vector(echelon, pivots, m)
+    kernel = _kernel_vector(echelon, pivots, m)
+    if any(sum(v * k for v, k in zip(row, kernel)) for row in block):
+        return None
+    return kernel
 
 
 def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
@@ -249,7 +198,8 @@ def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
         raise ValueError("seed count must match node count")
     chans, base = _exact_trajectories(g, mat, 2 * g.n + 1)
     results = []
-    for j, (defect, kernel) in enumerate(_detect_nodes(chans, base)):
+    for j in range(g.n):
+        defect, kernel = _detect_node(chans[j], base)
         if kernel[-1] == 0:
             raise NumericBreakdown("kernel vector has a vanishing last entry")
         # Kernel entry t over base**t meets channel entries over base**t, so
@@ -260,12 +210,9 @@ def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
             raise NumericBreakdown("exact combination denominator is zero")
         mu = np.array([sum(b * chans[j][c][t] for t, b in enumerate(kernel))
                        / den for c in range(1, len(chans[j]))])
-        last = len(kernel) - 1
-        beta = [float(Fraction(b, kernel[-1] * base ** (last - t)))
+        beta = [float(Fraction(b, kernel[-1] * base ** (defect - t)))
                 for t, b in enumerate(kernel)]
         results.append(ConsensusResult(
-            mu=mu[0] if scalar else mu,
-            defect=defect,
-            beta=np.array(beta),
+            mu=mu[0] if scalar else mu, defect=defect, beta=np.array(beta),
             rounds_used=2 * (defect + 1) - 1))
     return results

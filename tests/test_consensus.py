@@ -1,5 +1,6 @@
 """Ratio iterations, defect detection, and finite-time exact averaging."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -205,20 +206,38 @@ def test_exact_lane_validates_seed_count():
 
 
 def test_exact_lane_modular_bases_match_rational_ranks():
-    # Small integers, so float64 ranks are exact referees; several nodes and
-    # sizes share one zero-padded elimination.
+    # Small integers, so float64 ranks are exact referees; several sizes
+    # share one zero-padded elimination.
     rng = np.random.default_rng(4)
     seqs = rng.integers(-3, 4, size=(5, 2, 9))
     seqs[1, 1] = 0                        # a silent channel
     seqs[2] = 2 ** np.arange(9)           # a geometric run: rank 1
     sizes = range(2, 5)
-    bases = _hankel_bases_mod_p(seqs % _PRIME, sizes)
-    for k in range(5):
-        for m, basis in zip(sizes, bases[k]):
-            block = np.array([[seqs[k, c, i + j] for j in range(m)]
+    for seq in seqs:
+        for m, basis in zip(sizes, _hankel_bases_mod_p(seq % _PRIME, sizes)):
+            block = np.array([[seq[c, i + j] for j in range(m)]
                               for c in range(2) for i in range(m)], float)
             assert len(basis) == np.linalg.matrix_rank(block)
             assert np.linalg.matrix_rank(block[basis]) == len(basis)
+
+
+def test_exact_lane_memory_stays_per_node_beyond_the_family():
+    # A 24-ring has defect 23 at every node, past criterion 1's n <= 20.
+    # The modular screen holds one node's blocks at a time; holding every
+    # node's at once peaked near 14 MB here.
+    g = random_strongly_connected(24, extra_edge_prob=0.0, seed=3)
+    y0 = np.random.default_rng(5).uniform(-5, 5, size=(24, 3))
+    truth = _true_mean(y0)
+    tracemalloc.start()
+    try:
+        res = exact_consensus_run(g, y0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    for r in res:
+        assert r.defect == 23
+        assert np.array_equal(r.mu, truth)
 
 
 def test_exact_kernel_checks_the_modular_basis():
