@@ -14,8 +14,12 @@ iterate ``z``:
 * ``run_epsilon_baseline`` — inexact averaging with distributed
   certification windows; each node outputs its last certified snapshot.
 
-The solvers exchange messages only through :class:`~.netsim.RoundEngine`,
-so round logs, schedules, and determinism checks all observe real traffic.
+Each solver is a phase schedule: the :class:`PhaseFlags` of its warm-up
+steps, then those of its steady step. The flags fix both what a phase
+carries and when it stops, so one runner executes every phase, including
+the standalone :func:`fterc_run` and :func:`ftdt_run`. The solvers exchange
+messages only through :class:`~.netsim.RoundEngine`, so round logs,
+schedules, and determinism checks all observe real traffic.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import HankelDetector, fterc_final, ratio_update
+from .consensus import (ConsensusResult, HankelDetector, fterc_final,
+                        ratio_update)
 from .errors import (DegenerateSequence, InsufficientData, NonIntegerResult,
                      NumericBreakdown)
 from .exact import exact_consensus_run
@@ -34,9 +39,6 @@ from .objectives import L1Regularizer, l1_z_update
 from .oracle import Reference
 from .termination import (TerminationState, counter_message, derive_max_defect,
                           freeze_counter, ftdt_step)
-
-ALGORITHMS = ("dadmm_fterc", "fdadmm_ftdt", "epsilon_baseline")
-
 
 @dataclass
 class AdmmConfig:
@@ -60,20 +62,25 @@ class AdmmConfig:
     record_messages: bool = False
 
     def validate(self, n: int) -> int:
-        """Check field ranges against a concrete network size; return n'."""
+        """Check field ranges against a concrete network size; return n'.
+
+        Each ``ValueError`` message starts with the offending field's name.
+        """
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
-        if self.eps_abs < 0 or self.eps_rel < 0:
-            raise ValueError("tolerances must be nonnegative")
+        for name in ("eps_abs", "eps_rel"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if self.init not in ("random", "zero"):
-            raise ValueError(f"unknown init {self.init!r}")
+            raise ValueError(f"init must be 'random' or 'zero', "
+                             f"got {self.init!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         n_prime = self.n_prime if self.n_prime is not None else n
         if n_prime < n:
-            raise ValueError(f"n_prime={n_prime} below actual size {n}")
+            raise ValueError(f"n_prime {n_prime} is below the network size {n}")
         return n_prime
 
 
@@ -123,6 +130,17 @@ class PhaseFlags:
     terminate: bool = False   # run distributed stopping counters
     piggyback: bool = False   # integer max-consensus rider
     certify: bool = False     # windowed spread certification
+
+
+# Each solver as a phase schedule: one warm-up phase per step, then the
+# steady phase for every later step.
+_SCHEDULES = {
+    "dadmm_fterc": ((PhaseFlags(detect=True), PhaseFlags(piggyback=True)),
+                    PhaseFlags()),
+    "fdadmm_ftdt": ((PhaseFlags(detect=True, terminate=True),), PhaseFlags()),
+    "epsilon_baseline": ((), PhaseFlags(certify=True)),
+}
+ALGORITHMS = tuple(_SCHEDULES)
 
 
 @dataclass
@@ -274,14 +292,94 @@ def _exact_values(nodes: list[PhaseNode], betas) -> list[np.ndarray]:
     return out
 
 
-@dataclass
-class ConsensusPhaseResult:
-    """Output of one standalone averaging phase."""
+def _agree_int(values, what: str) -> int:
+    distinct = {int(v) for v in values}
+    if len(distinct) != 1:
+        raise NonIntegerResult(f"nodes disagree on {what}: {sorted(distinct)}")
+    return distinct.pop()
 
-    values: np.ndarray
-    betas: list
-    defect_indices: list
-    rounds: int
+
+def _agreed_max_defect(t_terms, defects) -> int:
+    """Each node's own derivation of the largest defect index; all agree."""
+    return _agree_int((derive_max_defect(t_term, d)
+                       for t_term, d in zip(t_terms, defects)),
+                      "the largest defect index")
+
+
+def _consensus_phase(engine: RoundEngine, graph: Digraph, seeds: np.ndarray,
+                     flags: PhaseFlags, label: str, *, n_prime: int,
+                     t_max: int | None = None, defect_sizes=None,
+                     epsilon: float | None = None) -> list[PhaseNode]:
+    """Open one consensus phase and run it under the stop rule its flags imply.
+
+    * ``terminate``: until every node's stopping counter fires;
+    * ``certify``: windows of ``n'`` exchanges until every node is certified;
+    * ``detect`` alone: ``2n'`` exchanges; ``piggyback``: ``n'`` exchanges;
+    * neither: ``t_max`` exchanges.
+
+    A detection phase raises :class:`NumericBreakdown` unless every node's
+    detector fired.
+    """
+    t0 = engine.tick
+    nodes, handler = _open_phase(engine, graph, seeds, flags, label,
+                                 defect_sizes=defect_sizes, window=n_prime,
+                                 spread_eps=epsilon)
+    if flags.terminate:
+        guard = 4 * (n_prime + 2)
+        while not all(node.term.terminated for node in nodes):
+            if engine.tick - t0 >= guard:
+                raise NumericBreakdown(
+                    f"stopping counters still open after {guard} rounds")
+            engine.run_round(handler, label)
+    elif flags.certify:
+        windows = 0
+        while not all(node.certified for node in nodes):
+            if windows >= 10_000:
+                raise NumericBreakdown(
+                    "certification made no progress in 10000 windows")
+            engine.run_phase(handler, n_prime, label)
+            windows += 1
+    elif flags.detect:
+        engine.run_phase(handler, 2 * n_prime, label)
+    else:
+        engine.run_phase(handler, n_prime if flags.piggyback else t_max, label)
+    if flags.detect:
+        for i, node in enumerate(nodes):
+            if not node.detector.fired:
+                raise NumericBreakdown(f"node {i} found no defect within "
+                                       f"{engine.tick - t0} rounds")
+    return nodes
+
+
+def fterc_run(graph: Digraph, y0) -> list[ConsensusResult]:
+    """Run finite-time exact ratio consensus to completion at every node.
+
+    One detection phase of ``2n`` exchanges on the round engine; a node with
+    defect index d fires at round ``2d + 1``. On :class:`NumericBreakdown`
+    the run restarts once with a deterministic 1e-9 perturbation of the
+    numerator seeds (denominator seeds untouched).
+    """
+    seeds = np.asarray(y0, dtype=float)
+    if seeds.shape[0] != graph.n:
+        raise ValueError("seed count must match node count")
+    mat = seeds.reshape(graph.n, -1)
+
+    def once(mat):
+        engine = RoundEngine(graph, [None] * graph.n)
+        nodes = _consensus_phase(engine, graph, mat, PhaseFlags(detect=True),
+                                 "detect", n_prime=graph.n)
+        betas = [node.detector.beta for node in nodes]
+        return [ConsensusResult(mu[0] if seeds.ndim == 1 else mu,
+                                node.detector.defect, beta.copy(),
+                                2 * node.detector.defect + 1)
+                for node, beta, mu in zip(nodes, betas,
+                                          _exact_values(nodes, betas))]
+
+    try:
+        return once(mat)
+    except NumericBreakdown:
+        return once(mat + 1e-9 * np.linspace(1.0, 2.0, mat.size)
+                    .reshape(mat.shape))
 
 
 @dataclass
@@ -297,7 +395,7 @@ class TerminationRunResult:
     rounds: int
 
 
-def ftdt_run(graph: Digraph, seeds, *, record_messages: bool = False,
+def ftdt_run(graph: Digraph, seeds, *,
              exact: bool = False) -> TerminationRunResult:
     """One averaging phase that stops itself, with zero outside input.
 
@@ -308,38 +406,25 @@ def ftdt_run(graph: Digraph, seeds, *, record_messages: bool = False,
 
     With ``exact=True`` detection and evaluation run in rational arithmetic
     (see :mod:`.exact`) and the stopping counters are replayed on top; use
-    this outside the float64 detection envelope. Message recording is only
-    available on the float path.
+    this outside the float64 detection envelope.
     """
     if exact:
-        if record_messages:
-            raise ValueError("message recording requires the float path")
         return _ftdt_run_exact(graph, seeds)
     seeds = np.asarray(seeds, dtype=float)
-    scalar = seeds.ndim == 1
-    mat = seeds.reshape(graph.n, -1)
-    engine = RoundEngine(graph, [None] * graph.n,
-                         record_messages=record_messages)
-    nodes, handler = _open_phase(engine, graph, mat,
-                                 PhaseFlags(detect=True, terminate=True),
-                                 "terminate")
-    guard = 4 * (graph.n + 2)
-    while not all(node.term.terminated for node in nodes):
-        if engine.tick >= guard:
-            raise NumericBreakdown(
-                f"stopping counters still open after {guard} rounds")
-        engine.run_round(handler, "terminate")
+    engine = RoundEngine(graph, [None] * graph.n)
+    nodes = _consensus_phase(engine, graph, seeds.reshape(graph.n, -1),
+                             PhaseFlags(detect=True, terminate=True),
+                             "terminate", n_prime=graph.n)
     betas = [node.detector.beta for node in nodes]
     defect = [node.detector.defect for node in nodes]
-    max_defect = _agree_int((derive_max_defect(node.term.t_term, node.detector.defect)
-                        for node in nodes), "the largest defect index")
+    t_terms = [node.term.t_term for node in nodes]
+    max_defect = _agreed_max_defect(t_terms, defect)
     values = np.stack(_exact_values(nodes, betas))
-    if scalar:
+    if seeds.ndim == 1:
         values = values[:, 0]
     return TerminationRunResult(
-        values=values, betas=betas, defect_indices=defect,
-        t_terms=[node.term.t_term for node in nodes],
-        detection_rounds=[2 * (node.detector.defect + 1) - 1 for node in nodes],
+        values=values, betas=betas, defect_indices=defect, t_terms=t_terms,
+        detection_rounds=[2 * d + 1 for d in defect],
         max_defect=max_defect, rounds=engine.tick)
 
 
@@ -373,9 +458,8 @@ def _ftdt_run_exact(graph: Digraph, seeds) -> TerminationRunResult:
             stepped.append(ftdt_step(st, k, received))
         states = stepped
         outgoing = [counter_message(st, k + 1) for st in states]
-    max_defect = _agree_int((derive_max_defect(st.t_term, res.defect)
-                        for st, res in zip(states, detections)),
-                       "the largest defect index")
+    max_defect = _agreed_max_defect([st.t_term for st in states],
+                                    [res.defect for res in detections])
     values = np.stack([np.atleast_1d(res.mu) for res in detections])
     if scalar:
         values = values[:, 0]
@@ -384,43 +468,6 @@ def _ftdt_run_exact(graph: Digraph, seeds) -> TerminationRunResult:
         defect_indices=[res.defect for res in detections],
         t_terms=[st.t_term for st in states],
         detection_rounds=fire, max_defect=max_defect, rounds=k)
-
-
-def z_update_consensus(graph: Digraph, seeds, *, betas=None,
-                       rounds: int | None = None,
-                       record_messages: bool = False) -> ConsensusPhaseResult:
-    """One finite-time exact averaging phase over the message engine.
-
-    Without ``betas`` the phase detects kernel coefficients (default budget
-    ``2 n`` exchanges). With ``betas`` it reuses them and only needs
-    ``max defect index + 1`` exchanges. Either way every node's value equals
-    the exact average of the seed rows.
-    """
-    seeds = np.asarray(seeds, dtype=float)
-    scalar = seeds.ndim == 1
-    mat = seeds.reshape(graph.n, -1)
-    engine = RoundEngine(graph, [None] * graph.n,
-                         record_messages=record_messages)
-    if betas is None:
-        flags = PhaseFlags(detect=True)
-        budget = rounds if rounds is not None else 2 * graph.n
-        nodes, handler = _open_phase(engine, graph, mat, flags, "detect")
-        engine.run_phase(handler, budget, "detect")
-        for i, node in enumerate(nodes):
-            if not node.detector.fired:
-                raise NumericBreakdown(f"node {i} found no defect "
-                                       f"within {budget} rounds")
-        betas = [node.detector.beta for node in nodes]
-        defect = [node.detector.defect for node in nodes]
-    else:
-        budget = rounds if rounds is not None else max(len(b) for b in betas)
-        nodes, handler = _open_phase(engine, graph, mat, PhaseFlags(), "reuse")
-        engine.run_phase(handler, budget, "reuse")
-        defect = [len(b) - 1 for b in betas]
-    values = np.stack(_exact_values(nodes, betas))
-    if scalar:
-        values = values[:, 0]
-    return ConsensusPhaseResult(values, list(betas), defect, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +541,11 @@ def _initialize(n: int, p: int, config: AdmmConfig):
     return x0, lam0, z0
 
 
-def _agree_int(values, what: str) -> int:
-    distinct = {int(v) for v in values}
-    if len(distinct) != 1:
-        raise NonIntegerResult(f"nodes disagree on {what}: {sorted(distinct)}")
-    return distinct.pop()
-
-
 def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
          regularizer, penalized, reference) -> RunRecord:
-    if algorithm not in ALGORITHMS:
+    if algorithm not in _SCHEDULES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    warmup, steady = _SCHEDULES[algorithm]
     n = graph.n
     if len(objectives) != n:
         raise ValueError("one local objective per node required")
@@ -542,73 +583,28 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
                                                          rho)
                             for i in range(n)])
         seeds = x_stack + lam / rho
-        phase = f"step-{k}"
+        flags = warmup[k - 1] if k <= len(warmup) else steady
         tick_before = engine.tick
-
-        if algorithm == "dadmm_fterc":
-            if k == 1:
-                nodes, handler = _open_phase(engine, graph, seeds,
-                                             PhaseFlags(detect=True), phase)
-                engine.run_phase(handler, 2 * n_prime, phase)
-                for i, node in enumerate(nodes):
-                    if not node.detector.fired:
-                        raise NumericBreakdown(
-                            f"node {i} found no defect within "
-                            f"{2 * n_prime} rounds")
-                betas = [node.detector.beta for node in nodes]
-                defect = [node.detector.defect for node in nodes]
-            elif k == 2:
-                nodes, handler = _open_phase(engine, graph, seeds,
-                                             PhaseFlags(piggyback=True),
-                                             phase, defect_sizes=defect)
-                engine.run_phase(handler, n_prime, phase)
-                t_max = _agree_int((node.vmax for node in nodes),
-                                   "the phase length")
-                max_defect = t_max - 1
-            else:
-                nodes, handler = _open_phase(engine, graph, seeds,
-                                             PhaseFlags(), phase)
-                engine.run_phase(handler, t_max, phase)
-            values = _exact_values(nodes, betas)
-        elif algorithm == "fdadmm_ftdt":
-            if k == 1:
-                nodes, handler = _open_phase(
-                    engine, graph, seeds,
-                    PhaseFlags(detect=True, terminate=True), phase)
-                guard = 4 * (n_prime + 2)
-                while not all(node.term.terminated for node in nodes):
-                    if engine.tick - tick_before >= guard:
-                        raise NumericBreakdown(
-                            f"stopping counters still open after "
-                            f"{guard} rounds")
-                    engine.run_round(handler, phase)
-                t1 = engine.tick - tick_before
-                betas = [node.detector.beta for node in nodes]
-                defect = [node.detector.defect for node in nodes]
-                max_defect = _agree_int(
-                    (derive_max_defect(node.term.t_term, node.detector.defect)
-                     for node in nodes), "the largest defect index")
-                t_max = max_defect + 1
-            else:
-                nodes, handler = _open_phase(engine, graph, seeds,
-                                             PhaseFlags(), phase)
-                engine.run_phase(handler, t_max, phase)
-            values = _exact_values(nodes, betas)
-        else:  # epsilon_baseline
-            nodes, handler = _open_phase(engine, graph, seeds,
-                                         PhaseFlags(certify=True), phase,
-                                         window=n_prime,
-                                         spread_eps=config.epsilon)
-            windows = 0
-            while not all(node.certified for node in nodes):
-                if windows >= 10_000:
-                    raise NumericBreakdown(
-                        "certification made no progress in 10000 windows")
-                engine.run_phase(handler, n_prime, phase)
-                windows += 1
-            values = [node.snap for node in nodes]
-
+        nodes = _consensus_phase(engine, graph, seeds, flags, f"step-{k}",
+                                 n_prime=n_prime, t_max=t_max,
+                                 defect_sizes=defect, epsilon=config.epsilon)
         rounds_k = engine.tick - tick_before
+        if flags.detect:
+            betas = [node.detector.beta for node in nodes]
+            defect = [node.detector.defect for node in nodes]
+        if flags.piggyback:
+            t_max = _agree_int((node.vmax for node in nodes),
+                               "the phase length")
+            max_defect = t_max - 1
+        if flags.terminate:
+            t1 = rounds_k
+            max_defect = _agreed_max_defect(
+                [node.term.t_term for node in nodes], defect)
+            t_max = max_defect + 1
+        if flags.certify:
+            values = [node.snap for node in nodes]
+        else:
+            values = _exact_values(nodes, betas)
 
         if kappa is None:
             z_new = np.stack(values)

@@ -199,6 +199,15 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         line = sections.get("problem", {}).get("m", (headers.get("problem", 0),))[0]
         raise ConfigError(path, line, "need at least one sample per node")
 
+    try:
+        admm.validate(problem.n)
+    except ValueError as exc:
+        field_name = str(exc).split()[0]
+        lines = {key: lineno for key, (lineno, _)
+                 in {**algo_section, **sections.get("admm", {})}.items()}
+        raise ConfigError(path, lines.get(field_name, headers.get("admm", 0)),
+                          str(exc))
+
     out_dir = "runs"
     if "dir" in sections.get("output", {}):
         out_dir = sections["output"]["dir"][1]

@@ -1,5 +1,4 @@
-"""Ratio consensus over directed graphs, finite-time exact evaluation, and
-spread-based stopping.
+"""Ratio consensus over directed graphs and finite-time exact evaluation.
 
 Two parallel linear iterations run under one column-stochastic weight matrix:
 a numerator seeded with the input vectors and a denominator seeded with ones.
@@ -17,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSequence, MissingMessage, NumericBreakdown
-from .graph import Digraph, ratio_weights
 
 # Pinned numerical tolerances for defect detection and final evaluation.
 RANK_TOL = 1e-12    # singular values below RANK_TOL * sigma_max count as zero
@@ -47,24 +45,6 @@ def ratio_update(own_y, own_x: float, out_degree: int, received,
     return y_next, x_next
 
 
-def ratio_step(weights: np.ndarray, values: np.ndarray,
-               denominators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-network synchronous step: both iterations advance by ``W @ v``."""
-    weights = np.asarray(weights, dtype=float)
-    return weights @ np.asarray(values, dtype=float), \
-        weights @ np.asarray(denominators, dtype=float)
-
-
-def max_consensus_step(g: Digraph, values: np.ndarray) -> np.ndarray:
-    """Each node keeps the max of itself and its in-neighbours."""
-    values = np.asarray(values)
-    out = values.copy()
-    for j in range(g.n):
-        for i in g.in_neighbors[j]:
-            out[j] = np.maximum(out[j], values[i])
-    return out
-
-
 class HankelDetector:
     """Finds the first defective square Hankel matrix of a difference sequence.
 
@@ -77,14 +57,8 @@ class HankelDetector:
     defect index d fires at round 2(d+1)-1.
     """
 
-    def __init__(self, channels: int, *, rank_tol: float = RANK_TOL,
-                 abs_tol: float = ABS_TOL, denom_tol: float = DENOM_TOL,
-                 stab_tol: float = STAB_TOL):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.rank_tol = rank_tol
-        self.abs_tol = abs_tol
-        self.denom_tol = denom_tol
-        self.stab_tol = stab_tol
         self.defect: int | None = None
         self.beta: np.ndarray | None = None
         self._seq: list[np.ndarray] = []
@@ -113,7 +87,7 @@ class HankelDetector:
         length = len(self._seq)
         if length == 2:
             first_diff = self._seq[1] - self._seq[0]
-            if np.max(np.abs(first_diff)) < self.abs_tol:
+            if np.max(np.abs(first_diff)) < ABS_TOL:
                 self.defect = 0
                 self.beta = np.ones(1)
                 raise DegenerateSequence("sequence constant at first check")
@@ -130,11 +104,11 @@ class HankelDetector:
         ]
         stacked = np.vstack(blocks)            # (channels*m, m)
         sigma = np.linalg.svd(stacked, compute_uv=False)
-        if sigma[-1] > self.rank_tol * sigma[0]:
+        if sigma[-1] > RANK_TOL * sigma[0]:
             return
         _, _, vt = np.linalg.svd(stacked)
         kernel = vt[-1]
-        if abs(kernel[-1]) <= self.denom_tol:
+        if abs(kernel[-1]) <= DENOM_TOL:
             raise NumericBreakdown("kernel vector has a vanishing last entry")
         if not self._kernel_is_stable(seq, kernel, m):
             return
@@ -154,30 +128,14 @@ class HankelDetector:
         """
         combo0 = kernel @ seq[:m]              # (channels,)
         combo1 = kernel @ seq[1:m + 1]
-        denom_floor = self.stab_tol * np.sum(np.abs(kernel)) * \
+        denom_floor = STAB_TOL * np.sum(np.abs(kernel)) * \
             np.abs(seq[:m + 1, 0]).max()
         if abs(combo0[0]) <= denom_floor or abs(combo1[0]) <= denom_floor:
             return False
         mu0 = combo0[1:] / combo0[0]
         mu1 = combo1[1:] / combo1[0]
         drift = np.abs(mu1 - mu0) / (1.0 + np.abs(mu0))
-        return bool(np.all(drift <= self.stab_tol))
-
-
-def final_values(traj, beta) -> float | np.ndarray:
-    """Exact limit of a linear iteration from its trajectory prefix.
-
-    ``phi = (beta . traj[:len(beta)]) / (1 . beta)``; raises
-    :class:`NumericBreakdown` when the coefficients sum to ~zero.
-    """
-    beta = np.asarray(beta, dtype=float)
-    traj = np.asarray(traj, dtype=float)
-    total = float(np.sum(beta))
-    if abs(total) <= DENOM_TOL:
-        raise NumericBreakdown("coefficient sum is numerically zero")
-    if len(traj) < len(beta):
-        raise ValueError("trajectory shorter than the coefficient vector")
-    return beta @ traj[:len(beta)] / total
+        return bool(np.all(drift <= STAB_TOL))
 
 
 def fterc_final(traj_y, traj_x, beta) -> np.ndarray:
@@ -205,114 +163,3 @@ class ConsensusResult:
     defect: int
     beta: np.ndarray
     rounds_used: int
-
-
-def _as_matrix(y0) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(y0, dtype=float)
-    if arr.ndim == 1:
-        return arr.reshape(-1, 1), True
-    return arr.copy(), False
-
-
-def fterc_run(g: Digraph, y0, *, rank_tol: float = RANK_TOL,
-              abs_tol: float = ABS_TOL, denom_tol: float = DENOM_TOL,
-              max_rounds: int | None = None) -> list[ConsensusResult]:
-    """Run finite-time exact ratio consensus to completion at every node.
-
-    On :class:`NumericBreakdown` the run restarts once with a deterministic
-    1e-9 perturbation of the numerator seeds (denominator seeds untouched).
-    """
-    try:
-        return _fterc_run_once(g, y0, rank_tol, abs_tol, denom_tol, max_rounds)
-    except NumericBreakdown:
-        values, _ = _as_matrix(y0)
-        bump = 1e-9 * np.linspace(1.0, 2.0, values.size).reshape(values.shape)
-        perturbed = values + bump
-        if np.asarray(y0).ndim == 1:
-            perturbed = perturbed.ravel()
-        return _fterc_run_once(g, perturbed, rank_tol, abs_tol, denom_tol,
-                               max_rounds)
-
-
-def _fterc_run_once(g: Digraph, y0, rank_tol, abs_tol, denom_tol,
-                    max_rounds) -> list[ConsensusResult]:
-    values, scalar_input = _as_matrix(y0)
-    n, p = values.shape
-    if n != g.n:
-        raise ValueError("seed count must match node count")
-    if max_rounds is None:
-        max_rounds = 2 * (n + 1)
-    weights = ratio_weights(g)
-    denominators = np.ones(n)
-    traj_y = [values.copy()]
-    traj_x = [denominators.copy()]
-    detectors = [HankelDetector(p + 1, rank_tol=rank_tol, abs_tol=abs_tol,
-                                denom_tol=denom_tol) for _ in range(n)]
-    fire_round = [0] * n
-    for j in range(n):
-        _feed_quietly(detectors[j], values[j], denominators[j])
-
-    for t in range(1, max_rounds + 1):
-        values = weights @ values
-        denominators = weights @ denominators
-        traj_y.append(values.copy())
-        traj_x.append(denominators.copy())
-        for j in range(n):
-            if not detectors[j].fired:
-                _feed_quietly(detectors[j], values[j], denominators[j])
-                if detectors[j].fired:
-                    fire_round[j] = t
-        if all(d.fired for d in detectors):
-            break
-    else:
-        raise NumericBreakdown(f"no defect found within {max_rounds} rounds")
-
-    stack_y = np.stack(traj_y)   # (L, n, p)
-    stack_x = np.stack(traj_x)   # (L, n)
-    results = []
-    for j in range(n):
-        det = detectors[j]
-        mu = fterc_final(stack_y[:, j, :], stack_x[:, j], det.beta)
-        if scalar_input:
-            mu = mu[0]
-        results.append(ConsensusResult(mu, det.defect, det.beta.copy(),
-                                       fire_round[j]))
-    return results
-
-
-def _feed_quietly(detector: HankelDetector, y_row, x_val) -> None:
-    try:
-        detector.feed(np.concatenate(([x_val], np.atleast_1d(y_row))))
-    except DegenerateSequence:
-        pass  # detector fired with defect 0, beta=[1]; current value is final
-
-
-def epsilon_consensus(g: Digraph, y0, eps: float,
-                      max_rounds: int = 1_000_000) -> tuple[np.ndarray, int]:
-    """Iterate the ratio until every pair of node ratios is within ``eps``.
-
-    Returns the per-node ratios and the number of rounds taken; an input that
-    already agrees needs zero extra rounds. This is an instrumentation-grade
-    first-passage check (it reads the global spread directly); the distributed
-    baseline with its certification windows lives with the solvers.
-    """
-    values, scalar_input = _as_matrix(y0)
-    n = g.n
-    weights = ratio_weights(g)
-    denominators = np.ones(n)
-
-    def spread(vals, dens) -> float:
-        ratios = vals / dens[:, None]
-        return float(np.max(ratios.max(axis=0) - ratios.min(axis=0)))
-
-    rounds = 0
-    while spread(values, denominators) > eps:
-        if rounds >= max_rounds:
-            raise NumericBreakdown(f"spread above {eps} after {max_rounds} rounds")
-        values = weights @ values
-        denominators = weights @ denominators
-        rounds += 1
-    ratios = values / denominators[:, None]
-    if scalar_input:
-        ratios = ratios.ravel()
-    return ratios, rounds

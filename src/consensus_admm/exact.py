@@ -183,7 +183,7 @@ def _exact_kernel(ints, m: int, basis: list[int]) -> list[int] | None:
 
 
 def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
-    """Exact-arithmetic twin of :func:`consensus.fterc_run`.
+    """Exact-arithmetic twin of :func:`~.admm.fterc_run`.
 
     Every node's returned value is the exact network average of the exact
     binary seeds, correctly rounded to float; defect indices and kernel

@@ -1,7 +1,5 @@
 """Solver runs: schedules, equivalence, stopping, and analysis helpers."""
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from consensus_admm import (AdmmConfig, InsufficientData, L1Regularizer,
                             minimal_poly_oracle, random_strongly_connected,
                             ratio_weights, rlinear_probe, run_dadmm_fterc,
                             run_epsilon_baseline, run_fdadmm_ftdt,
-                            stopping_criterion, z_update_consensus)
+                            stopping_criterion)
 
 
 def _instance(n=4, p=2, q=5, seed=3, graph_seed=1, extra=0.4):
@@ -20,15 +18,6 @@ def _instance(n=4, p=2, q=5, seed=3, graph_seed=1, extra=0.4):
     graph = random_strongly_connected(n, extra_edge_prob=extra,
                                       seed=graph_seed)
     return objectives, graph
-
-
-def _exact_row_means(seeds):
-    mat = np.atleast_2d(seeds)
-    cols = []
-    for c in range(mat.shape[1]):
-        cols.append(float(sum(Fraction(float(v)) for v in mat[:, c])
-                          / mat.shape[0]))
-    return np.array(cols)
 
 
 def test_stopping_criterion_oracle():
@@ -62,25 +51,6 @@ def test_composite_objective():
     mask = np.array([True, False])
     with_penalty = composite_objective(objectives, point, reg, mask)
     assert with_penalty == pytest.approx(plain + 2.0 * 0.4)
-
-
-def test_z_update_consensus_detect_and_reuse():
-    g = build_digraph(3, [(1, 0), (2, 1), (0, 2)])
-    rng = np.random.default_rng(5)
-    seeds = rng.uniform(-4, 4, size=(3, 2))
-    truth = _exact_row_means(seeds)
-
-    detected = z_update_consensus(g, seeds)
-    assert detected.rounds == 2 * g.n
-    assert detected.defect_indices == [2, 2, 2]
-    for row in detected.values:
-        assert np.allclose(row, truth, atol=1e-10)
-
-    fresh = rng.uniform(-4, 4, size=(3, 2))
-    reused = z_update_consensus(g, fresh, betas=detected.betas)
-    assert reused.rounds == 3  # max defect index + 1
-    for row in reused.values:
-        assert np.allclose(row, _exact_row_means(fresh), atol=1e-10)
 
 
 def test_warmup_schedule_with_coordinator():

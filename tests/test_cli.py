@@ -211,6 +211,14 @@ def test_main_error_exit_codes(tmp_path, capsys):
     assert main(["run", str(bad)]) == 1
     assert "expects a int" in capsys.readouterr().err
 
+    zero_rho = _write(tmp_path, SMALL_LS.replace("k_max = 12", "rho = 0"))
+    assert main(["run", str(zero_rho)]) == 1
+    assert f"{zero_rho}:17: rho must be positive" in capsys.readouterr().err
+
+    small = _write(tmp_path, SMALL_LS.replace("init = zero", "n_prime = 2"))
+    assert main(["run", str(small)]) == 1
+    assert f"{small}:19: n_prime 2 is below" in capsys.readouterr().err
+
     lone = tmp_path / "lone.csv"
     lone.write_text(",".join(CSV_COLUMNS) + "\n1,0,0,0,1,nan,nan\n",
                     encoding="utf-8")

@@ -145,12 +145,6 @@ def test_ftdt_exact_replay_matches_engine():
         assert np.allclose(exact_run.values, float_run.values, atol=1e-9)
 
 
-def test_ftdt_record_messages_requires_float_lane():
-    g = build_digraph(3, [(1, 0), (2, 1), (0, 2)])
-    with pytest.raises(ValueError):
-        ftdt_run(g, np.ones(3), exact=True, record_messages=True)
-
-
 def test_eccentricity_bounded_by_twice_defect_size():
     for seed in range(8):
         n = 3 + seed
