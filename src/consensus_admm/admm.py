@@ -59,7 +59,6 @@ class AdmmConfig:
     seed: int = 0
     epsilon: float = 0.01
     stop_on_tolerance: bool = True
-    record_messages: bool = False
 
     def validate(self, n: int) -> int:
         """Check field ranges against a concrete network size; return n'.
@@ -175,14 +174,14 @@ class PhaseNode:
         return np.concatenate(([self.x], self.y))
 
 
-def _make_emit(graph: Digraph, flags: PhaseFlags):
-    """Build the sender-side emission: scaled ratio pair plus riders.
+def _make_emit(flags: PhaseFlags):
+    """Build the sender-side broadcast: scaled ratio pair plus riders.
 
     The ratio contribution is divided by 1 + out-degree before it leaves the
     node, so receivers never learn sender degrees.
     """
 
-    def emit(i: int, node: PhaseNode, next_round: int) -> dict:
+    def emit(node: PhaseNode, next_round: int) -> dict:
         share = 1.0 / (1.0 + node.out_degree)
         payload = {"y": node.y * share, "x": node.x * share}
         if flags.terminate:
@@ -194,7 +193,7 @@ def _make_emit(graph: Digraph, flags: PhaseFlags):
         if flags.certify:
             payload["hi"] = node.hi
             payload["lo"] = node.lo
-        return {dest: payload for dest in graph.out_neighbors[i]}
+        return payload
 
     return emit
 
@@ -247,7 +246,7 @@ def _make_handler(graph: Digraph, flags: PhaseFlags, t0: int, emit,
                     node.snap = node.y / node.x
                     node.hi = node.snap.copy()
                     node.lo = node.snap.copy()
-        return node, emit(i, node, k + 1)
+        return node, emit(node, k + 1)
 
     return handler
 
@@ -276,10 +275,10 @@ def _open_phase(engine: RoundEngine, graph: Digraph, seeds: np.ndarray,
             node.detector.feed(node.observation())  # length 1: no check yet
         nodes.append(node)
     engine.states = nodes
-    emit = _make_emit(graph, flags)
+    emit = _make_emit(flags)
     handler = _make_handler(graph, flags, engine.tick, emit,
                             window=window, spread_eps=spread_eps)
-    engine.prime(lambda i, s: emit(i, s, 1), phase)
+    engine.prime(lambda i, node: emit(node, 1), phase)
     return nodes, handler
 
 
@@ -360,7 +359,7 @@ def fterc_run(graph: Digraph, y0) -> list[ConsensusResult]:
     numerator seeds (denominator seeds untouched).
     """
     seeds = np.asarray(y0, dtype=float)
-    if seeds.shape[0] != graph.n:
+    if seeds.ndim == 0 or seeds.shape[0] != graph.n:
         raise ValueError("seed count must match node count")
     mat = seeds.reshape(graph.n, -1)
 
@@ -408,9 +407,11 @@ def ftdt_run(graph: Digraph, seeds, *,
     (see :mod:`.exact`) and the stopping counters are replayed on top; use
     this outside the float64 detection envelope.
     """
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.ndim == 0 or seeds.shape[0] != graph.n:
+        raise ValueError("seed count must match node count")
     if exact:
         return _ftdt_run_exact(graph, seeds)
-    seeds = np.asarray(seeds, dtype=float)
     engine = RoundEngine(graph, [None] * graph.n)
     nodes = _consensus_phase(engine, graph, seeds.reshape(graph.n, -1),
                              PhaseFlags(detect=True, terminate=True),
@@ -428,7 +429,7 @@ def ftdt_run(graph: Digraph, seeds, *,
         max_defect=max_defect, rounds=engine.tick)
 
 
-def _ftdt_run_exact(graph: Digraph, seeds) -> TerminationRunResult:
+def _ftdt_run_exact(graph: Digraph, seeds: np.ndarray) -> TerminationRunResult:
     """Exact-lane twin of :func:`ftdt_run`.
 
     Defect indices, kernels and values come from the rational lane; the
@@ -436,7 +437,6 @@ def _ftdt_run_exact(graph: Digraph, seeds) -> TerminationRunResult:
     timing as the engine (counters are integers, so the replay is itself
     exact).
     """
-    seeds = np.asarray(seeds, dtype=float)
     scalar = seeds.ndim == 1
     detections = exact_consensus_run(graph, seeds.reshape(graph.n, -1))
     fire = [res.rounds_used for res in detections]
@@ -564,8 +564,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     lam = lam0.copy()
     z_stack = np.tile(z0, (n, 1))
 
-    engine = RoundEngine(graph, [None] * n,
-                         record_messages=config.record_messages)
+    engine = RoundEngine(graph, [None] * n)
     betas: list = [None] * n
     defect: list = [None] * n
     t_max: int | None = None

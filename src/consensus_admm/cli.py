@@ -294,12 +294,19 @@ def read_csv(path: str | Path) -> dict[str, np.ndarray]:
         if header is None or tuple(header) != CSV_COLUMNS:
             raise SchemaMismatch(f"{path}: expected columns "
                                  f"{','.join(CSV_COLUMNS)}")
-        rows = list(reader)
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(CSV_COLUMNS):
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} cells, "
+                                     f"got {len(row)}")
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                where = f"{path}:{reader.line_num}"
+                raise SchemaMismatch(f"{where}: {exc}") from None
     if not rows:
         raise SchemaMismatch(f"{path}: no data rows")
-    data = np.array([[float(cell) for cell in row] for row in rows])
-    if data.shape[1] != len(CSV_COLUMNS):
-        raise SchemaMismatch(f"{path}: ragged rows")
+    data = np.array(rows)
     return {name: data[:, idx] for idx, name in enumerate(CSV_COLUMNS)}
 
 

@@ -18,7 +18,7 @@ class MissingMessage(ConsensusAdmmError):
 
 
 class ProtocolViolation(ConsensusAdmmError):
-    """A node emitted to a non-edge or failed to emit on one of its edges."""
+    """A round was run with no broadcast wave to deliver (nothing primed)."""
 
 
 class DegenerateSequence(ConsensusAdmmError):

@@ -192,10 +192,10 @@ def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
     detection envelope rather than for inner solver loops.
     """
     arr = np.asarray(y0, dtype=float)
+    if arr.ndim == 0 or arr.shape[0] != g.n:
+        raise ValueError("seed count must match node count")
     scalar = arr.ndim == 1
     mat = arr.reshape(g.n, -1)
-    if mat.shape[0] != g.n:
-        raise ValueError("seed count must match node count")
     chans, base = _exact_trajectories(g, mat, 2 * g.n + 1)
     results = []
     for j in range(g.n):

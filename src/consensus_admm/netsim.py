@@ -1,18 +1,22 @@
 """Deterministic round-synchronous message-passing engine.
 
-Every round, each node emits exactly one message per out-edge; messages are
-delivered at the next round, and every node's update sees only its own state
-plus its inbox. The engine is a simulator, not a network stack: what it
-guarantees are round counts, values, and replayable logs.
+Every round, each node broadcasts exactly one payload, and the engine
+delivers it along each of the node's out-edges at the next round: node
+``i``'s inbox is ``(j, payload_j)`` for every in-neighbour ``j``, in sender
+order. A node cannot reach a non-neighbour or skip one of its out-edges,
+because it never names a receiver. Every node's update sees only its own
+state plus its inbox. The engine is a simulator, not a network stack: what
+it guarantees are round counts, values, and replayable logs.
 
 A phase of ``R`` rounds is ``R`` exchanges. Seed values enter via
-:meth:`RoundEngine.prime`, which also discards messages still pending from a
+:meth:`RoundEngine.prime`, which replaces the wave still undelivered from a
 previous phase (phase boundaries are barriers).
 
-Each log entry holds one digest per node: :func:`stable_digest` of the outbox
-that node emitted, so identical runs give identical logs and the cost of a
-digest is the size of the payload, not of the node's state. To audit the
-states themselves, call ``stable_digest(engine.states)``.
+Each log entry holds one digest per node: :func:`stable_digest` of the
+payload that node broadcast, so identical runs give identical logs and the
+cost of a digest is the size of the payload, not of the node's state or its
+out-degree. To audit the states themselves, call
+``stable_digest(engine.states)``.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import numpy as np
 from .errors import ProtocolViolation
 from .graph import Digraph
 
-Handler = Callable[[int, Any, list, int], tuple[Any, dict]]
-Emitter = Callable[[int, Any], dict]
+Handler = Callable[[int, Any, list, int], tuple[Any, Any]]
+Emitter = Callable[[int, Any], Any]
 
 
 def _digest_update(h, obj) -> None:
@@ -90,28 +94,15 @@ def stable_digest(obj) -> str:
     return h.hexdigest()
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 @dataclass
 class RoundRecord:
     """One append-only log entry: a seed emission or a full exchange.
 
-    ``digests[i]`` is :func:`stable_digest` of the outbox node ``i`` emitted
-    in this entry, so a log fingerprints the traffic at a cost that does not
-    grow with phase length. A full state audit is
-    ``stable_digest(engine.states)``.
+    Each node broadcasts one payload per entry, delivered along every one of
+    its out-edges, so ``message_count`` is the graph's edge count.
+    ``digests[i]`` is :func:`stable_digest` of node ``i``'s payload, so a log
+    fingerprints the traffic at a cost that does not grow with phase length.
+    A full state audit is ``stable_digest(engine.states)``.
     """
 
     tick: int
@@ -119,7 +110,6 @@ class RoundRecord:
     kind: str  # "seed" or "exchange"
     message_count: int
     digests: tuple[str, ...]
-    messages: list | None = None
 
 
 @dataclass
@@ -128,74 +118,53 @@ class RoundEngine:
 
     graph: Digraph
     states: list
-    record_messages: bool = False
     tick: int = 0
     log: list[RoundRecord] = field(default_factory=list)
-    _pending: list[list[tuple[int, Any]]] = field(default_factory=list)
+    _wave: list | None = None  # the undelivered payloads, one per node
 
     def __post_init__(self):
         if len(self.states) != self.graph.n:
             raise ValueError("one state per node required")
-        self._pending = [[] for _ in range(self.graph.n)]
-        self._out_sets = [set(outs) for outs in self.graph.out_neighbors]
 
-    # -- helpers ---------------------------------------------------------
-
-    def _validate_outbox(self, sender: int, outbox: dict) -> None:
-        keys = set(outbox)
-        if keys != self._out_sets[sender]:
-            extra = keys - self._out_sets[sender]
-            missing = self._out_sets[sender] - keys
-            raise ProtocolViolation(
-                f"node {sender}: sent to non-edges {sorted(extra)}, "
-                f"omitted edges {sorted(missing)}")
-
-    def _enqueue(self, outboxes: list[dict], phase: str,
-                 kind: str) -> RoundRecord:
-        """Validate and queue one wave of outboxes, and log it."""
-        pending: list[list[tuple[int, Any]]] = [[] for _ in range(self.graph.n)]
-        captured = [] if self.record_messages else None
-        count = 0
-        digests = []
-        for sender, outbox in enumerate(outboxes):
-            self._validate_outbox(sender, outbox)
-            digests.append(stable_digest(outbox))
-            for receiver in self.graph.out_neighbors[sender]:
-                pending[receiver].append((sender, outbox[receiver]))
-                count += 1
-                if captured is not None:
-                    captured.append([sender, receiver, _jsonable(outbox[receiver])])
-        self._pending = pending
-        record = RoundRecord(self.tick, phase, kind, count, tuple(digests),
-                             captured)
+    def _broadcast(self, payloads: list, phase: str, kind: str) -> RoundRecord:
+        """Hold one wave of payloads for delivery, and log it."""
+        self._wave = payloads
+        record = RoundRecord(self.tick, phase, kind, self.graph.edge_count,
+                             tuple(stable_digest(p) for p in payloads))
         self.log.append(record)
         return record
 
     # -- public API ------------------------------------------------------
 
     def prime(self, emitter: Emitter, phase: str = "") -> RoundRecord:
-        """Start a phase: drop stale messages, emit seed messages.
+        """Start a phase: drop the undelivered wave, broadcast seed payloads.
 
-        ``emitter(i, state) -> outbox`` must cover node i's out-edges exactly,
-        like any round's emission.
+        ``emitter(i, state) -> payload`` is node i's broadcast, like any
+        round's emission.
         """
-        outboxes = [emitter(i, self.states[i]) for i in range(self.graph.n)]
-        return self._enqueue(outboxes, phase, "seed")
+        payloads = [emitter(i, self.states[i]) for i in range(self.graph.n)]
+        return self._broadcast(payloads, phase, "seed")
 
     def run_round(self, handler: Handler, phase: str = "") -> RoundRecord:
-        """Deliver pending messages, update every node, emit the next wave.
+        """Deliver the last wave, update every node, broadcast the next one.
 
         All inboxes are complete before any update runs, and updates read
         only the previous-round snapshot: handlers receive exactly
-        ``(node, own state, inbox, round index)``.
+        ``(node, own state, inbox, round index)`` and return
+        ``(new state, payload)``. Raises :class:`ProtocolViolation` before
+        the first :meth:`prime`, when there is no wave to deliver.
         """
-        inboxes = [sorted(box, key=lambda m: m[0]) for box in self._pending]
+        wave = self._wave
+        if wave is None:
+            raise ProtocolViolation("run_round before prime: no seed wave "
+                                    "to deliver")
         self.tick += 1
-        results = [handler(i, self.states[i], inboxes[i], self.tick)
-                   for i in range(self.graph.n)]
+        results = [handler(i, self.states[i], [(j, wave[j]) for j in senders],
+                           self.tick)
+                   for i, senders in enumerate(self.graph.in_neighbors)]
         self.states[:] = [state for state, _ in results]
-        return self._enqueue([outbox for _, outbox in results], phase,
-                             "exchange")
+        return self._broadcast([payload for _, payload in results], phase,
+                               "exchange")
 
     def run_phase(self, handler: Handler, rounds: int, phase: str = "") -> None:
         """Execute exactly ``rounds`` exchanges under one phase label."""
@@ -213,8 +182,6 @@ class RoundEngine:
                     "message_count": rec.message_count,
                     "digests": list(rec.digests),
                 }
-                if rec.messages is not None:
-                    row["messages"] = rec.messages
                 fh.write(json.dumps(row) + "\n")
 
 

@@ -132,15 +132,6 @@ def test_round_digests_replay(solver):
     assert all(a != b for a, b in zip(other[0], first[0]))
 
 
-def test_record_messages_populates_log():
-    objectives, graph = _instance()
-    record = run_dadmm_fterc(objectives, graph,
-                             AdmmConfig(k_max=2, stop_on_tolerance=False,
-                                        record_messages=True))
-    exchanges = [rec for rec in record.log if rec.kind == "exchange"]
-    assert exchanges and all(rec.messages for rec in exchanges)
-
-
 def test_ergodic_averages_cumsum_oracle():
     objectives, graph = _instance()
     record = run_dadmm_fterc(objectives, graph,

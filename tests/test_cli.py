@@ -124,6 +124,18 @@ def test_read_csv_rejects_wrong_schema(tmp_path):
     empty.write_text(",".join(CSV_COLUMNS) + "\n", encoding="utf-8")
     with pytest.raises(SchemaMismatch):
         read_csv(empty)
+    header = ",".join(CSV_COLUMNS) + "\n"
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text(header + "1,0,0,0,1,nan,nan\n2,0,0\n", encoding="utf-8")
+    with pytest.raises(SchemaMismatch) as err:
+        read_csv(ragged)
+    assert str(err.value) == f"{ragged}:3: expected 7 cells, got 3"
+    word = tmp_path / "word.csv"
+    word.write_text(header + "1,0,zero,0,1,nan,nan\n", encoding="utf-8")
+    with pytest.raises(SchemaMismatch) as err:
+        read_csv(word)
+    assert str(err.value).startswith(f"{word}:2: ")
+    assert "'zero'" in str(err.value)
 
 
 def test_compare_runs_consistency(tmp_path):
@@ -223,3 +235,8 @@ def test_main_error_exit_codes(tmp_path, capsys):
     lone.write_text(",".join(CSV_COLUMNS) + "\n1,0,0,0,1,nan,nan\n",
                     encoding="utf-8")
     assert main(["compare", str(lone)]) == 2
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text(",".join(CSV_COLUMNS) + "\n1,0,0\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["compare", str(lone), str(ragged)]) == 1
+    assert f"error: {ragged}:2: expected 7 cells" in capsys.readouterr().err

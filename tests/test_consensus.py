@@ -218,6 +218,15 @@ def test_float_lane_never_silently_wrong_on_stacked_ring():
 def test_exact_lane_validates_seed_count():
     with pytest.raises(ValueError):
         exact_consensus_run(THREE_CYCLE, np.ones((4, 2)))
+    # 2n scalars must not pass as n width-2 seeds; nor one bare scalar
+    for seeds in (np.arange(6.0), 1.0):
+        with pytest.raises(ValueError):
+            exact_consensus_run(THREE_CYCLE, seeds)
+        for exact in (False, True):
+            with pytest.raises(ValueError):
+                ftdt_run(THREE_CYCLE, seeds, exact=exact)
+        with pytest.raises(ValueError):
+            fterc_run(THREE_CYCLE, seeds)
 
 
 def test_exact_lane_modular_bases_match_rational_ranks():

@@ -1,4 +1,4 @@
-"""Round-engine semantics: delivery, validation, logging, determinism."""
+"""Round-engine semantics: broadcast delivery, logging, determinism."""
 
 import json
 
@@ -13,15 +13,15 @@ def _cycle(n):
     return build_digraph(n, [((i + 1) % n, i) for i in range(n)])
 
 
-def _flood(graph):
-    """Max-flood handler plus matching emitters over ``graph``."""
+def _flood():
+    """Max-flood handler plus its matching seed emitter."""
 
     def seed_emit(i, state):
-        return {dest: state for dest in graph.out_neighbors[i]}
+        return state
 
     def handler(i, state, inbox, tick):
         new = max([state] + [m for _, m in inbox])
-        return new, {dest: new for dest in graph.out_neighbors[i]}
+        return new, new
 
     return seed_emit, handler
 
@@ -29,7 +29,7 @@ def _flood(graph):
 def test_messages_travel_one_hop_per_round():
     g = _cycle(5)
     engine = RoundEngine(g, [1, 0, 0, 0, 0])
-    seed_emit, handler = _flood(g)
+    seed_emit, handler = _flood()
     engine.prime(seed_emit)
     # the token starts at node 0 and the only edges are i -> i+1
     for k in range(1, 5):
@@ -43,29 +43,36 @@ def test_update_reads_previous_round_snapshot():
     # hops in one exchange somewhere along a long cycle; it never does.
     g = _cycle(9)
     engine = RoundEngine(g, [1] + [0] * 8)
-    seed_emit, handler = _flood(g)
+    seed_emit, handler = _flood()
     engine.prime(seed_emit)
     for k in range(1, 9):
         engine.run_round(handler)
         assert sum(engine.states) == k + 1
 
 
-def test_outbox_must_cover_out_edges_exactly():
-    g = build_digraph(3, [(1, 0), (2, 1), (0, 2)])
-    engine = RoundEngine(g, [0, 0, 0])
+def test_broadcast_reaches_exactly_the_in_neighbours():
+    # Asymmetric: 0 -> 1, 0 -> 2, 1 -> 2, 2 -> 0, 3 -> 0, 2 -> 3
+    g = build_digraph(4, [(1, 0), (2, 0), (2, 1), (0, 2), (0, 3), (3, 2)])
+    engine = RoundEngine(g, list(range(4)))
     with pytest.raises(ProtocolViolation):
-        engine.prime(lambda i, s: {})  # omitted edge
-    engine = RoundEngine(g, [0, 0, 0])
-    with pytest.raises(ProtocolViolation):
-        # node 0's only out-edge is to 1; sending to 2 is a non-edge
-        engine.prime(lambda i, s: {dest: s for dest in (1, 2)}
-                     if i == 0 else {dest: s for dest in g.out_neighbors[i]})
+        engine.run_round(lambda i, s, inbox, tick: (s, s))  # nothing primed
+    engine.prime(lambda i, s: s)
+    seen = {}
+
+    def handler(i, state, inbox, tick):
+        seen[i] = inbox
+        return state, state
+
+    assert engine.run_round(handler).message_count == g.edge_count == 6
+    for i in range(g.n):
+        assert [j for j, _ in seen[i]] == list(g.in_neighbors[i])
+        assert all(payload == j for j, payload in seen[i])
 
 
 def test_prime_discards_pending_messages():
     g = _cycle(3)
     engine = RoundEngine(g, [10, 0, 0])
-    seed_emit, handler = _flood(g)
+    seed_emit, handler = _flood()
     engine.prime(seed_emit)
     # messages carrying 10 are pending; re-prime with fresh state first
     engine.states = [0, 0, 7]
@@ -78,12 +85,12 @@ def test_prime_discards_pending_messages():
 def test_inbox_sorted_by_sender():
     g = build_digraph(3, [(2, 0), (2, 1), (0, 2), (1, 2)])
     engine = RoundEngine(g, ["a", "b", "c"])
-    engine.prime(lambda i, s: {dest: s for dest in g.out_neighbors[i]})
+    engine.prime(lambda i, s: s)
     seen = {}
 
     def handler(i, state, inbox, tick):
         seen[i] = inbox
-        return state, {dest: state for dest in g.out_neighbors[i]}
+        return state, state
 
     engine.run_round(handler)
     assert seen[2] == [(0, "a"), (1, "b")]
@@ -92,7 +99,7 @@ def test_inbox_sorted_by_sender():
 def test_log_records_and_phase_lengths():
     g = _cycle(4)
     engine = RoundEngine(g, [0, 1, 2, 3])
-    seed_emit, handler = _flood(g)
+    seed_emit, handler = _flood()
     engine.prime(seed_emit, "warmup")
     engine.run_phase(handler, 3, "warmup")
     engine.prime(seed_emit, "steady")
@@ -107,31 +114,27 @@ def test_log_records_and_phase_lengths():
     assert phase_lengths(engine.log) == [("warmup", 3), ("steady", 2)]
 
 
-def test_record_messages_and_jsonl_export(tmp_path):
+def test_jsonl_export(tmp_path):
     g = _cycle(3)
-    engine = RoundEngine(g, [5, 0, 0], record_messages=True)
-    seed_emit, handler = _flood(g)
+    engine = RoundEngine(g, [5, 0, 0])
+    seed_emit, handler = _flood()
     engine.prime(seed_emit)
     engine.run_round(handler)
-    for rec in engine.log:
-        assert rec.messages is not None
-        assert len(rec.messages) == g.edge_count
-        for sender, receiver, payload in rec.messages:
-            assert receiver in g.out_neighbors[sender]
-            assert isinstance(payload, int)
     path = tmp_path / "log.jsonl"
     engine.export_jsonl(path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(rows) == len(engine.log)
     assert rows[0]["kind"] == "seed"
     assert rows[1]["message_count"] == 3
+    assert [row["digests"] for row in rows] == [list(rec.digests)
+                                                for rec in engine.log]
 
 
 def test_identical_runs_have_identical_digests():
     def run():
         g = _cycle(6)
         engine = RoundEngine(g, list(range(6)))
-        seed_emit, handler = _flood(g)
+        seed_emit, handler = _flood()
         engine.prime(seed_emit)
         engine.run_phase(handler, 5)
         return [rec.digests for rec in engine.log]
@@ -139,16 +142,16 @@ def test_identical_runs_have_identical_digests():
     assert run() == run()
 
 
-def test_digest_is_the_emitted_outbox():
+def test_digest_is_the_emitted_payload():
     g = build_digraph(4, [(1, 0), (2, 0), (3, 1), (0, 2), (0, 3), (2, 3)])
     engine = RoundEngine(g, [3, 1, 4, 1])
-    seed_emit, handler = _flood(g)
+    seed_emit, handler = _flood()
     emitted = []
 
     def recording(i, state, inbox, tick):
-        new, outbox = handler(i, state, inbox, tick)
-        emitted.append(outbox)
-        return new, outbox
+        new, payload = handler(i, state, inbox, tick)
+        emitted.append(payload)
+        return new, payload
 
     seed = engine.prime(seed_emit)
     assert seed.digests == tuple(stable_digest(seed_emit(i, s))
@@ -156,14 +159,14 @@ def test_digest_is_the_emitted_outbox():
     for _ in range(3):
         emitted.clear()
         rec = engine.run_round(recording)
-        assert rec.digests == tuple(stable_digest(box) for box in emitted)
+        assert rec.digests == tuple(stable_digest(p) for p in emitted)
 
 
 def test_digests_ignore_state_that_is_never_sent():
     g = _cycle(4)
 
     def emit(i, state):
-        return {dest: state["v"] for dest in g.out_neighbors[i]}
+        return state["v"]
 
     def handler(i, state, inbox, tick):
         new = {"v": max([state["v"]] + [m for _, m in inbox]),
