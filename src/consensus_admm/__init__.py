@@ -23,9 +23,9 @@ from .consensus import (ConsensusResult, HankelDetector, fterc_final,
                         ratio_update)
 from .errors import (AlreadyFrozen, ConfigError, ConsensusAdmmError,
                      DegenerateSequence, Disconnected, InsufficientData,
-                     InvalidEdge, MaxIterations, MissingMessage,
-                     NonIntegerResult, NumericBreakdown, ProtocolViolation,
-                     SchemaMismatch, SolverFailure)
+                     InvalidEdge, MaxIterations, NonIntegerResult,
+                     NumericBreakdown, ProtocolViolation, SchemaMismatch,
+                     SolverFailure)
 from .exact import exact_consensus_run
 from .graph import (Digraph, build_digraph, diameter, is_strongly_connected,
                     load_digraph, random_strongly_connected, ratio_weights,

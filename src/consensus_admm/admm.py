@@ -17,14 +17,18 @@ iterate ``z``:
 Each solver is a phase schedule: the :class:`PhaseFlags` of its warm-up
 steps, then those of its steady step. The flags fix both what a phase
 carries and when it stops, so one runner executes every phase, including
-the standalone :func:`fterc_run` and :func:`ftdt_run`. The solvers exchange
-messages only through :class:`~.netsim.RoundEngine`, so round logs,
-schedules, and determinism checks all observe real traffic.
+the standalone :func:`fterc_run` and :func:`ftdt_run`. A phase holds every
+node's ratio pair, trajectory and rider values as arrays and runs each
+round as one array step; only the detectors, the stopping counters and the
+final evaluation run node by node. The solvers exchange messages only
+through :class:`~.netsim.RoundEngine`, so round logs, schedules, and
+determinism checks all observe real traffic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .errors import (DegenerateSequence, InsufficientData, NonIntegerResult,
                      NumericBreakdown)
 from .exact import exact_consensus_run
 from .graph import Digraph
-from .netsim import RoundEngine, phase_lengths
+from .netsim import RoundEngine, block_max, block_min, phase_lengths
 from .objectives import L1Regularizer, l1_z_update
 from .oracle import Reference
 from .termination import (TerminationState, counter_message, derive_max_defect,
@@ -65,6 +69,9 @@ class AdmmConfig:
 
         Each ``ValueError`` message starts with the offending field's name.
         """
+        for name in ("rho", "eps_abs", "eps_rel", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         if self.k_max < 1:
@@ -142,153 +149,113 @@ _SCHEDULES = {
 ALGORITHMS = tuple(_SCHEDULES)
 
 
-@dataclass
-class PhaseNode:
-    """Per-node state of one consensus phase.
+class _Phase:
+    """One consensus phase held as arrays, row ``i`` belonging to node ``i``.
 
-    Handlers rebind arrays instead of mutating them, so payloads emitted in
-    an earlier round stay valid snapshots.
+    ``state`` is the ratio pair ``[x, y]``, denominator first, so a row is
+    also the node's detector observation: the detector needs one kernel
+    across every channel. Each round appends the state to ``traj``. A
+    node's payload is its state divided by 1 + its out-degree, so receivers
+    never learn sender degrees, followed by the rider columns the flags ask
+    for: the counter pair ``(theta, c)``, the max-consensus value ``v``, and
+    the certification bounds ``hi`` and ``lo``. Detectors and stopping
+    counters are per-node objects.
     """
 
-    y: np.ndarray
-    x: float
-    out_degree: int
-    traj_y: list = field(default_factory=list)
-    traj_x: list = field(default_factory=list)
-    detector: HankelDetector | None = None
-    term: TerminationState | None = None
-    vmax: int = 0
-    snap: np.ndarray | None = None
-    hi: np.ndarray | None = None
-    lo: np.ndarray | None = None
-    certified: bool = False
-    frozen: bool = False
-
-    def record(self) -> None:
-        self.traj_y.append(self.y)
-        self.traj_x.append(self.x)
-
-    def observation(self) -> np.ndarray:
-        # Denominator first, then the numerator coordinates: the detector
-        # needs a common kernel across every channel.
-        return np.concatenate(([self.x], self.y))
-
-
-def _make_emit(flags: PhaseFlags):
-    """Build the sender-side broadcast: scaled ratio pair plus riders.
-
-    The ratio contribution is divided by 1 + out-degree before it leaves the
-    node, so receivers never learn sender degrees.
-    """
-
-    def emit(node: PhaseNode, next_round: int) -> dict:
-        share = 1.0 / (1.0 + node.out_degree)
-        payload = {"y": node.y * share, "x": node.x * share}
+    def __init__(self, engine: RoundEngine, seeds: np.ndarray,
+                 flags: PhaseFlags, *, defect_sizes, window, spread_eps):
+        graph = engine.graph
+        n, p = seeds.shape
+        self.t0, self.live = engine.tick, engine.live
+        self.window, self.spread_eps = window, spread_eps
+        self.share = 1.0 / (1.0 + np.array([[graph.out_degree(i)]
+                                            for i in range(n)], dtype=float))
+        self.state = np.column_stack((np.ones(n), seeds))
+        self.traj = [self.state]
+        self.frozen = np.zeros(n, dtype=bool)
+        self.detectors = self.terms = self.vmax = self.snap = None
+        if flags.detect:
+            self.detectors = [HankelDetector(p + 1) for _ in range(n)]
+            for det, row in zip(self.detectors, self.state):
+                det.feed(row)  # length 1: no check yet
         if flags.terminate:
-            theta, c = counter_message(node.term, next_round)
-            payload["th"] = theta
-            payload["c"] = c
+            self.terms = [TerminationState()] * n
         if flags.piggyback:
-            payload["v"] = node.vmax
+            self.vmax = np.asarray(defect_sizes, dtype=float) + 1.0
         if flags.certify:
-            payload["hi"] = node.hi
-            payload["lo"] = node.lo
-        return payload
+            self.certified = np.zeros(n, dtype=bool)
+            self.snap = self.state[:, 1:] / self.state[:, :1]
+            self.hi, self.lo = self.snap.copy(), self.snap.copy()
+        # rider columns follow the p + 1 ratio columns, in flag order
+        self.ratio_end = p + 1
+        self.v_col = self.ratio_end + (2 if flags.terminate else 0)
+        self.hi_col = self.v_col + (1 if flags.piggyback else 0)
 
-    return emit
+    def wave(self, next_round: int) -> np.ndarray:
+        columns = [self.state * self.share]
+        if self.terms is not None:
+            columns.append(np.array([counter_message(term, next_round)
+                                     for term in self.terms], dtype=float))
+        if self.vmax is not None:
+            columns.append(self.vmax[:, None])
+        if self.snap is not None:
+            columns += [self.hi, self.lo]
+        return np.concatenate(columns, axis=1)
 
-
-def _make_handler(graph: Digraph, flags: PhaseFlags, t0: int, emit,
-                  window: int | None = None, spread_eps: float | None = None):
-    """Receiver-side update for one consensus phase.
-
-    ``t0`` is the engine tick at priming time, so ``tick - t0`` is the
-    phase-local round index starting at 1.
-    """
-    in_counts = [len(ins) for ins in graph.in_neighbors]
-
-    def handler(i: int, node: PhaseNode, inbox, tick: int):
-        k = tick - t0
-        msgs = [m for _, m in inbox]
-        if not node.frozen:
-            received = [(m["y"], m["x"]) for m in msgs]
-            node.y, node.x = ratio_update(node.y, node.x, node.out_degree,
-                                          received, in_counts[i])
-            node.record()
-            det = node.detector
-            if det is not None and not det.fired:
+    def update(self, block: np.ndarray, tick: int) -> np.ndarray:
+        k = tick - self.t0   # phase-local round index, from 1
+        live = self.live
+        state = ratio_update(block[:, :, :self.ratio_end], live)
+        if self.frozen.any():
+            # Terminated nodes keep relaying counters and re-broadcasting
+            # their frozen ratio pair; later exchanges no longer change them.
+            state = np.where(self.frozen[:, None], self.state, state)
+        self.state = state
+        self.traj.append(state)
+        if self.detectors is not None:
+            for i, det in enumerate(self.detectors):
+                if det.fired:
+                    continue
                 try:
-                    det.feed(node.observation())
+                    det.feed(state[i])
                 except DegenerateSequence:
                     pass
-                if det.fired and flags.terminate:
-                    node.term = freeze_counter(node.term, det.defect)
-        if flags.terminate:
-            node.term = ftdt_step(node.term, k,
-                                  [(m["th"], m["c"]) for m in msgs])
-            if node.term.terminated:
-                # Keep relaying counters and re-broadcasting the frozen
-                # ratio pair; later exchanges no longer change this node.
-                node.frozen = True
-        if flags.piggyback:
-            for m in msgs:
-                if m["v"] > node.vmax:
-                    node.vmax = m["v"]
-        if flags.certify:
-            for m in msgs:
-                node.hi = np.maximum(node.hi, m["hi"])
-                node.lo = np.minimum(node.lo, m["lo"])
-            if k % window == 0 and not node.certified:
-                if float(np.max(node.hi - node.lo)) <= spread_eps:
-                    # The snapshot taken a window ago is globally certified.
-                    node.certified = True
-                else:
-                    node.snap = node.y / node.x
-                    node.hi = node.snap.copy()
-                    node.lo = node.snap.copy()
-        return node, emit(node, k + 1)
+                if det.fired and self.terms is not None:
+                    self.terms[i] = freeze_counter(self.terms[i], det.defect)
+        if self.terms is not None:
+            # ftdt_step keeps only the largest counter value it hears, so
+            # one pair carries the inbox; counters are nonnegative, so 0
+            # stands in for an empty one
+            heard = np.max(block[:, 1:, self.ratio_end:self.v_col],
+                           axis=(1, 2), where=live[:, 1:, None], initial=0)
+            for i, top in enumerate(heard.astype(int).tolist()):
+                self.terms[i] = ftdt_step(self.terms[i], k, ((top, top),))
+                self.frozen[i] = self.terms[i].terminated
+        if self.vmax is not None:
+            self.vmax = block_max(block[:, :, self.v_col:self.hi_col],
+                                  live)[:, 0]
+        if self.snap is not None:
+            lo_col = self.hi_col + self.snap.shape[1]
+            self.hi = block_max(block[:, :, self.hi_col:lo_col], live)
+            self.lo = block_min(block[:, :, lo_col:], live)
+            if k % self.window == 0:
+                open_ = ~self.certified
+                # a snapshot whose spread is within epsilon a window later
+                # is globally certified; the others are taken afresh
+                done = open_ & (np.max(self.hi - self.lo, axis=1)
+                                <= self.spread_eps)
+                self.certified |= done
+                fresh = open_ & ~done
+                self.snap[fresh] = state[fresh, 1:] / state[fresh, :1]
+                self.hi[fresh] = self.lo[fresh] = self.snap[fresh]
+        return self.wave(k + 1)
 
-    return handler
-
-
-def _open_phase(engine: RoundEngine, graph: Digraph, seeds: np.ndarray,
-                flags: PhaseFlags, phase: str, *,
-                defect_sizes=None, window: int | None = None,
-                spread_eps: float | None = None):
-    """Install fresh per-node phase state and emit the seed wave."""
-    nodes: list[PhaseNode] = []
-    for i in range(graph.n):
-        node = PhaseNode(y=np.array(seeds[i], dtype=float), x=1.0,
-                         out_degree=graph.out_degree(i))
-        if flags.detect:
-            node.detector = HankelDetector(node.y.size + 1)
-        if flags.terminate:
-            node.term = TerminationState()
-        if flags.piggyback:
-            node.vmax = int(defect_sizes[i]) + 1
-        if flags.certify:
-            node.snap = node.y / node.x
-            node.hi = node.snap.copy()
-            node.lo = node.snap.copy()
-        node.record()
-        if node.detector is not None:
-            node.detector.feed(node.observation())  # length 1: no check yet
-        nodes.append(node)
-    engine.states = nodes
-    emit = _make_emit(flags)
-    handler = _make_handler(graph, flags, engine.tick, emit,
-                            window=window, spread_eps=spread_eps)
-    engine.prime(lambda i, node: emit(node, 1), phase)
-    return nodes, handler
-
-
-def _exact_values(nodes: list[PhaseNode], betas) -> list[np.ndarray]:
-    """Recover each node's exact average from its trajectory prefix."""
-    out = []
-    for node, beta in zip(nodes, betas):
-        out.append(fterc_final(np.stack(node.traj_y),
-                               np.asarray(node.traj_x, dtype=float), beta))
-    return out
+    def exact_values(self, betas) -> list[np.ndarray]:
+        """Recover each node's exact average from its trajectory prefix."""
+        traj = np.stack(self.traj)
+        return [fterc_final(np.ascontiguousarray(traj[:len(beta), i, 1:]),
+                            np.ascontiguousarray(traj[:len(beta), i, 0]), beta)
+                for i, beta in enumerate(betas)]
 
 
 def _agree_int(values, what: str) -> int:
@@ -305,10 +272,10 @@ def _agreed_max_defect(t_terms, defects) -> int:
                       "the largest defect index")
 
 
-def _consensus_phase(engine: RoundEngine, graph: Digraph, seeds: np.ndarray,
+def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
                      flags: PhaseFlags, label: str, *, n_prime: int,
                      t_max: int | None = None, defect_sizes=None,
-                     epsilon: float | None = None) -> list[PhaseNode]:
+                     epsilon: float | None = None) -> _Phase:
     """Open one consensus phase and run it under the stop rule its flags imply.
 
     * ``terminate``: until every node's stopping counter fires;
@@ -319,35 +286,35 @@ def _consensus_phase(engine: RoundEngine, graph: Digraph, seeds: np.ndarray,
     A detection phase raises :class:`NumericBreakdown` unless every node's
     detector fired.
     """
-    t0 = engine.tick
-    nodes, handler = _open_phase(engine, graph, seeds, flags, label,
-                                 defect_sizes=defect_sizes, window=n_prime,
-                                 spread_eps=epsilon)
+    phase = _Phase(engine, seeds, flags, defect_sizes=defect_sizes,
+                   window=n_prime, spread_eps=epsilon)
+    engine.prime(phase.wave(1), label)
     if flags.terminate:
         guard = 4 * (n_prime + 2)
-        while not all(node.term.terminated for node in nodes):
-            if engine.tick - t0 >= guard:
+        while not phase.frozen.all():
+            if engine.tick - phase.t0 >= guard:
                 raise NumericBreakdown(
                     f"stopping counters still open after {guard} rounds")
-            engine.run_round(handler, label)
+            engine.run_round(phase.update, label)
     elif flags.certify:
         windows = 0
-        while not all(node.certified for node in nodes):
+        while not phase.certified.all():
             if windows >= 10_000:
                 raise NumericBreakdown(
                     "certification made no progress in 10000 windows")
-            engine.run_phase(handler, n_prime, label)
+            engine.run_phase(phase.update, n_prime, label)
             windows += 1
     elif flags.detect:
-        engine.run_phase(handler, 2 * n_prime, label)
+        engine.run_phase(phase.update, 2 * n_prime, label)
     else:
-        engine.run_phase(handler, n_prime if flags.piggyback else t_max, label)
+        engine.run_phase(phase.update, n_prime if flags.piggyback else t_max,
+                         label)
     if flags.detect:
-        for i, node in enumerate(nodes):
-            if not node.detector.fired:
+        for i, det in enumerate(phase.detectors):
+            if not det.fired:
                 raise NumericBreakdown(f"node {i} found no defect within "
-                                       f"{engine.tick - t0} rounds")
-    return nodes
+                                       f"{engine.tick - phase.t0} rounds")
+    return phase
 
 
 def fterc_run(graph: Digraph, y0) -> list[ConsensusResult]:
@@ -364,15 +331,14 @@ def fterc_run(graph: Digraph, y0) -> list[ConsensusResult]:
     mat = seeds.reshape(graph.n, -1)
 
     def once(mat):
-        engine = RoundEngine(graph, [None] * graph.n)
-        nodes = _consensus_phase(engine, graph, mat, PhaseFlags(detect=True),
-                                 "detect", n_prime=graph.n)
-        betas = [node.detector.beta for node in nodes]
+        phase = _consensus_phase(RoundEngine(graph, audit=False), mat,
+                                 PhaseFlags(detect=True), "detect",
+                                 n_prime=graph.n)
+        betas = [det.beta for det in phase.detectors]
         return [ConsensusResult(mu[0] if seeds.ndim == 1 else mu,
-                                node.detector.defect, beta.copy(),
-                                2 * node.detector.defect + 1)
-                for node, beta, mu in zip(nodes, betas,
-                                          _exact_values(nodes, betas))]
+                                det.defect, beta.copy(), 2 * det.defect + 1)
+                for det, beta, mu in zip(phase.detectors, betas,
+                                         phase.exact_values(betas))]
 
     try:
         return once(mat)
@@ -412,15 +378,15 @@ def ftdt_run(graph: Digraph, seeds, *,
         raise ValueError("seed count must match node count")
     if exact:
         return _ftdt_run_exact(graph, seeds)
-    engine = RoundEngine(graph, [None] * graph.n)
-    nodes = _consensus_phase(engine, graph, seeds.reshape(graph.n, -1),
+    engine = RoundEngine(graph, audit=False)
+    phase = _consensus_phase(engine, seeds.reshape(graph.n, -1),
                              PhaseFlags(detect=True, terminate=True),
                              "terminate", n_prime=graph.n)
-    betas = [node.detector.beta for node in nodes]
-    defect = [node.detector.defect for node in nodes]
-    t_terms = [node.term.t_term for node in nodes]
+    betas = [det.beta for det in phase.detectors]
+    defect = [det.defect for det in phase.detectors]
+    t_terms = [term.t_term for term in phase.terms]
     max_defect = _agreed_max_defect(t_terms, defect)
-    values = np.stack(_exact_values(nodes, betas))
+    values = np.stack(phase.exact_values(betas))
     if seeds.ndim == 1:
         values = values[:, 0]
     return TerminationRunResult(
@@ -564,7 +530,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     lam = lam0.copy()
     z_stack = np.tile(z0, (n, 1))
 
-    engine = RoundEngine(graph, [None] * n)
+    engine = RoundEngine(graph)
     betas: list = [None] * n
     defect: list = [None] * n
     t_max: int | None = None
@@ -584,26 +550,25 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
         seeds = x_stack + lam / rho
         flags = warmup[k - 1] if k <= len(warmup) else steady
         tick_before = engine.tick
-        nodes = _consensus_phase(engine, graph, seeds, flags, f"step-{k}",
+        phase = _consensus_phase(engine, seeds, flags, f"step-{k}",
                                  n_prime=n_prime, t_max=t_max,
                                  defect_sizes=defect, epsilon=config.epsilon)
         rounds_k = engine.tick - tick_before
         if flags.detect:
-            betas = [node.detector.beta for node in nodes]
-            defect = [node.detector.defect for node in nodes]
+            betas = [det.beta for det in phase.detectors]
+            defect = [det.defect for det in phase.detectors]
         if flags.piggyback:
-            t_max = _agree_int((node.vmax for node in nodes),
-                               "the phase length")
+            t_max = _agree_int(phase.vmax, "the phase length")
             max_defect = t_max - 1
         if flags.terminate:
             t1 = rounds_k
             max_defect = _agreed_max_defect(
-                [node.term.t_term for node in nodes], defect)
+                [term.t_term for term in phase.terms], defect)
             t_max = max_defect + 1
         if flags.certify:
-            values = [node.snap for node in nodes]
+            values = phase.snap
         else:
-            values = _exact_values(nodes, betas)
+            values = phase.exact_values(betas)
 
         if kappa is None:
             z_new = np.stack(values)

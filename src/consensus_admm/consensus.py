@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSequence, MissingMessage, NumericBreakdown
+from .errors import DegenerateSequence, NumericBreakdown
 
 # Pinned numerical tolerances for defect detection and final evaluation.
 RANK_TOL = 1e-12    # singular values below RANK_TOL * sigma_max count as zero
@@ -26,23 +26,19 @@ ABS_TOL = 1e-13     # first-difference magnitude that counts as "no motion"
 STAB_TOL = 1e-9     # max relative cross-ratio drift tolerated at a defect fire
 
 
-def ratio_update(own_y, own_x: float, out_degree: int, received,
-                 expected: int) -> tuple[np.ndarray, float]:
-    """One receiver-side ratio update from sender-scaled contributions.
+def ratio_update(block: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """One receiver-side ratio update for every node at once.
 
-    ``received`` holds (y, x) pairs already divided by 1 + sender out-degree;
-    the node adds its own equally scaled contribution. Raises
-    :class:`MissingMessage` when a neighbour's value is absent.
+    ``block[i]`` holds node i's own ratio row, then its in-neighbours' rows
+    in sender order, each already divided by 1 + its sender's out-degree;
+    ``live`` marks those rows, and pad rows are never read. The rows are
+    summed slot by slot in that order, so each node's sum is the one a
+    sequential loop over its inbox gives, to the last bit.
     """
-    if len(received) != expected:
-        raise MissingMessage(f"expected {expected} messages, got {len(received)}")
-    share = 1.0 / (1.0 + out_degree)
-    y_next = share * np.asarray(own_y, dtype=float)
-    x_next = share * own_x
-    for y_in, x_in in received:
-        y_next = y_next + y_in
-        x_next = x_next + x_in
-    return y_next, x_next
+    total = block[:, 0].copy()
+    for slot in range(1, block.shape[1]):
+        np.add(total, block[:, slot], out=total, where=live[:, slot, None])
+    return total
 
 
 class HankelDetector:
@@ -66,10 +62,6 @@ class HankelDetector:
     @property
     def fired(self) -> bool:
         return self.defect is not None
-
-    def __digest__(self):
-        # Stable content identity for state audits with stable_digest.
-        return ("hankel", self.channels, self.defect, self.beta, self._seq)
 
     def feed(self, values) -> bool:
         """Append one round's observation; return True once a defect is known.

@@ -13,10 +13,6 @@ class Disconnected(ConsensusAdmmError):
     """Graph operation that needs reachability hit an unreachable pair."""
 
 
-class MissingMessage(ConsensusAdmmError):
-    """A consensus update ran with an incomplete set of neighbour values."""
-
-
 class ProtocolViolation(ConsensusAdmmError):
     """A round was run with no broadcast wave to deliver (nothing primed)."""
 

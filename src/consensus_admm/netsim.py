@@ -1,22 +1,23 @@
-"""Deterministic round-synchronous message-passing engine.
+"""Deterministic round-synchronous message-passing engine on arrays.
 
-Every round, each node broadcasts exactly one payload, and the engine
-delivers it along each of the node's out-edges at the next round: node
-``i``'s inbox is ``(j, payload_j)`` for every in-neighbour ``j``, in sender
-order. A node cannot reach a non-neighbour or skip one of its out-edges,
-because it never names a receiver. Every node's update sees only its own
-state plus its inbox. The engine is a simulator, not a network stack: what
-it guarantees are round counts, values, and replayable logs.
+A round is one array step over the whole network. Each node broadcasts one
+row of floats, its payload, and the engine delivers it along each of the
+node's out-edges at the next round: node ``i`` receives a *block* of rows
+whose first row is its own payload and whose next rows are the payloads of
+``in_neighbors[i]``, in sender order. A node cannot reach a non-neighbour or
+skip one of its out-edges, because it never names a receiver. Rows past a
+node's in-degree are pads (NaN); ``RoundEngine.live`` marks the rows that
+hold payloads, and every reduction over a block reads only those. The
+engine is a simulator, not a network stack: what it guarantees are round
+counts, values, and replayable logs.
 
-A phase of ``R`` rounds is ``R`` exchanges. Seed values enter via
+A phase of ``R`` rounds is ``R`` exchanges. Seed payloads enter via
 :meth:`RoundEngine.prime`, which replaces the wave still undelivered from a
 previous phase (phase boundaries are barriers).
 
-Each log entry holds one digest per node: :func:`stable_digest` of the
-payload that node broadcast, so identical runs give identical logs and the
-cost of a digest is the size of the payload, not of the node's state or its
-out-degree. To audit the states themselves, call
-``stable_digest(engine.states)``.
+With ``audit`` on, each log entry holds one digest per node:
+:func:`stable_digest` of the payload row that node broadcast, so identical
+runs give identical logs and the cost of a digest is the width of a row.
 """
 
 from __future__ import annotations
@@ -26,15 +27,14 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
 from .errors import ProtocolViolation
 from .graph import Digraph
 
-Handler = Callable[[int, Any, list, int], tuple[Any, Any]]
-Emitter = Callable[[int, Any], Any]
+Update = Callable[[np.ndarray, int], np.ndarray]
 
 
 def _digest_update(h, obj) -> None:
@@ -75,8 +75,6 @@ def _digest_update(h, obj) -> None:
         _digest_update(h, str(obj))
     elif isinstance(obj, (list, tuple)):
         _digest_update(h, list(obj))
-    elif hasattr(obj, "__digest__"):
-        _digest_update(h, obj.__digest__())
     elif isinstance(obj, dict):
         _digest_update(h, dict(obj))
     elif dataclasses.is_dataclass(obj):
@@ -100,9 +98,8 @@ class RoundRecord:
 
     Each node broadcasts one payload per entry, delivered along every one of
     its out-edges, so ``message_count`` is the graph's edge count.
-    ``digests[i]`` is :func:`stable_digest` of node ``i``'s payload, so a log
-    fingerprints the traffic at a cost that does not grow with phase length.
-    A full state audit is ``stable_digest(engine.states)``.
+    ``digests[i]`` is :func:`stable_digest` of node ``i``'s payload row, or
+    ``digests`` is empty when the engine does not audit.
     """
 
     tick: int
@@ -114,62 +111,69 @@ class RoundRecord:
 
 @dataclass
 class RoundEngine:
-    """Hosts node state machines over a fixed digraph, one round at a time."""
+    """Runs whole-network rounds over a fixed digraph, one array step each.
+
+    ``gather[i]`` lists the wave rows of node ``i``'s block: ``i`` itself,
+    then ``in_neighbors[i]``, then the pad row ``n``; ``live`` is True where
+    a block row holds a payload.
+    """
 
     graph: Digraph
-    states: list
+    audit: bool = True
     tick: int = 0
     log: list[RoundRecord] = field(default_factory=list)
-    _wave: list | None = None  # the undelivered payloads, one per node
+    _wave: np.ndarray | None = None  # undelivered payloads plus the pad row
 
     def __post_init__(self):
-        if len(self.states) != self.graph.n:
-            raise ValueError("one state per node required")
+        ins = self.graph.in_neighbors
+        rows = [[i, *senders] for i, senders in enumerate(ins)]
+        width, pad = max(map(len, rows)), self.graph.n
+        self.gather = np.array([row + [pad] * (width - len(row))
+                                for row in rows])
+        self.live = self.gather != pad
 
-    def _broadcast(self, payloads: list, phase: str, kind: str) -> RoundRecord:
-        """Hold one wave of payloads for delivery, and log it."""
-        self._wave = payloads
+    def _broadcast(self, wave, phase: str, kind: str) -> RoundRecord:
+        """Hold one wave of payload rows for delivery, and log it."""
+        wave = np.asarray(wave, dtype=float)
+        if wave.ndim != 2 or wave.shape[0] != self.graph.n:
+            raise ValueError(f"a wave is one payload row per node, got shape "
+                             f"{wave.shape} for {self.graph.n} nodes")
+        pad = np.full((1, wave.shape[1]), np.nan)
+        self._wave = np.concatenate((wave, pad))
+        digests = tuple(map(stable_digest, wave)) if self.audit else ()
         record = RoundRecord(self.tick, phase, kind, self.graph.edge_count,
-                             tuple(stable_digest(p) for p in payloads))
+                             digests)
         self.log.append(record)
         return record
 
     # -- public API ------------------------------------------------------
 
-    def prime(self, emitter: Emitter, phase: str = "") -> RoundRecord:
-        """Start a phase: drop the undelivered wave, broadcast seed payloads.
+    def prime(self, wave, phase: str = "") -> RoundRecord:
+        """Start a phase: drop the undelivered wave, broadcast ``wave``.
 
-        ``emitter(i, state) -> payload`` is node i's broadcast, like any
-        round's emission.
+        ``wave`` is an ``(n, w)`` float array, row ``i`` node i's payload.
         """
-        payloads = [emitter(i, self.states[i]) for i in range(self.graph.n)]
-        return self._broadcast(payloads, phase, "seed")
+        return self._broadcast(wave, phase, "seed")
 
-    def run_round(self, handler: Handler, phase: str = "") -> RoundRecord:
+    def run_round(self, update: Update, phase: str = "") -> RoundRecord:
         """Deliver the last wave, update every node, broadcast the next one.
 
-        All inboxes are complete before any update runs, and updates read
-        only the previous-round snapshot: handlers receive exactly
-        ``(node, own state, inbox, round index)`` and return
-        ``(new state, payload)``. Raises :class:`ProtocolViolation` before
-        the first :meth:`prime`, when there is no wave to deliver.
+        ``update(block, tick)`` receives the ``(n, slots, w)`` array of every
+        node's block, built from the previous wave only, and returns the next
+        wave. Raises :class:`ProtocolViolation` before the first
+        :meth:`prime`, when there is no wave to deliver.
         """
-        wave = self._wave
-        if wave is None:
+        if self._wave is None:
             raise ProtocolViolation("run_round before prime: no seed wave "
                                     "to deliver")
         self.tick += 1
-        results = [handler(i, self.states[i], [(j, wave[j]) for j in senders],
-                           self.tick)
-                   for i, senders in enumerate(self.graph.in_neighbors)]
-        self.states[:] = [state for state, _ in results]
-        return self._broadcast([payload for _, payload in results], phase,
-                               "exchange")
+        return self._broadcast(update(self._wave[self.gather], self.tick),
+                               phase, "exchange")
 
-    def run_phase(self, handler: Handler, rounds: int, phase: str = "") -> None:
+    def run_phase(self, update: Update, rounds: int, phase: str = "") -> None:
         """Execute exactly ``rounds`` exchanges under one phase label."""
         for _ in range(rounds):
-            self.run_round(handler, phase)
+            self.run_round(update, phase)
 
     def export_jsonl(self, path) -> None:
         """One JSON record per log entry."""
@@ -183,6 +187,16 @@ class RoundEngine:
                     "digests": list(rec.digests),
                 }
                 fh.write(json.dumps(row) + "\n")
+
+
+def block_max(block: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Each node's column-wise maximum over the live rows of its block."""
+    return np.max(block, axis=1, where=live[:, :, None], initial=-np.inf)
+
+
+def block_min(block: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Each node's column-wise minimum over the live rows of its block."""
+    return np.min(block, axis=1, where=live[:, :, None], initial=np.inf)
 
 
 def phase_lengths(log: list[RoundRecord]) -> list[tuple[str, int]]:

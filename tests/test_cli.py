@@ -1,10 +1,14 @@
 """Config parsing, experiment running, CSV schema, and the console tool."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import consensus_admm
 from consensus_admm import (CSV_COLUMNS, Comparison, ConfigError,
                             SchemaMismatch, compare_runs, parse_config,
                             read_csv, run_experiment, write_csv)
@@ -227,6 +231,12 @@ def test_main_error_exit_codes(tmp_path, capsys):
     assert main(["run", str(zero_rho)]) == 1
     assert f"{zero_rho}:17: rho must be positive" in capsys.readouterr().err
 
+    for value in ("rho = nan", "eps_abs = inf"):
+        odd = _write(tmp_path, SMALL_LS.replace("k_max = 12", value))
+        assert main(["run", str(odd)]) == 1
+        field = value.split()[0]
+        assert f"{odd}:17: {field} must be finite" in capsys.readouterr().err
+
     small = _write(tmp_path, SMALL_LS.replace("init = zero", "n_prime = 2"))
     assert main(["run", str(small)]) == 1
     assert f"{small}:19: n_prime 2 is below" in capsys.readouterr().err
@@ -240,3 +250,22 @@ def test_main_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(lone), str(ragged)]) == 1
     assert f"error: {ragged}:2: expected 7 cells" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(consensus_admm.__file__).parents[1])}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "consensus_admm", *args],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    good = run("run", str(_write(tmp_path, SMALL_LS)))
+    assert good.returncode == 0 and "wrote" in good.stdout
+    assert good.stderr == ""
+    missing = run("run", str(tmp_path / "missing.ini"))
+    assert missing.returncode == 1
+    assert missing.stderr.startswith("error:")
+    assert "Warning" not in missing.stderr
+    assert run("compare", str(tmp_path / "one.csv")).returncode == 2

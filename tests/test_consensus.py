@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from consensus_admm import (HankelDetector, MissingMessage, NonIntegerResult,
+from consensus_admm import (HankelDetector, NonIntegerResult, RoundEngine,
                             NumericBreakdown, build_digraph,
                             exact_consensus_run, fterc_final, fterc_run,
                             ftdt_run, random_strongly_connected,
@@ -33,16 +33,18 @@ def test_ratio_update_matches_weight_matrix():
     w = ratio_weights(g)
     y = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
     x = np.ones(3)
-    # node 2 hears nodes 0 and 1; messages arrive sender-scaled
-    received = [(y[0] / 3.0, x[0] / 3.0), (y[1] / 2.0, x[1] / 2.0)]
-    new_y, new_x = ratio_update(y[2], x[2], g.out_degree(2), received, 2)
-    assert np.allclose(new_y, (w @ y)[2])
-    assert np.isclose(new_x, (w @ x)[2])
-
-
-def test_ratio_update_rejects_wrong_message_count():
-    with pytest.raises(MissingMessage):
-        ratio_update(np.ones(2), 1.0, 1, [(np.ones(2), 1.0)], expected=2)
+    # payload rows leave each node divided by 1 + its out-degree
+    share = 1.0 / (1.0 + np.array([g.out_degree(i) for i in range(3)]))
+    wave = np.column_stack((y, x)) * share[:, None]
+    engine = RoundEngine(g)
+    engine.prime(wave)
+    blocks = []
+    engine.run_round(lambda block, tick: blocks.append(block) or wave)
+    # node 2 hears nodes 0 and 1
+    assert np.array_equal(blocks[0][2], wave[[2, 0, 1]])
+    mixed = ratio_update(blocks[0], engine.live)
+    assert np.allclose(mixed[:, :2], w @ y)
+    assert np.allclose(mixed[:, 2], w @ x)
 
 
 @given(n=st.integers(2, 10), seed=st.integers(0, 500))
@@ -133,6 +135,25 @@ def test_fterc_matches_power_iteration_and_mean():
             assert np.allclose(r.mu, truth, atol=1e-9)
             assert r.rounds_used == 2 * (r.defect + 1) - 1
             assert r.defect + 1 <= n
+
+
+def test_fterc_and_ftdt_run_compute_no_digests(monkeypatch):
+    # Both discard their round log, so they must not pay for its digests.
+    g = random_strongly_connected(7, extra_edge_prob=0.3, seed=4)
+    y0 = np.random.default_rng(4).uniform(-1, 1, size=(7, 3))
+    before = fterc_run(g, y0), ftdt_run(g, y0)
+
+    def forbidden(obj):
+        raise AssertionError("stable_digest called")
+
+    monkeypatch.setattr("consensus_admm.netsim.stable_digest", forbidden)
+    fterc, ftdt = fterc_run(g, y0), ftdt_run(g, y0)
+    for r, again in zip(fterc, before[0]):
+        assert np.array_equal(r.mu, again.mu) and r.defect == again.defect
+        assert np.allclose(r.mu, _true_mean(y0), rtol=0.0, atol=1e-12)
+    assert np.array_equal(ftdt.values, before[1].values)
+    assert ftdt.t_terms == before[1].t_terms
+    assert np.allclose(ftdt.values, _true_mean(y0), rtol=0.0, atol=1e-12)
 
 
 def test_float_and_exact_lanes_agree_inside_envelope():

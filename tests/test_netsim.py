@@ -1,109 +1,117 @@
-"""Round-engine semantics: broadcast delivery, logging, determinism."""
+"""Round-engine semantics: array waves, blocks, logging, determinism."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consensus_admm import (ProtocolViolation, RoundEngine, build_digraph,
-                            phase_lengths, stable_digest)
+                            phase_lengths, ratio_update, ratio_weights,
+                            stable_digest)
+from consensus_admm.netsim import block_max, block_min
 
 
 def _cycle(n):
     return build_digraph(n, [((i + 1) % n, i) for i in range(n)])
 
 
-def _flood():
-    """Max-flood handler plus its matching seed emitter."""
+def _column(values):
+    return np.array(values, dtype=float)[:, None]
 
-    def seed_emit(i, state):
-        return state
 
-    def handler(i, state, inbox, tick):
-        new = max([state] + [m for _, m in inbox])
-        return new, new
+def _flood(engine, waves=None):
+    """Max-flood update; appends every wave it returns to ``waves``."""
 
-    return seed_emit, handler
+    def update(block, tick):
+        wave = block_max(block, engine.live)
+        if waves is not None:
+            waves.append(wave)
+        return wave
+
+    return update
+
+
+def _recording(blocks):
+    """An update that keeps each block and re-broadcasts the own rows."""
+
+    def update(block, tick):
+        blocks.append(block)
+        return block[:, 0]
+
+    return update
 
 
 def test_messages_travel_one_hop_per_round():
     g = _cycle(5)
-    engine = RoundEngine(g, [1, 0, 0, 0, 0])
-    seed_emit, handler = _flood()
-    engine.prime(seed_emit)
+    engine = RoundEngine(g)
+    waves = []
+    engine.prime(_column([1, 0, 0, 0, 0]))
     # the token starts at node 0 and the only edges are i -> i+1
     for k in range(1, 5):
-        engine.run_round(handler)
+        engine.run_round(_flood(engine, waves))
         expected = [1 if j <= k else 0 for j in range(5)]
-        assert engine.states == expected, f"round {k}"
+        assert waves[-1][:, 0].tolist() == expected, f"round {k}"
 
 
 def test_update_reads_previous_round_snapshot():
-    # If a handler could see same-round updates, the token would cross two
+    # If an update could see same-round updates, the token would cross two
     # hops in one exchange somewhere along a long cycle; it never does.
     g = _cycle(9)
-    engine = RoundEngine(g, [1] + [0] * 8)
-    seed_emit, handler = _flood()
-    engine.prime(seed_emit)
+    engine = RoundEngine(g)
+    waves = []
+    engine.prime(_column([1] + [0] * 8))
     for k in range(1, 9):
-        engine.run_round(handler)
-        assert sum(engine.states) == k + 1
+        engine.run_round(_flood(engine, waves))
+        assert waves[-1].sum() == k + 1
 
 
 def test_broadcast_reaches_exactly_the_in_neighbours():
     # Asymmetric: 0 -> 1, 0 -> 2, 1 -> 2, 2 -> 0, 3 -> 0, 2 -> 3
     g = build_digraph(4, [(1, 0), (2, 0), (2, 1), (0, 2), (0, 3), (3, 2)])
-    engine = RoundEngine(g, list(range(4)))
+    engine = RoundEngine(g)
     with pytest.raises(ProtocolViolation):
-        engine.run_round(lambda i, s, inbox, tick: (s, s))  # nothing primed
-    engine.prime(lambda i, s: s)
-    seen = {}
+        engine.run_round(lambda block, tick: block[:, 0])  # nothing primed
+    engine.prime(_column(range(4)))
+    blocks = []
 
-    def handler(i, state, inbox, tick):
-        seen[i] = inbox
-        return state, state
-
-    assert engine.run_round(handler).message_count == g.edge_count == 6
+    assert engine.run_round(_recording(blocks)).message_count \
+        == g.edge_count == 6
     for i in range(g.n):
-        assert [j for j, _ in seen[i]] == list(g.in_neighbors[i])
-        assert all(payload == j for j, payload in seen[i])
+        senders = blocks[0][i, 1:][engine.live[i, 1:]]
+        assert senders[:, 0].tolist() == list(g.in_neighbors[i])
+        assert blocks[0][i, 0, 0] == i
 
 
 def test_prime_discards_pending_messages():
     g = _cycle(3)
-    engine = RoundEngine(g, [10, 0, 0])
-    seed_emit, handler = _flood()
-    engine.prime(seed_emit)
-    # messages carrying 10 are pending; re-prime with fresh state first
-    engine.states = [0, 0, 7]
-    engine.prime(seed_emit)
-    engine.run_round(handler)
+    engine = RoundEngine(g)
+    waves = []
+    engine.prime(_column([10, 0, 0]))
+    # messages carrying 10 are pending; re-prime with fresh values first
+    engine.prime(_column([0, 0, 7]))
+    engine.run_round(_flood(engine, waves))
     # node 1 must have heard 0 (the new wave), never the stale 10
-    assert engine.states == [7, 0, 7]
+    assert waves[-1][:, 0].tolist() == [7, 0, 7]
 
 
 def test_inbox_sorted_by_sender():
     g = build_digraph(3, [(2, 0), (2, 1), (0, 2), (1, 2)])
-    engine = RoundEngine(g, ["a", "b", "c"])
-    engine.prime(lambda i, s: s)
-    seen = {}
-
-    def handler(i, state, inbox, tick):
-        seen[i] = inbox
-        return state, state
-
-    engine.run_round(handler)
-    assert seen[2] == [(0, "a"), (1, "b")]
+    engine = RoundEngine(g)
+    engine.prime(_column([10, 11, 12]))
+    blocks = []
+    engine.run_round(_recording(blocks))
+    assert blocks[0][2, :, 0].tolist() == [12, 10, 11]
 
 
 def test_log_records_and_phase_lengths():
     g = _cycle(4)
-    engine = RoundEngine(g, [0, 1, 2, 3])
-    seed_emit, handler = _flood()
-    engine.prime(seed_emit, "warmup")
-    engine.run_phase(handler, 3, "warmup")
-    engine.prime(seed_emit, "steady")
-    engine.run_phase(handler, 2, "steady")
+    engine = RoundEngine(g)
+    engine.prime(_column([0, 1, 2, 3]), "warmup")
+    engine.run_phase(_flood(engine), 3, "warmup")
+    engine.prime(_column([0, 1, 2, 3]), "steady")
+    engine.run_phase(_flood(engine), 2, "steady")
 
     kinds = [rec.kind for rec in engine.log]
     assert kinds == ["seed", "exchange", "exchange", "exchange",
@@ -114,12 +122,24 @@ def test_log_records_and_phase_lengths():
     assert phase_lengths(engine.log) == [("warmup", 3), ("steady", 2)]
 
 
+def test_unaudited_log_keeps_counts_without_digests(monkeypatch):
+    def forbidden(obj):
+        raise AssertionError("an unaudited engine computed a digest")
+
+    monkeypatch.setattr("consensus_admm.netsim.stable_digest", forbidden)
+    g = _cycle(4)
+    engine = RoundEngine(g, audit=False)
+    engine.prime(_column([0, 1, 2, 3]), "warmup")
+    engine.run_phase(_flood(engine), 2, "warmup")
+    assert [rec.digests for rec in engine.log] == [()] * 3
+    assert all(rec.message_count == g.edge_count for rec in engine.log)
+
+
 def test_jsonl_export(tmp_path):
     g = _cycle(3)
-    engine = RoundEngine(g, [5, 0, 0])
-    seed_emit, handler = _flood()
-    engine.prime(seed_emit)
-    engine.run_round(handler)
+    engine = RoundEngine(g)
+    engine.prime(_column([5, 0, 0]))
+    engine.run_round(_flood(engine))
     path = tmp_path / "log.jsonl"
     engine.export_jsonl(path)
     rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -133,10 +153,9 @@ def test_jsonl_export(tmp_path):
 def test_identical_runs_have_identical_digests():
     def run():
         g = _cycle(6)
-        engine = RoundEngine(g, list(range(6)))
-        seed_emit, handler = _flood()
-        engine.prime(seed_emit)
-        engine.run_phase(handler, 5)
+        engine = RoundEngine(g)
+        engine.prime(_column(range(6)))
+        engine.run_phase(_flood(engine), 5)
         return [rec.digests for rec in engine.log]
 
     assert run() == run()
@@ -144,46 +163,81 @@ def test_identical_runs_have_identical_digests():
 
 def test_digest_is_the_emitted_payload():
     g = build_digraph(4, [(1, 0), (2, 0), (3, 1), (0, 2), (0, 3), (2, 3)])
-    engine = RoundEngine(g, [3, 1, 4, 1])
-    seed_emit, handler = _flood()
+    engine = RoundEngine(g)
     emitted = []
-
-    def recording(i, state, inbox, tick):
-        new, payload = handler(i, state, inbox, tick)
-        emitted.append(payload)
-        return new, payload
-
-    seed = engine.prime(seed_emit)
-    assert seed.digests == tuple(stable_digest(seed_emit(i, s))
-                                 for i, s in enumerate([3, 1, 4, 1]))
+    seed_wave = _column([3, 1, 4, 1])
+    seed = engine.prime(seed_wave)
+    assert seed.digests == tuple(stable_digest(row) for row in seed_wave)
     for _ in range(3):
-        emitted.clear()
-        rec = engine.run_round(recording)
-        assert rec.digests == tuple(stable_digest(p) for p in emitted)
+        rec = engine.run_round(_flood(engine, emitted))
+        assert rec.digests == tuple(stable_digest(row) for row in emitted[-1])
 
 
 def test_digests_ignore_state_that_is_never_sent():
     g = _cycle(4)
 
-    def emit(i, state):
-        return state["v"]
-
-    def handler(i, state, inbox, tick):
-        new = {"v": max([state["v"]] + [m for _, m in inbox]),
-               "private": state["private"] + [tick]}
-        return new, emit(i, new)
-
     def digests(values, private):
-        engine = RoundEngine(g, [{"v": v, "private": list(private)}
-                                 for v in values])
-        engine.prime(emit)
-        engine.run_phase(handler, 3)
+        engine = RoundEngine(g)
+        kept = [list(private) for _ in values]   # per-node, never broadcast
+        flood = _flood(engine)
+
+        def update(block, tick):
+            for log in kept:
+                log.append(tick)
+            return flood(block, tick)
+
+        engine.prime(_column(values))
+        engine.run_phase(update, 3)
         return [rec.digests for rec in engine.log]
 
     base = digests([0, 1, 2, 3], [])
     assert digests([0, 1, 2, 3], range(50)) == base
     changed = digests([0, 1, 2, 7], [])
     assert changed[0][:3] == base[0][:3] and changed[0][3] != base[0][3]
+
+
+@st.composite
+def _digraphs(draw):
+    """Any digraph on 1..12 nodes, from a random subset of all edges."""
+    n = draw(st.integers(1, 12))
+    keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return build_digraph(n, [(r, s) for r in range(n) for s in range(n)
+                             if r != s and keep[r * n + s]])
+
+
+@given(g=_digraphs(), seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 8))
+@settings(max_examples=80, deadline=None)
+def test_blocks_and_reductions_match_brute_force(g, seed, rounds):
+    engine = RoundEngine(g)
+    values = -np.random.default_rng(seed).uniform(0.5, 2.0, size=(g.n, 3))
+    engine.prime(values)
+    blocks = []
+    engine.run_round(_recording(blocks))
+    block, live = blocks[0], engine.live
+    for i, senders in enumerate(g.in_neighbors):
+        closed = [i, *senders]
+        # own row first, then the in-neighbours in sender order, then pads
+        assert np.array_equal(block[i, :len(closed)], values[closed])
+        assert live[i].tolist() == [slot < len(closed)
+                                    for slot in range(live.shape[1])]
+        assert np.isnan(block[i, len(closed):]).all()
+        # all-negative values: a reduction that read a pad would show it
+        assert np.array_equal(block_max(block, live)[i],
+                              values[closed].max(axis=0))
+        assert np.array_equal(block_min(block, live)[i],
+                              values[closed].min(axis=0))
+
+    share = 1.0 / (1.0 + np.array([g.out_degree(i) for i in range(g.n)]))
+    states = [values]
+
+    def mix(block, tick):
+        states.append(ratio_update(block, engine.live))
+        return states[-1] * share[:, None]
+
+    engine.prime(values * share[:, None])
+    engine.run_phase(mix, rounds)
+    expected = np.linalg.matrix_power(ratio_weights(g), rounds) @ values
+    assert np.allclose(states[-1], expected, rtol=0.0, atol=1e-12)
 
 
 def test_stable_digest_discriminates():
