@@ -73,6 +73,8 @@ def test_broadcast_reaches_exactly_the_in_neighbours():
     engine = RoundEngine(g)
     with pytest.raises(ProtocolViolation):
         engine.run_round(lambda block, tick: block[:, 0])  # nothing primed
+    with pytest.raises(ValueError):
+        engine.prime(_column(range(3)))   # one payload row per node
     engine.prime(_column(range(4)))
     blocks = []
 
@@ -214,7 +216,13 @@ def test_blocks_and_reductions_match_brute_force(g, seed, rounds):
     blocks = []
     engine.run_round(_recording(blocks))
     block, live = blocks[0], engine.live
+    summed = ratio_update(block, live)
     for i, senders in enumerate(g.in_neighbors):
+        # the sequential loop over an inbox is the bitwise reference
+        inbox_sum = values[i]
+        for j in senders:
+            inbox_sum = inbox_sum + values[j]
+        assert np.array_equal(summed[i], inbox_sum)
         closed = [i, *senders]
         # own row first, then the in-neighbours in sender order, then pads
         assert np.array_equal(block[i, :len(closed)], values[closed])
