@@ -22,10 +22,9 @@ from .cli import (CSV_COLUMNS, Comparison, ExperimentConfig, GraphSpec,
 from .consensus import (ConsensusResult, HankelDetector, fterc_final,
                         ratio_update)
 from .errors import (AlreadyFrozen, ConfigError, ConsensusAdmmError,
-                     DegenerateSequence, Disconnected, InsufficientData,
-                     InvalidEdge, MaxIterations, NonIntegerResult,
-                     NumericBreakdown, ProtocolViolation, SchemaMismatch,
-                     SolverFailure)
+                     Disconnected, InsufficientData, InvalidEdge,
+                     MaxIterations, NonIntegerResult, NumericBreakdown,
+                     ProtocolViolation, SchemaMismatch, SolverFailure)
 from .exact import exact_consensus_run
 from .graph import (Digraph, build_digraph, diameter, is_strongly_connected,
                     load_digraph, random_strongly_connected, ratio_weights,

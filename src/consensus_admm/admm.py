@@ -19,8 +19,9 @@ steps, then those of its steady step. The flags fix both what a phase
 carries and when it stops, so one runner executes every phase, including
 the standalone :func:`fterc_run` and :func:`ftdt_run`. A phase holds every
 node's ratio pair, trajectory and rider values as arrays and runs each
-round as one array step; only the detectors, the stopping counters and the
-final evaluation run node by node. The solvers exchange messages only
+round as one array step; one detector checks every open node's Hankel
+matrices at once from that trajectory, and only the stopping counters and
+the final evaluation run node by node. The solvers exchange messages only
 through :class:`~.netsim.RoundEngine`, so round logs, schedules, and
 determinism checks all observe real traffic.
 """
@@ -34,8 +35,7 @@ import numpy as np
 
 from .consensus import (ConsensusResult, HankelDetector, fterc_final,
                         ratio_update)
-from .errors import (DegenerateSequence, InsufficientData, NonIntegerResult,
-                     NumericBreakdown)
+from .errors import InsufficientData, NonIntegerResult, NumericBreakdown
 from .exact import exact_consensus_run
 from .graph import Digraph
 from .netsim import RoundEngine, block_max, block_min, phase_lengths
@@ -132,7 +132,7 @@ def stopping_criterion(x_stack, z_stack, z_prev_stack, lam_stack, rho: float,
 class PhaseFlags:
     """What a consensus phase carries besides the ratio pair."""
 
-    detect: bool = False      # feed kernel detectors
+    detect: bool = False      # check the trajectory for kernels
     terminate: bool = False   # run distributed stopping counters
     piggyback: bool = False   # integer max-consensus rider
     certify: bool = False     # windowed spread certification
@@ -158,8 +158,8 @@ class _Phase:
     node's payload is its state divided by 1 + its out-degree, so receivers
     never learn sender degrees, followed by the rider columns the flags ask
     for: the counter pair ``(theta, c)``, the max-consensus value ``v``, and
-    the certification bounds ``hi`` and ``lo``. Detectors and stopping
-    counters are per-node objects.
+    the certification bounds ``hi`` and ``lo``. One detector reads ``traj``
+    for every node; stopping counters are per-node objects.
     """
 
     def __init__(self, engine: RoundEngine, seeds: np.ndarray,
@@ -173,11 +173,9 @@ class _Phase:
         self.state = np.column_stack((np.ones(n), seeds))
         self.traj = [self.state]
         self.frozen = np.zeros(n, dtype=bool)
-        self.detectors = self.terms = self.vmax = self.snap = None
+        self.detector = self.terms = self.vmax = self.snap = None
         if flags.detect:
-            self.detectors = [HankelDetector(p + 1) for _ in range(n)]
-            for det, row in zip(self.detectors, self.state):
-                det.feed(row)  # length 1: no check yet
+            self.detector = HankelDetector(n)
         if flags.terminate:
             self.terms = [TerminationState()] * n
         if flags.piggyback:
@@ -212,16 +210,11 @@ class _Phase:
             state = np.where(self.frozen[:, None], self.state, state)
         self.state = state
         self.traj.append(state)
-        if self.detectors is not None:
-            for i, det in enumerate(self.detectors):
-                if det.fired:
-                    continue
-                try:
-                    det.feed(state[i])
-                except DegenerateSequence:
-                    pass
-                if det.fired and self.terms is not None:
-                    self.terms[i] = freeze_counter(self.terms[i], det.defect)
+        if self.detector is not None:
+            for i in self.detector.feed(self.traj):
+                if self.terms is not None:
+                    self.terms[i] = freeze_counter(self.terms[i],
+                                                   self.detector.defect[i])
         if self.terms is not None:
             # ftdt_step keeps only the largest counter value it hears, so
             # one pair carries the inbox; counters are nonnegative, so 0
@@ -309,11 +302,10 @@ def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
     else:
         engine.run_phase(phase.update, n_prime if flags.piggyback else t_max,
                          label)
-    if flags.detect:
-        for i, det in enumerate(phase.detectors):
-            if not det.fired:
-                raise NumericBreakdown(f"node {i} found no defect within "
-                                       f"{engine.tick - phase.t0} rounds")
+    if flags.detect and phase.detector.open.any():
+        raise NumericBreakdown(f"node {np.argmax(phase.detector.open)} found "
+                               f"no defect within {engine.tick - phase.t0} "
+                               "rounds")
     return phase
 
 
@@ -334,11 +326,11 @@ def fterc_run(graph: Digraph, y0) -> list[ConsensusResult]:
         phase = _consensus_phase(RoundEngine(graph, audit=False), mat,
                                  PhaseFlags(detect=True), "detect",
                                  n_prime=graph.n)
-        betas = [det.beta for det in phase.detectors]
+        det = phase.detector
         return [ConsensusResult(mu[0] if seeds.ndim == 1 else mu,
-                                det.defect, beta.copy(), 2 * det.defect + 1)
-                for det, beta, mu in zip(phase.detectors, betas,
-                                         phase.exact_values(betas))]
+                                d, beta.copy(), 2 * d + 1)
+                for d, beta, mu in zip(det.defect, det.beta,
+                                       phase.exact_values(det.beta))]
 
     try:
         return once(mat)
@@ -382,8 +374,7 @@ def ftdt_run(graph: Digraph, seeds, *,
     phase = _consensus_phase(engine, seeds.reshape(graph.n, -1),
                              PhaseFlags(detect=True, terminate=True),
                              "terminate", n_prime=graph.n)
-    betas = [det.beta for det in phase.detectors]
-    defect = [det.defect for det in phase.detectors]
+    betas, defect = phase.detector.beta, phase.detector.defect
     t_terms = [term.t_term for term in phase.terms]
     max_defect = _agreed_max_defect(t_terms, defect)
     values = np.stack(phase.exact_values(betas))
@@ -555,8 +546,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
                                  defect_sizes=defect, epsilon=config.epsilon)
         rounds_k = engine.tick - tick_before
         if flags.detect:
-            betas = [det.beta for det in phase.detectors]
-            defect = [det.defect for det in phase.detectors]
+            betas, defect = phase.detector.beta, phase.detector.defect
         if flags.piggyback:
             t_max = _agree_int(phase.vmax, "the phase length")
             max_defect = t_max - 1

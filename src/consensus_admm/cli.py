@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -187,17 +188,31 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         eps_line, eps_text = algo_section["epsilon"]
         admm.epsilon = _convert(path, eps_line, "epsilon", eps_text, float)
 
+    def line_of(section, key):
+        return sections.get(section, {}).get(key,
+                                             (headers.get(section, 0),))[0]
+
     if problem.kind not in ("least_squares", "l1_logistic"):
-        line = sections.get("problem", {}).get("kind", (headers.get("problem", 0),))[0]
-        raise ConfigError(path, line, f"unknown problem kind {problem.kind!r}")
+        raise ConfigError(path, line_of("problem", "kind"),
+                          f"unknown problem kind {problem.kind!r}")
     for field_name in ("n", "p", "q", "m"):
         if getattr(problem, field_name) < 1:
-            line = sections.get("problem", {}).get(
-                field_name, (headers.get("problem", 0),))[0]
-            raise ConfigError(path, line, f"{field_name} must be positive")
+            raise ConfigError(path, line_of("problem", field_name),
+                              f"{field_name} must be positive")
     if problem.kind == "l1_logistic" and problem.m < problem.n:
-        line = sections.get("problem", {}).get("m", (headers.get("problem", 0),))[0]
-        raise ConfigError(path, line, "need at least one sample per node")
+        raise ConfigError(path, line_of("problem", "m"),
+                          "need at least one sample per node")
+    for section, field_name, value, upper in (
+            ("problem", "noise", problem.noise, math.inf),
+            ("problem", "mu_scale", problem.mu_scale, math.inf),
+            ("graph", "extra_edge_prob", graph.extra_edge_prob, 1.0)):
+        if not math.isfinite(value):
+            raise ConfigError(path, line_of(section, field_name),
+                              f"{field_name} must be finite")
+        if not 0.0 <= value <= upper:
+            bounds = "nonnegative" if upper == math.inf else "in [0, 1]"
+            raise ConfigError(path, line_of(section, field_name),
+                              f"{field_name} must be {bounds}")
 
     try:
         admm.validate(problem.n)

@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateSequence, NumericBreakdown
+from .errors import NumericBreakdown
 
 # Pinned numerical tolerances for defect detection and final evaluation.
 RANK_TOL = 1e-12    # singular values below RANK_TOL * sigma_max count as zero
@@ -42,70 +43,63 @@ def ratio_update(block: np.ndarray, live: np.ndarray) -> np.ndarray:
 
 
 class HankelDetector:
-    """Finds the first defective square Hankel matrix of a difference sequence.
+    """Finds each node's first defective square Hankel matrix of differences.
 
-    The detector is multi-channel: it stacks one Hankel block per observed
-    channel (denominator plus each numerator coordinate) and reports a defect
-    at the first square size whose stacked matrix is numerically
+    One detector serves a whole phase: ``feed`` reads the phase trajectory,
+    one ``(n, channels)`` row block per round, and checks every node still
+    open at once. A node's matrix stacks one Hankel block per observed
+    channel (denominator plus each numerator coordinate); it reports a
+    defect at the first square size whose stacked matrix is numerically
     rank-deficient. The kernel vector, normalized so its last entry is one,
     gives the coefficients ``beta``; the defect index is the size minus one.
-    Size m becomes checkable once 2m values have been fed, so a node with
-    defect index d fires at round 2(d+1)-1.
+    Size m becomes checkable once 2m values are in, so a node with defect
+    index d fires at round 2(d+1)-1. A node whose first difference is
+    already below ``ABS_TOL`` fires at the first check with defect 0 and
+    ``beta=[1]``.
     """
 
-    def __init__(self, channels: int):
-        self.channels = channels
-        self.defect: int | None = None
-        self.beta: np.ndarray | None = None
-        self._seq: list[np.ndarray] = []
+    def __init__(self, n: int):
+        self.open = np.ones(n, dtype=bool)
+        self.defect: list[int | None] = [None] * n
+        self.beta: list[np.ndarray | None] = [None] * n
 
-    @property
-    def fired(self) -> bool:
-        return self.defect is not None
+    def feed(self, traj) -> list[int]:
+        """Check the trajectory so far; return the nodes that fired on it.
 
-    def feed(self, values) -> bool:
-        """Append one round's observation; return True once a defect is known.
-
-        Raises :class:`DegenerateSequence` if every channel is already still
-        at the very first check (the caller should treat the current value as
-        final: defect 0, beta=[1]); the detector is left in that fired state.
+        Call it once per round: size m is checked when ``len(traj) == 2m``.
         """
-        row = np.atleast_1d(np.asarray(values, dtype=float))
-        if row.shape != (self.channels,):
-            raise ValueError(f"expected {self.channels} channels, got {row.shape}")
-        self._seq.append(row)
-        if self.fired:
-            return True
-        length = len(self._seq)
-        if length == 2:
-            first_diff = self._seq[1] - self._seq[0]
-            if np.max(np.abs(first_diff)) < ABS_TOL:
-                self.defect = 0
-                self.beta = np.ones(1)
-                raise DegenerateSequence("sequence constant at first check")
-        if length >= 2 and length % 2 == 0:
-            self._check(length // 2)
-        return self.fired
+        length = len(traj)
+        checked = np.flatnonzero(self.open)
+        if length % 2 or checked.size == 0:
+            return []
+        m = length // 2
+        seq = np.stack(traj)[:, checked]       # (2m, nodes, channels)
+        diffs = seq[1:] - seq[:-1]             # (2m-1, nodes, channels)
+        if m == 1:
+            still = np.max(np.abs(diffs[0]), axis=1) < ABS_TOL
+            for i in checked[still].tolist():
+                self._fire(i, np.ones(1), 0)
+        rows = np.flatnonzero(self.open[checked])
+        if rows.size:
+            # row c*m + i, column j of a node's matrix is diffs[i + j, node, c]
+            stacked = sliding_window_view(diffs[:, rows], m, axis=0).transpose(
+                1, 2, 0, 3).reshape(rows.size, -1, m)
+            sigma = np.linalg.svd(stacked, compute_uv=False)
+            deficient = ~(sigma[:, -1] > RANK_TOL * sigma[:, 0])
+            if deficient.any():
+                vt = np.linalg.svd(stacked[deficient])[2]
+                for r, kernel in zip(rows[deficient].tolist(), vt[:, -1]):
+                    if abs(kernel[-1]) <= DENOM_TOL:
+                        raise NumericBreakdown(
+                            "kernel vector has a vanishing last entry")
+                    if self._kernel_is_stable(
+                            np.ascontiguousarray(seq[:, r]), kernel, m):
+                        self._fire(int(checked[r]), kernel / kernel[-1], m - 1)
+        return checked[~self.open[checked]].tolist()
 
-    def _check(self, m: int) -> None:
-        seq = np.stack(self._seq)              # (2m, channels)
-        diffs = seq[1:] - seq[:-1]             # (2m-1, channels)
-        blocks = [
-            np.stack([diffs[i:i + m, c] for i in range(m)])
-            for c in range(self.channels)
-        ]
-        stacked = np.vstack(blocks)            # (channels*m, m)
-        sigma = np.linalg.svd(stacked, compute_uv=False)
-        if sigma[-1] > RANK_TOL * sigma[0]:
-            return
-        _, _, vt = np.linalg.svd(stacked)
-        kernel = vt[-1]
-        if abs(kernel[-1]) <= DENOM_TOL:
-            raise NumericBreakdown("kernel vector has a vanishing last entry")
-        if not self._kernel_is_stable(seq, kernel, m):
-            return
-        self.beta = kernel / kernel[-1]
-        self.defect = m - 1
+    def _fire(self, i: int, beta: np.ndarray, defect: int) -> None:
+        self.open[i] = False
+        self.beta[i], self.defect[i] = beta, defect
 
     def _kernel_is_stable(self, seq: np.ndarray, kernel: np.ndarray,
                           m: int) -> bool:

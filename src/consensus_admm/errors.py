@@ -17,10 +17,6 @@ class ProtocolViolation(ConsensusAdmmError):
     """A round was run with no broadcast wave to deliver (nothing primed)."""
 
 
-class DegenerateSequence(ConsensusAdmmError):
-    """Observed sequence is already constant at the first defect check."""
-
-
 class NumericBreakdown(ConsensusAdmmError):
     """A denominator or kernel normalization fell below tolerance."""
 

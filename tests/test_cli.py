@@ -237,6 +237,22 @@ def test_main_error_exit_codes(tmp_path, capsys):
         field = value.split()[0]
         assert f"{odd}:17: {field} must be finite" in capsys.readouterr().err
 
+    for old, value, line, message in (
+            ("data_seed = 3", "noise = nan", 7, "noise must be finite"),
+            ("data_seed = 3", "noise = -0.5", 7, "noise must be nonnegative"),
+            ("data_seed = 3", "mu_scale = nan", 7, "mu_scale must be finite"),
+            ("data_seed = 3", "mu_scale = -1", 7,
+             "mu_scale must be nonnegative"),
+            ("extra_edge_prob = 0.4", "extra_edge_prob = nan", 10,
+             "extra_edge_prob must be finite"),
+            ("extra_edge_prob = 0.4", "extra_edge_prob = 1.5", 10,
+             "extra_edge_prob must be in [0, 1]"),
+            ("extra_edge_prob = 0.4", "extra_edge_prob = -0.5", 10,
+             "extra_edge_prob must be in [0, 1]")):
+        odd = _write(tmp_path, SMALL_LS.replace(old, value))
+        assert main(["run", str(odd)]) == 1
+        assert f"{odd}:{line}: {message}" in capsys.readouterr().err
+
     small = _write(tmp_path, SMALL_LS.replace("init = zero", "n_prime = 2"))
     assert main(["run", str(small)]) == 1
     assert f"{small}:19: n_prime 2 is below" in capsys.readouterr().err
