@@ -8,15 +8,30 @@ their exact binary values, the push-sum weights ``1/(1+d_out)`` are exact
 fractions, and every returned value is the correctly rounded exact average.
 
 It all runs on integers scaled by powers of the lcm of those divisors.
-Full rank modulo a word-size prime proves full rank over the rationals, so
-only the one deficient block size per node pays for fraction-free integer
-elimination (Bareiss), on its modular basis rows alone.
+Each node finds its defect index in one pass over the block sizes. Its
+difference channels are mixed into one channel with fixed small integer
+weights, reduced modulo a word-size prime, and a bordered LDL^T of the mixed
+channel's (symmetric) Hankel matrix grows one size at a time; the first zero
+pivot marks the candidate size ``m``. This is sound:
+
+* every mixed Hankel row is a combination of stacked block rows, so a mixed
+  matrix that is nonsingular modulo the prime proves the stacked block has
+  full rank over the rationals: no size before ``m`` is deficient;
+* the nonzero pivots up to ``m - 1`` make the first ``m - 1`` mixed integer
+  rows independent, so any kernel of the stacked block spans their 1-D
+  kernel. Fraction-free integer elimination (Bareiss) on those rows gives
+  the candidate kernel, and an exact check against every stacked block row
+  accepts it or shows a false alarm (the block has full rank).
+
+After a false alarm the next mix restarts the screen; once the mixes are
+used up, every remaining size is eliminated whole. No size is ever skipped.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -25,6 +40,7 @@ from .errors import NumericBreakdown
 from .graph import Digraph
 
 _PRIME = (1 << 31) - 1
+_MIXES = (3, 5, 7)      # mix r weights difference channel c by r**(c + 1)
 
 
 def _exact_trajectories(g: Digraph, seeds: np.ndarray, rounds: int):
@@ -53,41 +69,6 @@ def _exact_trajectories(g: Digraph, seeds: np.ndarray, rounds: int):
             history[j].append(state[j])
     chans = [[list(seq) for seq in zip(*rows)] for rows in history]
     return chans, base
-
-
-def _hankel_bases_mod_p(mods: np.ndarray, sizes: range,
-                        p: int = _PRIME) -> list[list[int]]:
-    """Basis rows modulo a prime of one node's stacked Hankel blocks, per size.
-
-    The size-``m`` block has rows ``(c, i)`` (index ``c * m + i``), columns
-    ``j < m`` and entries ``mods[c, i + j]``; all sizes are eliminated
-    together, zero-padded to the largest. Rows independent modulo a prime
-    are independent over the rationals.
-    """
-    chans = mods.shape[0]
-    top = sizes[-1]
-    a = np.zeros((len(sizes), chans, top, top), dtype=np.int64)
-    for b, m in enumerate(sizes):
-        a[b, :, :m, :m] = mods[:, np.add.outer(np.arange(m), np.arange(m))]
-    a = a.reshape(len(sizes), chans * top, top)
-    batch = np.arange(len(sizes))
-    used = np.zeros(a.shape[:2], dtype=bool)
-    for col in range(top):
-        cand = (a[:, :, col] != 0) & ~used
-        has = cand.any(axis=1)
-        piv = cand.argmax(axis=1)
-        used[batch[has], piv[has]] = True
-        # Cross-multiplied elimination needs no modular inverse; both
-        # products stay below 2**62, so int64 cannot overflow. A size with
-        # no pivot in this column gets the identity step (scale 1, row 0).
-        prow = np.where(has[:, None], a[batch, piv, col:], 0)
-        drop = a[:, :, col, None] * prow[:, None, :]
-        rest = a[:, :, col:]          # a view: updated in place
-        rest *= np.where(has, prow[:, 0], 1)[:, None, None]
-        rest -= drop
-        np.remainder(rest, p, out=rest)
-    return [[c * m + i for c in range(chans) for i in range(m)
-             if used[b, c * top + i]] for b, m in enumerate(sizes)]
 
 
 def _bareiss_echelon(int_rows: list[list[int]], ncols: int):
@@ -133,51 +114,90 @@ def _kernel_vector(echelon, pivots, ncols: int) -> list[int]:
     return beta
 
 
-def _detect_node(chans, base: int) -> tuple[int, list[int]]:
-    """Exact defect index and integer kernel for one node's channels.
+def _differences(chans, base: int) -> list[list[int]]:
+    """One node's integer difference channels.
 
     Difference ``t`` (rounds ``t + 1`` minus ``t``) is scaled by
     ``base**(t + 1) * 2**e``, so Hankel entry ``(i, j)`` carries a row scale,
     which keeps ranks and kernels, times ``base**j``: kernel entry ``t`` is
     the rational kernel's entry over ``base**t``.
     """
-    samples = len(chans[0])
-    ints = [[seq[t + 1] - base * seq[t] for t in range(samples - 1)]
+    return [[seq[t + 1] - base * seq[t] for t in range(len(seq) - 1)]
             for seq in chans]
-    if all(d[0] == 0 for d in ints):
-        return 0, [1]     # constant from the very first exchange
-    mods = np.array([[v % _PRIME for v in d] for d in ints], dtype=np.int64)
-    # Sizes are screened in doubling chunks, so a small defect index
-    # eliminates few blocks and a large one few batches.
-    top = samples // 2
-    for lo in (1 << k for k in range(top.bit_length())):
-        sizes = range(lo, min(2 * lo, top + 1))
-        for m, basis in zip(sizes, _hankel_bases_mod_p(mods, sizes)):
-            kernel = _exact_kernel(ints, m, basis)
+
+
+def _first_singular_size(seq: list[int], top: int,
+                         p: int = _PRIME) -> int | None:
+    """First size ``m <= top`` whose Hankel matrix ``seq[i + j]`` is
+    singular modulo ``p``, or None.
+
+    Grows a bordered LDL^T of the symmetric Hankel matrix one size at a
+    time: the pivot added at size ``m`` is ``det H_m / det H_(m-1)``, so the
+    first zero pivot is the first singular size.
+    """
+    lower: list[list[int]] = []   # row k of the unit lower factor, left of k
+    inverse: list[int] = []       # 1 / D_k modulo p
+    for k in range(top):
+        z: list[int] = []         # L^-1 applied to the new border column
+        for i in range(k):
+            z.append((seq[i + k] - sum(map(mul, lower[i], z))) % p)
+        row = [a * b % p for a, b in zip(z, inverse)]
+        pivot = (seq[2 * k] - sum(map(mul, z, row))) % p
+        if pivot == 0:
+            return k + 1
+        lower.append(row)
+        inverse.append(pow(pivot, -1, p))
+    return None
+
+
+def _detect_node(ints: list[list[int]]) -> tuple[int, list[int]]:
+    """Exact defect index and integer kernel from one node's differences.
+
+    The defect index is ``m - 1`` for the first size ``m`` whose stacked
+    block (rows ``(c, i)``, entries ``ints[c][i + j]``, ``i, j < m``) is rank
+    deficient. Each mix of :data:`_MIXES` is screened in turn; once they are
+    used up, every remaining size is eliminated whole.
+    """
+    top = (len(ints[0]) + 1) // 2
+    known = 0                     # every size up to ``known`` has full rank
+    for r in _MIXES:
+        weights = [r ** (c + 1) for c in range(len(ints))]
+        mixed = [sum(map(mul, weights, col)) for col in zip(*ints)]
+        m = _first_singular_size([v % _PRIME for v in mixed], top)
+        if m is None:
+            known = top
+            break
+        if m > known:     # else a size already known full rank: false alarm
+            rows = [mixed[i:i + m] for i in range(m - 1)]
+            kernel = _exact_kernel(ints, m, rows)
             if kernel is not None:
                 return m - 1, kernel
-    raise NumericBreakdown(f"no exact defect within {samples - 1} exchanges")
+            known = m
+    for m in range(known + 1, top + 1):
+        kernel = _exact_kernel(ints, m)
+        if kernel is not None:
+            return m - 1, kernel
+    raise NumericBreakdown(f"no exact defect within {len(ints[0])} exchanges")
 
 
-def _exact_kernel(ints, m: int, basis: list[int]) -> list[int] | None:
-    """Integer kernel of the size-``m`` integer block, or None at full rank.
+def _exact_kernel(ints, m: int,
+                  rows: list[list[int]] | None = None) -> list[int] | None:
+    """Integer kernel of the size-``m`` stacked block, or None at full rank.
 
-    Bareiss runs on the ``m - 1`` rows of the modular ``basis`` (independent
-    over the rationals), or on the whole block if the basis is shorter. A
-    block row outside the kernel means a modular false alarm: full rank.
+    Bareiss runs on ``rows``, ``m - 1`` integer rows independent over the
+    rationals whose kernel holds the block's, or on the whole block when
+    ``rows`` is None. A block row outside the kernel means full rank.
     """
-    if len(basis) == m:
-        return None
     block = [[row[i + j] for j in range(m)] for row in ints for i in range(m)]
-    rows = [block[r] for r in basis] if len(basis) == m - 1 else block
-    rank, echelon, pivots = _bareiss_echelon(rows, m)
+    rank, echelon, pivots = _bareiss_echelon(
+        block if rows is None else rows, m)
     if rank == m:
         return None
     if rank != m - 1:
         raise NumericBreakdown(
             f"defect kernel at size {m} is {m - rank}-dimensional")
     kernel = _kernel_vector(echelon, pivots, m)
-    if any(sum(v * k for v, k in zip(row, kernel)) for row in block):
+    if any(sum(map(mul, row, kernel)) for row in block):
         return None
     return kernel
 
@@ -199,7 +219,7 @@ def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
     chans, base = _exact_trajectories(g, mat, 2 * g.n + 1)
     results = []
     for j in range(g.n):
-        defect, kernel = _detect_node(chans[j], base)
+        defect, kernel = _detect_node(_differences(chans[j], base))
         if kernel[-1] == 0:
             raise NumericBreakdown("kernel vector has a vanishing last entry")
         # Kernel entry t over base**t meets channel entries over base**t, so
@@ -208,6 +228,8 @@ def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
         den = sum(b * chans[j][0][t] for t, b in enumerate(kernel))
         if den == 0:
             raise NumericBreakdown("exact combination denominator is zero")
+        if den < 0:       # so that an exact zero mean comes out as +0.0
+            kernel, den = [-b for b in kernel], -den
         mu = np.array([sum(b * chans[j][c][t] for t, b in enumerate(kernel))
                        / den for c in range(1, len(chans[j]))])
         beta = [float(Fraction(b, kernel[-1] * base ** (defect - t)))

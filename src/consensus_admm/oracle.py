@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .consensus import RANK_TOL
 from .errors import MaxIterations
 
 
@@ -120,7 +121,7 @@ def _l1_subgradient_residual(grad: np.ndarray, x: np.ndarray,
 
 
 def minimal_poly_oracle(weights: np.ndarray, node: int,
-                        rank_tol: float = 1e-8) -> int:
+                        rank_tol: float = RANK_TOL) -> int:
     """Smallest d such that e_j^T W^0 .. e_j^T W^d are linearly dependent.
 
     This is the degree of the minimal polynomial of the pair (W, e_j); it is

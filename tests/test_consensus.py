@@ -14,7 +14,10 @@ from consensus_admm import (HankelDetector, NonIntegerResult, RoundEngine,
                             ftdt_run, minimal_poly_oracle,
                             random_strongly_connected, ratio_update,
                             ratio_weights)
-from consensus_admm.exact import _PRIME, _exact_kernel, _hankel_bases_mod_p
+from consensus_admm import exact
+from consensus_admm.exact import (_PRIME, _bareiss_echelon, _detect_node,
+                                  _differences, _exact_kernel,
+                                  _exact_trajectories, _first_singular_size)
 
 THREE_CYCLE = build_digraph(3, [(1, 0), (2, 1), (0, 2)])
 
@@ -317,26 +320,59 @@ def test_exact_lane_validates_seed_count():
             fterc_run(THREE_CYCLE, seeds)
 
 
-def test_exact_lane_modular_bases_match_rational_ranks():
-    # Small integers, so float64 ranks are exact referees; several sizes
-    # share one zero-padded elimination.
+def _stacked_block(ints, m):
+    return [[row[i + j] for j in range(m)] for row in ints for i in range(m)]
+
+
+def test_exact_lane_screen_matches_rational_ranks():
+    # Small integers, so float64 ranks are exact referees. The screen stops
+    # at the first singular Hankel size of the mixed channel, and every
+    # smaller stacked block has full rank.
     rng = np.random.default_rng(4)
-    seqs = rng.integers(-3, 4, size=(5, 2, 9))
+    seqs = rng.integers(-3, 4, size=(6, 2, 9))
     seqs[1, 1] = 0                        # a silent channel
     seqs[2] = 2 ** np.arange(9)           # a geometric run: rank 1
-    sizes = range(2, 5)
+    seqs[3, :, 0] = [3, -1]               # a false alarm: the mix opens at 0
+    firsts = []
     for seq in seqs:
-        for m, basis in zip(sizes, _hankel_bases_mod_p(seq % _PRIME, sizes)):
-            block = np.array([[seq[c, i + j] for j in range(m)]
-                              for c in range(2) for i in range(m)], float)
-            assert len(basis) == np.linalg.matrix_rank(block)
-            assert np.linalg.matrix_rank(block[basis]) == len(basis)
+        mixed = [int(v) for v in 3 * seq[0] + 9 * seq[1]]
+        m = _first_singular_size([v % _PRIME for v in mixed], 5)
+        singular = [k for k in range(1, 6) if np.linalg.matrix_rank(
+            np.array(_stacked_block([mixed], k), float)) < k]
+        assert m == (singular[0] if singular else None)
+        firsts.append(m)
+        for k in range(1, m or 6):
+            block = np.array(_stacked_block(seq.tolist(), k), float)
+            assert np.linalg.matrix_rank(block) == k
+    assert firsts[2] == 2 and firsts[3] == 1
+    assert np.linalg.matrix_rank(np.array(_stacked_block(
+        seqs[3].tolist(), 1), float)) == 1
+
+
+def test_exact_lane_restarts_after_a_false_alarm(monkeypatch):
+    # Two geometric runs (ratios 2 and -1) make defect index 2. The first
+    # mix cancels their first differences (3 * 3 + 9 * -1 = 0), so it flags
+    # size 1 although the stacked block has full rank there.
+    ints = [[3 * 2 ** t for t in range(7)], [-(-1) ** t for t in range(7)]]
+    defect, kernel = _detect_node(ints)
+    assert defect == 2
+    assert [Fraction(k, kernel[-1]) for k in kernel] == [-2, -1, 1]
+    for mixes in ((3,), ()):              # restart used up; no mix at all
+        monkeypatch.setattr(exact, "_MIXES", mixes)
+        d, k = _detect_node(ints)
+        assert d == defect and [a * kernel[-1] for a in k] == [
+            b * k[-1] for b in kernel]
+    for m in range(1, defect + 2):
+        rank = _bareiss_echelon(_stacked_block(ints, m), m)[0]
+        assert rank == (m if m <= defect else m - 1)
+    assert not any(sum(v * k for v, k in zip(row, kernel))
+                   for row in _stacked_block(ints, defect + 1))
 
 
 def test_exact_lane_memory_stays_per_node_beyond_the_family():
     # A 24-ring has defect 23 at every node, past criterion 1's n <= 20.
-    # The modular screen holds one node's blocks at a time; holding every
-    # node's at once peaked near 14 MB here.
+    # The screen holds one node's mixed channel at a time; holding every
+    # node's stacked blocks at once peaked near 14 MB here.
     g = random_strongly_connected(24, extra_edge_prob=0.0, seed=3)
     y0 = np.random.default_rng(5).uniform(-5, 5, size=(24, 3))
     truth = _true_mean(y0)
@@ -352,13 +388,72 @@ def test_exact_lane_memory_stays_per_node_beyond_the_family():
         assert np.array_equal(r.mu, truth)
 
 
-def test_exact_kernel_checks_the_modular_basis():
+def test_exact_kernel_checks_the_certificate_rows():
     geometric = [[1, 2, 4]]
-    # Basis row [1, 2] gives the integer kernel [-2, 1].
-    assert _exact_kernel(geometric, 2, [0]) == [-2, 1]
-    # A basis short of m - 1 rows falls back to the whole block.
-    assert _exact_kernel(geometric, 2, []) == [-2, 1]
-    # A row outside the basis kernel is a modular false alarm: full rank.
-    assert _exact_kernel(geometric + [[1, 0, 1]], 2, [0]) is None
+    # Certificate row [1, 2] gives the integer kernel [-2, 1].
+    assert _exact_kernel(geometric, 2, [[1, 2]]) == [-2, 1]
+    # Without rows the whole block is eliminated.
+    assert _exact_kernel(geometric, 2) == [-2, 1]
+    # A block row outside the rows' kernel is a false alarm: full rank.
+    assert _exact_kernel(geometric + [[1, 0, 1]], 2, [[1, 2]]) is None
+    assert _exact_kernel(geometric + [[1, 0, 1]], 2) is None
     with pytest.raises(NumericBreakdown, match="2-dimensional"):
-        _exact_kernel([[0, 0, 0]], 2, [])
+        _exact_kernel([[0, 0, 0]], 2)
+
+
+def _screen_cases():
+    """Seeded digraphs n <= 10, widths 1 and 3, generic and tied seeds."""
+    for case in range(18):
+        n = 2 + case % 9
+        g = random_strongly_connected(n, extra_edge_prob=0.3 * (case % 3),
+                                      seed=40 + case)
+        rng = np.random.default_rng(700 + case)
+        shape = n if case % 2 else (n, 3)
+        tied = case % 4 >= 2
+        y0 = (rng.integers(-2, 3, size=shape).astype(float) if tied
+              else rng.uniform(-5, 5, size=shape))
+        yield g, y0
+
+
+def test_exact_lane_defects_match_whole_block_ranks():
+    # Referee: whole-block Bareiss. Every size up to the defect index d has
+    # full rank and size d + 1 is deficient.
+    for g, y0 in _screen_cases():
+        chans, base = _exact_trajectories(g, y0.reshape(g.n, -1),
+                                          2 * g.n + 1)
+        for j, res in enumerate(exact_consensus_run(g, y0)):
+            ints = _differences(chans[j], base)
+            for m in range(1, res.defect + 2):
+                rank = _bareiss_echelon(_stacked_block(ints, m), m)[0]
+                assert (rank == m) == (m <= res.defect), (g.n, j, m)
+
+
+def test_exact_lane_fallback_matches_the_screen(monkeypatch):
+    # All-zero mixes flag size 1 every time, so every size past it goes to
+    # whole-block elimination; the results must not change.
+    cases = list(_screen_cases())[::3]
+    expected = [exact_consensus_run(g, y0) for g, y0 in cases]
+    monkeypatch.setattr(exact, "_MIXES", (0, 0))
+    for (g, y0), want in zip(cases, expected):
+        for a, b in zip(exact_consensus_run(g, y0), want):
+            assert (a.defect, a.rounds_used) == (b.defect, b.rounds_used)
+            assert np.array_equal(a.beta, b.beta)
+            assert np.array_equal(a.mu, b.mu)
+
+
+def test_exact_zero_mean_comes_back_positive():
+    # Rounded seeds with an exact zero mean: the sign of a zero must not
+    # depend on the sign of the elimination's denominator.
+    for case in range(8):
+        n = 3 + case
+        g = random_strongly_connected(n, extra_edge_prob=0.3, seed=case)
+        y0 = np.random.default_rng(case).integers(-8, 9, size=(n, 3)) / 4
+        y0[-1] = -y0[:-1].sum(axis=0)
+        for r in exact_consensus_run(g, y0):
+            assert np.array_equal(r.mu, np.zeros(3))
+            assert not np.signbit(r.mu).any()
+        try:
+            term = ftdt_run(g, y0[:, 0], exact=True)
+        except NonIntegerResult:
+            continue
+        assert not np.signbit(term.values).any()

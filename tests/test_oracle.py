@@ -36,6 +36,17 @@ def test_minimal_poly_degree_on_complete_graph():
         assert minimal_poly_oracle(w, j) == 2
 
 
+def test_minimal_poly_degree_at_the_default_tolerance():
+    # A tolerance of 1e-8 capped every directed ring from n=19 on at 18,
+    # and read 9 at nodes 1 and 9 of this dense digraph.
+    ring = ratio_weights(random_strongly_connected(20, extra_edge_prob=0.0,
+                                                   seed=1))
+    assert [minimal_poly_oracle(ring, j) for j in range(20)] == [20] * 20
+    dense = ratio_weights(random_strongly_connected(
+        10, extra_edge_prob=0.49634330386001996, seed=7122))
+    assert [minimal_poly_oracle(dense, j) for j in range(10)] == [10] * 10
+
+
 def test_detector_matches_minimal_poly_degree():
     for seed in range(10):
         n = 3 + (seed % 6)
