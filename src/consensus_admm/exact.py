@@ -126,15 +126,16 @@ def _differences(chans, base: int) -> list[list[int]]:
             for seq in chans]
 
 
-def _first_singular_size(seq: list[int], top: int,
-                         p: int = _PRIME) -> int | None:
+def _first_singular_size(seq: list[int], top: int) -> int | None:
     """First size ``m <= top`` whose Hankel matrix ``seq[i + j]`` is
-    singular modulo ``p``, or None.
+    singular modulo :data:`_PRIME`, or None.
 
     Grows a bordered LDL^T of the symmetric Hankel matrix one size at a
     time: the pivot added at size ``m`` is ``det H_m / det H_(m-1)``, so the
     first zero pivot is the first singular size.
     """
+    p = _PRIME
+    seq = [v % p for v in seq]
     lower: list[list[int]] = []   # row k of the unit lower factor, left of k
     inverse: list[int] = []       # 1 / D_k modulo p
     for k in range(top):
@@ -163,7 +164,7 @@ def _detect_node(ints: list[list[int]]) -> tuple[int, list[int]]:
     for r in _MIXES:
         weights = [r ** (c + 1) for c in range(len(ints))]
         mixed = [sum(map(mul, weights, col)) for col in zip(*ints)]
-        m = _first_singular_size([v % _PRIME for v in mixed], top)
+        m = _first_singular_size(mixed, top)
         if m is None:
             known = top
             break
