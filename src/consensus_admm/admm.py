@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import (ConsensusResult, HankelDetector, fterc_final,
-                        ratio_update)
+from .consensus import (ConsensusResult, HankelDetector, check_seeds,
+                        fterc_final, ratio_update)
 from .errors import InsufficientData, NonIntegerResult, NumericBreakdown
 from .exact import exact_consensus_run
 from .graph import Digraph
@@ -317,9 +317,7 @@ def fterc_run(graph: Digraph, y0) -> list[ConsensusResult]:
     the run restarts once with a deterministic 1e-9 perturbation of the
     numerator seeds (denominator seeds untouched).
     """
-    seeds = np.asarray(y0, dtype=float)
-    if seeds.ndim == 0 or seeds.shape[0] != graph.n:
-        raise ValueError("seed count must match node count")
+    seeds = check_seeds(y0, graph.n)
     mat = seeds.reshape(graph.n, -1)
 
     def once(mat):
@@ -365,9 +363,7 @@ def ftdt_run(graph: Digraph, seeds, *,
     (see :mod:`.exact`) and the stopping counters are replayed on top; use
     this outside the float64 detection envelope.
     """
-    seeds = np.asarray(seeds, dtype=float)
-    if seeds.ndim == 0 or seeds.shape[0] != graph.n:
-        raise ValueError("seed count must match node count")
+    seeds = check_seeds(seeds, graph.n)
     if exact:
         return _ftdt_run_exact(graph, seeds)
     engine = RoundEngine(graph, audit=False)
@@ -394,8 +390,7 @@ def _ftdt_run_exact(graph: Digraph, seeds: np.ndarray) -> TerminationRunResult:
     timing as the engine (counters are integers, so the replay is itself
     exact).
     """
-    scalar = seeds.ndim == 1
-    detections = exact_consensus_run(graph, seeds.reshape(graph.n, -1))
+    detections = exact_consensus_run(graph, seeds)
     fire = [res.rounds_used for res in detections]
     states = [TerminationState() for _ in range(graph.n)]
     outgoing = [counter_message(st, 1) for st in states]
@@ -417,11 +412,9 @@ def _ftdt_run_exact(graph: Digraph, seeds: np.ndarray) -> TerminationRunResult:
         outgoing = [counter_message(st, k + 1) for st in states]
     max_defect = _agreed_max_defect([st.t_term for st in states],
                                     [res.defect for res in detections])
-    values = np.stack([np.atleast_1d(res.mu) for res in detections])
-    if scalar:
-        values = values[:, 0]
     return TerminationRunResult(
-        values=values, betas=[res.beta for res in detections],
+        values=np.array([res.mu for res in detections]),
+        betas=[res.beta for res in detections],
         defect_indices=[res.defect for res in detections],
         t_terms=[st.t_term for st in states],
         detection_rounds=fire, max_defect=max_defect, rounds=k)

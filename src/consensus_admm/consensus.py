@@ -27,6 +27,16 @@ ABS_TOL = 1e-13     # first-difference magnitude that counts as "no motion"
 STAB_TOL = 1e-9     # max relative cross-ratio drift tolerated at a defect fire
 
 
+def check_seeds(y0, n: int) -> np.ndarray:
+    """``y0`` as a float array of ``n`` finite seed rows, or ValueError."""
+    seeds = np.asarray(y0, dtype=float)
+    if seeds.ndim == 0 or seeds.shape[0] != n:
+        raise ValueError("seed count must match node count")
+    if not np.isfinite(seeds).all():
+        raise ValueError("seeds must be finite")
+    return seeds
+
+
 def ratio_update(block: np.ndarray, live: np.ndarray) -> np.ndarray:
     """One receiver-side ratio update for every node at once.
 

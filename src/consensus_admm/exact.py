@@ -10,21 +10,23 @@ fractions, and every returned value is the correctly rounded exact average.
 It all runs on integers scaled by powers of the lcm of those divisors.
 Each node finds its defect index in one pass over the block sizes. Its
 difference channels are mixed into one channel with fixed small integer
-weights, reduced modulo a word-size prime, and a bordered LDL^T of the mixed
-channel's (symmetric) Hankel matrix grows one size at a time; the first zero
-pivot marks the candidate size ``m``. This is sound:
+weights, and a fraction-free three-term recurrence over the mixed channel
+builds ``q_k``: ``det H_k`` times the monic degree-``k`` orthogonal
+polynomial of that moment sequence, an integer vector that annihilates
+Hankel rows ``0 .. k-1``. The first zero ``det H_m`` marks the candidate
+size ``m``. This is sound:
 
-* every mixed Hankel row is a combination of stacked block rows, so a mixed
-  matrix that is nonsingular modulo the prime proves the stacked block has
-  full rank over the rationals: no size before ``m`` is deficient;
-* the nonzero pivots up to ``m - 1`` make the first ``m - 1`` mixed integer
-  rows independent, so any kernel of the stacked block spans their 1-D
-  kernel. Fraction-free integer elimination (Bareiss) on those rows gives
-  the candidate kernel, and an exact check against every stacked block row
-  accepts it or shows a false alarm (the block has full rank).
+* every mixed Hankel row is a combination of stacked block rows, so each
+  nonzero mixed ``det H_k`` proves the stacked block of size ``k`` has full
+  rank: no size before ``m`` is deficient;
+* ``det H_(m-1) != 0`` makes the first ``m - 1`` mixed rows independent, so
+  ``q_(m-1)`` spans their kernel, which holds any kernel of the stacked
+  block. Every division in the recurrence is checked to be exact, and a
+  check of ``q_(m-1)`` against every stacked block row accepts it or shows
+  a false alarm (the block has full rank).
 
-After a false alarm the next mix restarts the screen; once the mixes are
-used up, every remaining size is eliminated whole. No size is ever skipped.
+After a false alarm the next mix restarts the recurrence; once the mixes
+are used up, every remaining size is eliminated whole. No size is skipped.
 """
 
 from __future__ import annotations
@@ -35,11 +37,10 @@ from operator import mul
 
 import numpy as np
 
-from .consensus import ConsensusResult
+from .consensus import ConsensusResult, check_seeds
 from .errors import NumericBreakdown
 from .graph import Digraph
 
-_PRIME = (1 << 31) - 1
 _MIXES = (3, 5, 7)      # mix r weights difference channel c by r**(c + 1)
 
 
@@ -126,28 +127,32 @@ def _differences(chans, base: int) -> list[list[int]]:
             for seq in chans]
 
 
-def _first_singular_size(seq: list[int], top: int) -> int | None:
+def _hankel_kernel(seq: list[int], top: int) -> tuple[int, list[int]] | None:
     """First size ``m <= top`` whose Hankel matrix ``seq[i + j]`` is
-    singular modulo :data:`_PRIME`, or None.
+    singular, and the kernel ``q_(m-1)`` of its first ``m - 1`` rows; None
+    when every size up to ``top`` is nonsingular.
 
-    Grows a bordered LDL^T of the symmetric Hankel matrix one size at a
-    time: the pivot added at size ``m`` is ``det H_m / det H_(m-1)``, so the
-    first zero pivot is the first singular size.
+    ``q_k`` lists coefficients constant first; ``q_k . seq[k:2k+1]`` is
+    ``det H_(k+1)``. Each step's division by ``det H_k ** 2`` must be exact.
     """
-    p = _PRIME
-    seq = [v % p for v in seq]
-    lower: list[list[int]] = []   # row k of the unit lower factor, left of k
-    inverse: list[int] = []       # 1 / D_k modulo p
+    low, q = [], [1]              # q_(k-1) and q_k
+    det, moment = 1, 0            # det H_k and q_(k-1) . seq[k:2k]
     for k in range(top):
-        z: list[int] = []         # L^-1 applied to the new border column
-        for i in range(k):
-            z.append((seq[i + k] - sum(map(mul, lower[i], z))) % p)
-        row = [a * b % p for a, b in zip(z, inverse)]
-        pivot = (seq[2 * k] - sum(map(mul, z, row))) % p
-        if pivot == 0:
-            return k + 1
-        lower.append(row)
-        inverse.append(pow(pivot, -1, p))
+        det_next = sum(map(mul, q, seq[k:2 * k + 1]))
+        if det_next == 0:
+            return k + 1, q
+        if k + 1 == top:
+            return None
+        nxt = sum(map(mul, q, seq[k + 1:2 * k + 2]))
+        lead, mid = det * det_next, det * nxt - det_next * moment
+        tail, div = det_next * det_next, det * det
+        step = []
+        for a, b, c in zip([0, *q], [*q, 0], [*low, 0, 0]):
+            v, rem = divmod(lead * a - mid * b - tail * c, div)
+            if rem:
+                raise NumericBreakdown("inexact Hankel recurrence step")
+            step.append(v)
+        low, q, det, moment = q, step, det_next, nxt
     return None
 
 
@@ -156,24 +161,22 @@ def _detect_node(ints: list[list[int]]) -> tuple[int, list[int]]:
 
     The defect index is ``m - 1`` for the first size ``m`` whose stacked
     block (rows ``(c, i)``, entries ``ints[c][i + j]``, ``i, j < m``) is rank
-    deficient. Each mix of :data:`_MIXES` is screened in turn; once they are
-    used up, every remaining size is eliminated whole.
+    deficient. The recurrence runs on each mix of :data:`_MIXES` in turn;
+    once they are used up, every remaining size is eliminated whole.
     """
     top = (len(ints[0]) + 1) // 2
     known = 0                     # every size up to ``known`` has full rank
     for r in _MIXES:
         weights = [r ** (c + 1) for c in range(len(ints))]
         mixed = [sum(map(mul, weights, col)) for col in zip(*ints)]
-        m = _first_singular_size(mixed, top)
-        if m is None:
+        found = _hankel_kernel(mixed, top)
+        if found is None:
             known = top
             break
-        if m > known:     # else a size already known full rank: false alarm
-            rows = [mixed[i:i + m] for i in range(m - 1)]
-            kernel = _exact_kernel(ints, m, rows)
-            if kernel is not None:
-                return m - 1, kernel
-            known = m
+        m, kernel = found
+        if m > known and _annihilates(ints, kernel):
+            return m - 1, kernel
+        known = max(known, m)     # a false alarm: size m has full rank
     for m in range(known + 1, top + 1):
         kernel = _exact_kernel(ints, m)
         if kernel is not None:
@@ -181,26 +184,24 @@ def _detect_node(ints: list[list[int]]) -> tuple[int, list[int]]:
     raise NumericBreakdown(f"no exact defect within {len(ints[0])} exchanges")
 
 
-def _exact_kernel(ints, m: int,
-                  rows: list[list[int]] | None = None) -> list[int] | None:
-    """Integer kernel of the size-``m`` stacked block, or None at full rank.
+def _annihilates(ints, kernel: list[int]) -> bool:
+    """Whether ``kernel`` annihilates every row of its size's stacked block."""
+    m = len(kernel)
+    return not any(sum(map(mul, kernel, row[i:i + m]))
+                   for row in ints for i in range(m))
 
-    Bareiss runs on ``rows``, ``m - 1`` integer rows independent over the
-    rationals whose kernel holds the block's, or on the whole block when
-    ``rows`` is None. A block row outside the kernel means full rank.
-    """
+
+def _exact_kernel(ints, m: int) -> list[int] | None:
+    """Integer kernel of the size-``m`` stacked block by whole-block
+    elimination, or None at full rank."""
     block = [[row[i + j] for j in range(m)] for row in ints for i in range(m)]
-    rank, echelon, pivots = _bareiss_echelon(
-        block if rows is None else rows, m)
+    rank, echelon, pivots = _bareiss_echelon(block, m)
     if rank == m:
         return None
     if rank != m - 1:
         raise NumericBreakdown(
             f"defect kernel at size {m} is {m - rank}-dimensional")
-    kernel = _kernel_vector(echelon, pivots, m)
-    if any(sum(map(mul, row, kernel)) for row in block):
-        return None
-    return kernel
+    return _kernel_vector(echelon, pivots, m)
 
 
 def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
@@ -212,12 +213,8 @@ def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
     so intended for verification and for regimes beyond the float64
     detection envelope rather than for inner solver loops.
     """
-    arr = np.asarray(y0, dtype=float)
-    if arr.ndim == 0 or arr.shape[0] != g.n:
-        raise ValueError("seed count must match node count")
-    scalar = arr.ndim == 1
-    mat = arr.reshape(g.n, -1)
-    chans, base = _exact_trajectories(g, mat, 2 * g.n + 1)
+    seeds = check_seeds(y0, g.n)
+    chans, base = _exact_trajectories(g, seeds.reshape(g.n, -1), 2 * g.n + 1)
     results = []
     for j in range(g.n):
         defect, kernel = _detect_node(_differences(chans[j], base))
@@ -236,6 +233,6 @@ def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
         beta = [float(Fraction(b, kernel[-1] * base ** (defect - t)))
                 for t, b in enumerate(kernel)]
         results.append(ConsensusResult(
-            mu=mu[0] if scalar else mu, defect=defect, beta=np.array(beta),
+            mu=mu[0] if seeds.ndim == 1 else mu, defect=defect, beta=np.array(beta),
             rounds_used=2 * (defect + 1) - 1))
     return results

@@ -33,7 +33,7 @@ class Digraph:
                 ins[receiver].append(sender)
         return tuple(tuple(sorted(s)) for s in ins)
 
-    @property
+    @cached_property
     def edge_count(self) -> int:
         return sum(len(outs) for outs in self.out_neighbors)
 

@@ -15,9 +15,9 @@ from consensus_admm import (HankelDetector, NonIntegerResult, RoundEngine,
                             random_strongly_connected, ratio_update,
                             ratio_weights)
 from consensus_admm import exact
-from consensus_admm.exact import (_bareiss_echelon, _detect_node,
-                                  _differences, _exact_kernel,
-                                  _exact_trajectories, _first_singular_size)
+from consensus_admm.exact import (_annihilates, _bareiss_echelon,
+                                  _detect_node, _differences, _exact_kernel,
+                                  _exact_trajectories, _hankel_kernel)
 
 THREE_CYCLE = build_digraph(3, [(1, 0), (2, 1), (0, 2)])
 
@@ -311,13 +311,23 @@ def test_exact_lane_validates_seed_count():
         exact_consensus_run(THREE_CYCLE, np.ones((4, 2)))
     # 2n scalars must not pass as n width-2 seeds; nor one bare scalar
     for seeds in (np.arange(6.0), 1.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="seed count"):
             exact_consensus_run(THREE_CYCLE, seeds)
         for exact in (False, True):
             with pytest.raises(ValueError):
                 ftdt_run(THREE_CYCLE, seeds, exact=exact)
         with pytest.raises(ValueError):
             fterc_run(THREE_CYCLE, seeds)
+    # a NaN or infinite seed is refused up front by every lane
+    for bad in (np.nan, np.inf, -np.inf):
+        for seeds in (np.array([1.0, bad, 2.0]), np.full((3, 2), bad)):
+            with pytest.raises(ValueError, match="seeds must be finite"):
+                exact_consensus_run(THREE_CYCLE, seeds)
+            for exact in (False, True):
+                with pytest.raises(ValueError, match="seeds must be finite"):
+                    ftdt_run(THREE_CYCLE, seeds, exact=exact)
+            with pytest.raises(ValueError, match="seeds must be finite"):
+                fterc_run(THREE_CYCLE, seeds)
 
 
 def _stacked_block(ints, m):
@@ -325,9 +335,10 @@ def _stacked_block(ints, m):
 
 
 def test_exact_lane_screen_matches_rational_ranks():
-    # Small integers, so float64 ranks are exact referees. The screen stops
-    # at the first singular Hankel size of the mixed channel, and every
-    # smaller stacked block has full rank.
+    # Small integers, so float64 ranks are exact referees. The recurrence
+    # stops at the first singular Hankel size of the mixed channel, its
+    # kernel meets every mixed row of that size, and every smaller stacked
+    # block has full rank.
     rng = np.random.default_rng(4)
     seqs = rng.integers(-3, 4, size=(6, 2, 9))
     seqs[1, 1] = 0                        # a silent channel
@@ -336,17 +347,22 @@ def test_exact_lane_screen_matches_rational_ranks():
     firsts = []
     for seq in seqs:
         mixed = [int(v) for v in 3 * seq[0] + 9 * seq[1]]
-        m = _first_singular_size(mixed, 5)
+        found = _hankel_kernel(mixed, 5)
+        m = found and found[0]
         singular = [k for k in range(1, 6) if np.linalg.matrix_rank(
             np.array(_stacked_block([mixed], k), float)) < k]
         assert m == (singular[0] if singular else None)
         firsts.append(m)
+        if found:
+            assert len(found[1]) == m and _annihilates([mixed], found[1])
         for k in range(1, m or 6):
             block = np.array(_stacked_block(seq.tolist(), k), float)
             assert np.linalg.matrix_rank(block) == k
     assert firsts[2] == 2 and firsts[3] == 1
+    assert _hankel_kernel([12 * 2 ** t for t in range(9)], 5) == (2, [-24, 12])
     assert np.linalg.matrix_rank(np.array(_stacked_block(
         seqs[3].tolist(), 1), float)) == 1
+    assert not _annihilates(seqs[3].tolist(), [1])
 
 
 def test_exact_lane_restarts_after_a_false_alarm(monkeypatch):
@@ -390,15 +406,47 @@ def test_exact_lane_memory_stays_per_node_beyond_the_family():
 
 def test_exact_kernel_checks_the_certificate_rows():
     geometric = [[1, 2, 4]]
-    # Certificate row [1, 2] gives the integer kernel [-2, 1].
-    assert _exact_kernel(geometric, 2, [[1, 2]]) == [-2, 1]
-    # Without rows the whole block is eliminated.
+    # The recurrence's kernel of the first row [1, 2] is [-2, 1].
+    assert _hankel_kernel(geometric[0], 2) == (2, [-2, 1])
+    assert _annihilates(geometric, [-2, 1])
+    # Whole-block elimination finds the same kernel.
     assert _exact_kernel(geometric, 2) == [-2, 1]
-    # A block row outside the rows' kernel is a false alarm: full rank.
-    assert _exact_kernel(geometric + [[1, 0, 1]], 2, [[1, 2]]) is None
+    # A block row outside that kernel is a false alarm: full rank.
+    assert not _annihilates(geometric + [[1, 0, 1]], [-2, 1])
     assert _exact_kernel(geometric + [[1, 0, 1]], 2) is None
     with pytest.raises(NumericBreakdown, match="2-dimensional"):
         _exact_kernel([[0, 0, 0]], 2)
+
+
+@st.composite
+def _moment_sequences(draw):
+    """Small-integer sequences: random, or a few geometric modes, with
+    zero leading entries drawn in either case."""
+    length = draw(st.integers(1, 11))
+    small = st.integers(-3, 3)
+    if draw(st.booleans()):
+        seq = draw(st.lists(small, min_size=length, max_size=length))
+    else:
+        modes = draw(st.lists(st.tuples(small, small), min_size=1,
+                              max_size=3))
+        seq = [sum(c * r ** t for c, r in modes) for t in range(length)]
+    zeros = draw(st.integers(0, length))
+    return [0] * zeros + seq[zeros:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_moment_sequences())
+def test_hankel_kernel_matches_bareiss(seq):
+    top = (len(seq) + 1) // 2
+    ranks = [_bareiss_echelon(_stacked_block([seq], k), k)[0]
+             for k in range(1, top + 1)]
+    first = next((k for k, r in enumerate(ranks, 1) if r < k), None)
+    found = _hankel_kernel(seq, top)
+    assert (found and found[0]) == first
+    if found:
+        m, q = found
+        assert len(q) == m and _annihilates([seq], q)
+        assert m == 1 or q[-1] != 0
 
 
 def _screen_cases():
