@@ -39,9 +39,8 @@ from .objectives import (L1Regularizer, LeastSquaresObjective,
 from .oracle import (Reference, centralized_l1_logistic,
                      centralized_least_squares, exact_average,
                      minimal_poly_oracle)
-from .termination import (TerminationState, check_termination,
-                          counter_message, derive_max_defect, freeze_counter,
-                          ftdt_step)
+from .termination import (Counters, counter_message, derive_max_defect,
+                          freeze_counter, ftdt_step)
 
 __version__ = "0.1.0"
 

@@ -20,16 +20,18 @@ carries and when it stops, so one runner executes every phase, including
 the standalone :func:`fterc_run` and :func:`ftdt_run`. A phase holds every
 node's ratio pair, trajectory and rider values as arrays and runs each
 round as one array step; one detector checks every open node's Hankel
-matrices at once from that trajectory, and only the stopping counters and
-the final evaluation run node by node. The solvers exchange messages only
-through :class:`~.netsim.RoundEngine`, so round logs, schedules, and
-determinism checks all observe real traffic.
+matrices at once from that trajectory, and one record of integer arrays
+steps every node's stopping counter; only the final evaluation runs node by
+node. The solvers exchange messages only through
+:class:`~.netsim.RoundEngine`, so round logs, schedules, and determinism
+checks all observe real traffic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .graph import Digraph
 from .netsim import RoundEngine, block_max, block_min, phase_lengths
 from .objectives import L1Regularizer, l1_z_update
 from .oracle import Reference
-from .termination import (TerminationState, counter_message, derive_max_defect,
+from .termination import (Counters, counter_message, derive_max_defect,
                           freeze_counter, ftdt_step)
 
 @dataclass
@@ -74,6 +76,10 @@ class AdmmConfig:
                 raise ValueError(f"{name} must be finite")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
+        n_prime = self.n_prime if self.n_prime is not None else n
+        for name, value in (("k_max", self.k_max), ("n_prime", n_prime)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
         for name in ("eps_abs", "eps_rel"):
@@ -84,7 +90,6 @@ class AdmmConfig:
                              f"got {self.init!r}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        n_prime = self.n_prime if self.n_prime is not None else n
         if n_prime < n:
             raise ValueError(f"n_prime {n_prime} is below the network size {n}")
         return n_prime
@@ -159,7 +164,10 @@ class _Phase:
     never learn sender degrees, followed by the rider columns the flags ask
     for: the counter pair ``(theta, c)``, the max-consensus value ``v``, and
     the certification bounds ``hi`` and ``lo``. One detector reads ``traj``
-    for every node; stopping counters are per-node objects.
+    for every node, and one :class:`~.termination.Counters` record holds
+    every node's stopping counter. A node's counter freezes the round its
+    detector fires or, in a phase that does not detect, at round
+    ``2 * defect_sizes[i] + 1``, when a detector would have fired.
     """
 
     def __init__(self, engine: RoundEngine, seeds: np.ndarray,
@@ -173,11 +181,12 @@ class _Phase:
         self.state = np.column_stack((np.ones(n), seeds))
         self.traj = [self.state]
         self.frozen = np.zeros(n, dtype=bool)
-        self.detector = self.terms = self.vmax = self.snap = None
+        self.detector = self.counters = self.vmax = self.snap = None
+        self.defect_sizes = defect_sizes
         if flags.detect:
             self.detector = HankelDetector(n)
         if flags.terminate:
-            self.terms = [TerminationState()] * n
+            self.counters = Counters(n)
         if flags.piggyback:
             self.vmax = np.asarray(defect_sizes, dtype=float) + 1.0
         if flags.certify:
@@ -191,9 +200,8 @@ class _Phase:
 
     def wave(self, next_round: int) -> np.ndarray:
         columns = [self.state * self.share]
-        if self.terms is not None:
-            columns.append(np.array([counter_message(term, next_round)
-                                     for term in self.terms], dtype=float))
+        if self.counters is not None:
+            columns.append(counter_message(self.counters, next_round))
         if self.vmax is not None:
             columns.append(self.vmax[:, None])
         if self.snap is not None:
@@ -211,19 +219,20 @@ class _Phase:
         self.state = state
         self.traj.append(state)
         if self.detector is not None:
-            for i in self.detector.feed(self.traj):
-                if self.terms is not None:
-                    self.terms[i] = freeze_counter(self.terms[i],
-                                                   self.detector.defect[i])
-        if self.terms is not None:
-            # ftdt_step keeps only the largest counter value it hears, so
-            # one pair carries the inbox; counters are nonnegative, so 0
-            # stands in for an empty one
+            fired = self.detector.feed(self.traj)
+            defects = self.detector.defect
+        elif self.counters is not None:
+            # without a detector, node i freezes when one would have fired
+            defects = self.defect_sizes
+            fired = [i for i, d in enumerate(defects) if 2 * d + 1 == k]
+        if self.counters is not None:
+            freeze_counter(self.counters, fired, [defects[i] for i in fired])
+            # ftdt_step keeps only the largest counter value a node hears;
+            # counters are nonnegative, so 0 stands in for an empty inbox
             heard = np.max(block[:, 1:, self.ratio_end:self.v_col],
                            axis=(1, 2), where=live[:, 1:, None], initial=0)
-            for i, top in enumerate(heard.astype(int).tolist()):
-                self.terms[i] = ftdt_step(self.terms[i], k, ((top, top),))
-                self.frozen[i] = self.terms[i].terminated
+            ftdt_step(self.counters, k, heard.astype(np.int64))
+            self.frozen = self.counters.t_term > 0
         if self.vmax is not None:
             self.vmax = block_max(block[:, :, self.v_col:self.hi_col],
                                   live)[:, 0]
@@ -360,64 +369,34 @@ def ftdt_run(graph: Digraph, seeds, *,
     round, and all derivations must agree.
 
     With ``exact=True`` detection and evaluation run in rational arithmetic
-    (see :mod:`.exact`) and the stopping counters are replayed on top; use
-    this outside the float64 detection envelope.
+    (see :mod:`.exact`), and the phase runs the stopping counters alone, each
+    freezing the round its node's exact defect fires; use this outside the
+    float64 detection envelope.
     """
     seeds = check_seeds(seeds, graph.n)
+    defect = None
     if exact:
-        return _ftdt_run_exact(graph, seeds)
+        detections = exact_consensus_run(graph, seeds)
+        defect = [res.defect for res in detections]
     engine = RoundEngine(graph, audit=False)
     phase = _consensus_phase(engine, seeds.reshape(graph.n, -1),
-                             PhaseFlags(detect=True, terminate=True),
-                             "terminate", n_prime=graph.n)
-    betas, defect = phase.detector.beta, phase.detector.defect
-    t_terms = [term.t_term for term in phase.terms]
-    max_defect = _agreed_max_defect(t_terms, defect)
-    values = np.stack(phase.exact_values(betas))
-    if seeds.ndim == 1:
-        values = values[:, 0]
+                             PhaseFlags(detect=not exact, terminate=True),
+                             "terminate", n_prime=graph.n, defect_sizes=defect)
+    t_terms = phase.counters.t_term.tolist()
+    if exact:
+        max_defect = _agreed_max_defect(t_terms, defect)
+        betas = [res.beta for res in detections]
+        values = np.array([res.mu for res in detections])
+    else:
+        betas, defect = phase.detector.beta, phase.detector.defect
+        max_defect = _agreed_max_defect(t_terms, defect)
+        values = np.stack(phase.exact_values(betas))
+        if seeds.ndim == 1:
+            values = values[:, 0]
     return TerminationRunResult(
         values=values, betas=betas, defect_indices=defect, t_terms=t_terms,
         detection_rounds=[2 * d + 1 for d in defect],
         max_defect=max_defect, rounds=engine.tick)
-
-
-def _ftdt_run_exact(graph: Digraph, seeds: np.ndarray) -> TerminationRunResult:
-    """Exact-lane twin of :func:`ftdt_run`.
-
-    Defect indices, kernels and values come from the rational lane; the
-    stopping counters are then replayed round by round with the same message
-    timing as the engine (counters are integers, so the replay is itself
-    exact).
-    """
-    detections = exact_consensus_run(graph, seeds)
-    fire = [res.rounds_used for res in detections]
-    states = [TerminationState() for _ in range(graph.n)]
-    outgoing = [counter_message(st, 1) for st in states]
-    guard = 4 * (graph.n + 2)
-    k = 0
-    while not all(st.terminated for st in states):
-        if k >= guard:
-            raise NumericBreakdown(
-                f"stopping counters still open after {guard} rounds")
-        k += 1
-        stepped = []
-        for i in range(graph.n):
-            st = states[i]
-            if k == fire[i]:
-                st = freeze_counter(st, detections[i].defect)
-            received = [outgoing[j] for j in graph.in_neighbors[i]]
-            stepped.append(ftdt_step(st, k, received))
-        states = stepped
-        outgoing = [counter_message(st, k + 1) for st in states]
-    max_defect = _agreed_max_defect([st.t_term for st in states],
-                                    [res.defect for res in detections])
-    return TerminationRunResult(
-        values=np.array([res.mu for res in detections]),
-        betas=[res.beta for res in detections],
-        defect_indices=[res.defect for res in detections],
-        t_terms=[st.t_term for st in states],
-        detection_rounds=fire, max_defect=max_defect, rounds=k)
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +524,8 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
             max_defect = t_max - 1
         if flags.terminate:
             t1 = rounds_k
-            max_defect = _agreed_max_defect(
-                [term.t_term for term in phase.terms], defect)
+            max_defect = _agreed_max_defect(phase.counters.t_term.tolist(),
+                                            defect)
             t_max = max_defect + 1
         if flags.certify:
             values = phase.snap

@@ -28,10 +28,16 @@ STAB_TOL = 1e-9     # max relative cross-ratio drift tolerated at a defect fire
 
 
 def check_seeds(y0, n: int) -> np.ndarray:
-    """``y0`` as a float array of ``n`` finite seed rows, or ValueError."""
+    """``y0`` as a float array of ``n`` finite seed rows, or ValueError.
+
+    A seed row is a scalar or a nonempty vector.
+    """
     seeds = np.asarray(y0, dtype=float)
     if seeds.ndim == 0 or seeds.shape[0] != n:
         raise ValueError("seed count must match node count")
+    if seeds.ndim > 2 or seeds.size == 0:
+        raise ValueError(f"seeds of shape {seeds.shape} are not one scalar "
+                         "or one nonempty vector per node")
     if not np.isfinite(seeds).all():
         raise ValueError("seeds must be finite")
     return seeds

@@ -12,73 +12,71 @@ node with defect index d_i terminates at round
 argmax node is farther than one hop). The node that attains the overall
 maximum terminates at ``t1 = 4(d_max+1) - 1``, which is also the length of
 the first solver step that hosts this protocol.
+
+Every node's counter lives in one :class:`Counters` record of integer
+arrays, and each function below steps the whole network at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numpy as np
 
 from .errors import AlreadyFrozen, NonIntegerResult
 
 
-@dataclass(frozen=True)
-class TerminationState:
-    """Counter machinery for one node.
+class Counters:
+    """Every node's counter machinery, entry ``i`` belonging to node ``i``.
 
-    ``c`` is the node's own (possibly capped) round counter, ``theta`` the
-    relayed maximum, ``r`` the number of consecutive rounds theta has held its
-    current value (inclusive of the round it changed), and ``c_cap`` the
-    frozen target ``2(d+1)`` — None until the defect fires.
+    ``theta`` is the relayed maximum, ``r`` the number of consecutive rounds
+    theta has held its current value (inclusive of the round it changed),
+    ``cap`` the frozen target ``2(d+1)`` and ``t_term`` the round the node
+    terminated. ``cap`` and ``t_term`` are 0 until set: a node has
+    terminated exactly when ``t_term > 0``.
     """
 
-    theta: int = 0
-    r: int = 0
-    c: int = 0
-    c_cap: int | None = None
-    terminated: bool = False
-    t_term: int | None = None
+    def __init__(self, n: int):
+        self.theta, self.r, self.cap, self.t_term = np.zeros((4, n),
+                                                             dtype=np.int64)
 
 
-def freeze_counter(state: TerminationState, defect_index: int) -> TerminationState:
-    """Set the counter cap to 2*(d+1) when the node's defect d fires."""
-    if state.c_cap is not None:
-        raise AlreadyFrozen(f"cap already set to {state.c_cap}")
-    return replace(state, c_cap=2 * (defect_index + 1))
+def freeze_counter(counters: Counters, nodes, defects) -> None:
+    """Set each node's cap to 2*(d+1) when its defect d fires."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    capped = nodes[counters.cap[nodes] > 0]
+    if capped.size:
+        raise AlreadyFrozen(f"node {capped[0]} cap already set to "
+                            f"{counters.cap[capped[0]]}")
+    counters.cap[nodes] = 2 * (np.asarray(defects, dtype=np.int64) + 1)
 
 
-def counter_message(state: TerminationState, next_round: int) -> tuple[int, int]:
-    """(theta, counter) payload for the message emitted after this round.
+def _own_counter(counters: Counters, k: int) -> np.ndarray:
+    return np.where(counters.cap > 0, np.minimum(k, counters.cap), k)
+
+
+def counter_message(counters: Counters, next_round: int) -> np.ndarray:
+    """``(n, 2)`` (theta, counter) payloads for the messages after a round.
 
     The counter is forward-dated to the round the message arrives, so
     distance-one neighbours always see the current value without lag.
     """
-    cap = state.c_cap if state.c_cap is not None else next_round
-    return state.theta, min(next_round, cap)
+    return np.column_stack((counters.theta,
+                            _own_counter(counters, next_round)))
 
 
-def check_termination(state: TerminationState) -> bool:
-    """True once the relayed maximum has held for c_cap consecutive rounds."""
-    return state.c_cap is not None and state.r >= state.c_cap
+def ftdt_step(counters: Counters, k: int, heard) -> None:
+    """Advance every node through round ``k``.
 
-
-def ftdt_step(state: TerminationState, round_idx: int,
-              received) -> TerminationState:
-    """Advance one round: absorb neighbours' (theta, counter) pairs.
-
-    ``received`` is an iterable of (theta, counter) pairs from in-neighbours,
-    already forward-dated to ``round_idx``. The node's own counter joins the
-    maximum directly.
+    ``heard[i]`` is the largest theta or counter value node ``i`` received,
+    already forward-dated to ``k`` (0 for an empty inbox). The node's own
+    counter joins the maximum directly.
     """
-    cap = state.c_cap if state.c_cap is not None else round_idx
-    own_c = min(round_idx, cap)
-    theta = max(state.theta, own_c)
-    for theta_in, c_in in received:
-        theta = max(theta, theta_in, c_in)
-    r = state.r + 1 if theta == state.theta else 1
-    new = replace(state, theta=theta, r=r, c=own_c)
-    if not new.terminated and check_termination(new):
-        new = replace(new, terminated=True, t_term=round_idx)
-    return new
+    theta = np.maximum(np.maximum(counters.theta, _own_counter(counters, k)),
+                       heard)
+    counters.r = np.where(theta == counters.theta, counters.r + 1, 1)
+    counters.theta = theta
+    stops = ((counters.t_term == 0) & (counters.cap > 0)
+             & (counters.r >= counters.cap))
+    counters.t_term[stops] = k
 
 
 def derive_max_defect(t_term: int, defect_index: int) -> int:

@@ -226,5 +226,9 @@ def test_config_validation_errors():
                 AdmmConfig(epsilon=0.0), AdmmConfig(n_prime=2)):
         with pytest.raises(ValueError):
             run_dadmm_fterc(objectives, graph, bad)
+    # a fractional or boolean count is refused by name, not deep in the run
+    for name, value in (("k_max", 2.5), ("n_prime", 5.5), ("k_max", True)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_dadmm_fterc(objectives, graph, AdmmConfig(**{name: value}))
     with pytest.raises(ValueError):
         run_dadmm_fterc(objectives[:2], graph)

@@ -1,5 +1,6 @@
 """Ratio iterations, defect detection, and finite-time exact averaging."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -317,6 +318,16 @@ def test_exact_lane_validates_seed_count():
             with pytest.raises(ValueError):
                 ftdt_run(THREE_CYCLE, seeds, exact=exact)
         with pytest.raises(ValueError):
+            fterc_run(THREE_CYCLE, seeds)
+    # a zero-width seed row, or one that is not a vector, names its shape
+    for seeds in (np.ones((3, 0)), np.ones((3, 2, 2))):
+        match = re.escape(f"seeds of shape {seeds.shape}")
+        with pytest.raises(ValueError, match=match):
+            exact_consensus_run(THREE_CYCLE, seeds)
+        for exact in (False, True):
+            with pytest.raises(ValueError, match=match):
+                ftdt_run(THREE_CYCLE, seeds, exact=exact)
+        with pytest.raises(ValueError, match=match):
             fterc_run(THREE_CYCLE, seeds)
     # a NaN or infinite seed is refused up front by every lane
     for bad in (np.nan, np.inf, -np.inf):

@@ -1,17 +1,20 @@
 """Distributed stopping counters and self-terminating averaging phases."""
 
-import dataclasses
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from consensus_admm import (AlreadyFrozen, NonIntegerResult, NumericBreakdown,
-                            TerminationState, build_digraph, check_termination,
-                            counter_message, derive_max_defect, freeze_counter,
-                            ftdt_run, ftdt_step, minimal_poly_oracle,
-                            random_strongly_connected, ratio_weights)
+from consensus_admm import (AlreadyFrozen, Counters, NonIntegerResult,
+                            NumericBreakdown, build_digraph, counter_message,
+                            derive_max_defect, exact_consensus_run,
+                            freeze_counter, ftdt_run, ftdt_step, fterc_run,
+                            minimal_poly_oracle, random_strongly_connected,
+                            ratio_weights)
+from consensus_admm import admm
 
 
 def _out_distances(g, source):
@@ -34,64 +37,103 @@ def _oracle_defects(g, rank_tol=1e-12):
 
 
 def _replay_counters(g, defects):
-    """Drive the stopping counters alone, firing node j at round 2(d_j+1)-1."""
-    fire = [2 * (m + 1) - 1 for m in defects]
-    states = [TerminationState() for _ in range(g.n)]
-    outgoing = [counter_message(s, 1) for s in states]
+    """The stopping rule node by node in plain Python: the reference.
+
+    Node j freezes its cap at 2(d_j+1) in round 2(d_j+1)-1 and sends
+    (theta, counter) with the counter forward-dated to the next round.
+    """
+    n = g.n
+    cap, t_term = [None] * n, [None] * n
+    theta, held = [0] * n, [0] * n
+
+    def counter(i, k):
+        return k if cap[i] is None else min(k, cap[i])
+
+    outgoing = [(0, 1)] * n
     k = 0
-    while not all(s.terminated for s in states):
+    while None in t_term:
+        k += 1
+        assert k <= 4 * (n + 2), "counters failed to close"
+        for i in range(n):
+            if k == 2 * (defects[i] + 1) - 1:
+                cap[i] = 2 * (defects[i] + 1)
+        new_theta = [max([theta[i], counter(i, k)]
+                         + [v for j in g.in_neighbors[i] for v in outgoing[j]])
+                     for i in range(n)]
+        held = [held[i] + 1 if new_theta[i] == theta[i] else 1
+                for i in range(n)]
+        theta = new_theta
+        for i in range(n):
+            if t_term[i] is None and cap[i] is not None and held[i] >= cap[i]:
+                t_term[i] = k
+        outgoing = [(theta[i], counter(i, k + 1)) for i in range(n)]
+    return t_term
+
+
+def _array_counters(g, defects):
+    """The same replay on one Counters record, stepped a round at a time."""
+    defects = np.asarray(defects)
+    counters = Counters(g.n)
+    outgoing = counter_message(counters, 1)
+    k = 0
+    while not (counters.t_term > 0).all():
         k += 1
         assert k <= 4 * (g.n + 2), "counters failed to close"
-        stepped = []
-        for i in range(g.n):
-            st = states[i]
-            if k == fire[i]:
-                st = freeze_counter(st, defects[i])
-            stepped.append(ftdt_step(
-                st, k, [outgoing[j] for j in g.in_neighbors[i]]))
-        states = stepped
-        outgoing = [counter_message(s, k + 1) for s in states]
-    return [s.t_term for s in states]
+        fired = np.flatnonzero(2 * defects + 1 == k)
+        freeze_counter(counters, fired, defects[fired])
+        heard = [max((int(outgoing[j].max()) for j in g.in_neighbors[i]),
+                     default=0) for i in range(g.n)]
+        ftdt_step(counters, k, np.array(heard))
+        outgoing = counter_message(counters, k + 1)
+    return counters.t_term.tolist()
+
+
+def _node(counters):
+    """(theta, r, t_term) of the only node."""
+    return (int(counters.theta[0]), int(counters.r[0]),
+            int(counters.t_term[0]))
 
 
 def test_freeze_counter_pins():
-    state = freeze_counter(TerminationState(), 3)
-    assert state.c_cap == 8
+    counters = Counters(3)
+    freeze_counter(counters, [1], [3])
+    assert counters.cap.tolist() == [0, 8, 0]
     with pytest.raises(AlreadyFrozen):
-        freeze_counter(state, 3)
+        freeze_counter(counters, [0, 1], [3, 3])
+    assert counters.cap.tolist() == [0, 8, 0]   # a refused freeze sets no cap
 
 
 def test_counter_message_forward_dating():
-    fresh = TerminationState()
-    assert counter_message(fresh, 5) == (0, 5)
-    capped = freeze_counter(fresh, 1)  # cap 4
-    assert counter_message(capped, 3) == (0, 3)
-    assert counter_message(capped, 9) == (0, 4)
-
-
-def test_termination_state_is_immutable():
-    state = TerminationState()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        state.theta = 5
+    counters = Counters(2)
+    assert counter_message(counters, 5).tolist() == [[0, 5], [0, 5]]
+    freeze_counter(counters, [1], [1])   # cap 4
+    assert counter_message(counters, 3).tolist() == [[0, 3], [0, 3]]
+    assert counter_message(counters, 9).tolist() == [[0, 9], [0, 4]]
 
 
 def test_check_termination():
-    assert not check_termination(TerminationState(r=10))
-    frozen = dataclasses.replace(freeze_counter(TerminationState(), 0), r=2)
-    assert check_termination(frozen)
-    assert not check_termination(dataclasses.replace(frozen, r=1))
+    # a node stops once theta has held for its cap, and never without a cap
+    counters = Counters(3)
+    freeze_counter(counters, [1, 2], [0, 0])   # caps 2
+    counters.theta[:] = 7
+    counters.r[:] = [9, 1, 0]
+    ftdt_step(counters, 1, np.full(3, 7))      # theta holds in every node
+    assert counters.r.tolist() == [10, 2, 1]
+    assert counters.t_term.tolist() == [0, 1, 0]
 
 
 def test_single_node_counter_unroll():
     # an isolated node freezes at round 1 with cap 2 and stops at round 3
-    state = freeze_counter(TerminationState(), 0)
-    state = ftdt_step(state, 1, [])
-    assert (state.theta, state.r, state.terminated) == (1, 1, False)
-    state = ftdt_step(state, 2, [])
-    assert (state.theta, state.r, state.terminated) == (2, 1, False)
-    state = ftdt_step(state, 3, [])
-    assert state.terminated
-    assert state.t_term == 3
+    counters = Counters(1)
+    freeze_counter(counters, [0], [0])
+    ftdt_step(counters, 1, [0])
+    assert _node(counters) == (1, 1, 0)
+    ftdt_step(counters, 2, [0])
+    assert _node(counters) == (2, 1, 0)
+    ftdt_step(counters, 3, [0])
+    assert _node(counters) == (2, 2, 3)
+    ftdt_step(counters, 4, [0])
+    assert _node(counters) == (2, 3, 3)         # the stop round stays put
 
 
 def test_derive_max_defect_pins():
@@ -190,7 +232,71 @@ def test_heterogeneous_lag_is_refused_not_corrupted():
     expected = [2 * (max_defect + 1) + g_i + 2 * (m_i + 1) - 1
                 for g_i, m_i in zip(lag, defects)]
     assert t_terms == expected == [14, 15, 13, 15]
+    assert _array_counters(g, defects) == t_terms
     y0 = np.random.default_rng(5).uniform(-5, 5, size=4)
     for exact in (False, True):
         with pytest.raises(NonIntegerResult):
             ftdt_run(g, y0, exact=exact)
+
+
+def _outcome(run):
+    """(t_terms, rounds, max_defect) of a run, or the refusal it raised."""
+    try:
+        res = run()
+    except NonIntegerResult as exc:
+        return repr(exc)
+    return res.t_terms, res.rounds, res.max_defect
+
+
+def _replay_outcome(g, defects):
+    """What ftdt_run must give on these defects, by the node-by-node rule."""
+    t_terms = _replay_counters(g, defects)
+    try:
+        max_defect = admm._agreed_max_defect(t_terms, defects)
+    except NonIntegerResult as exc:
+        return repr(exc)
+    return t_terms, max(t_terms), max_defect
+
+
+@given(n=st.integers(1, 12), prob=st.sampled_from([0.0, 0.3, 0.6]),
+       width=st.sampled_from([1, 2]), seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_array_counters_and_both_lanes_match_the_node_by_node_rule(
+        n, prob, width, seed):
+    g = random_strongly_connected(n, extra_edge_prob=prob, seed=seed)
+    oracle = _oracle_defects(g)
+    assert _array_counters(g, oracle) == _replay_counters(g, oracle)
+    y0 = np.random.default_rng(seed).uniform(
+        -5, 5, size=n if width == 1 else (n, width))
+    exact = _outcome(lambda: ftdt_run(g, y0, exact=True))
+    exact_defects = [res.defect for res in exact_consensus_run(g, y0)]
+    assert exact == _replay_outcome(g, exact_defects)
+    try:
+        float_ = _outcome(lambda: ftdt_run(g, y0))
+        float_defects = [res.defect for res in fterc_run(g, y0)]
+    except NumericBreakdown:
+        return                      # the float lane gave up: nothing to match
+    if float_defects == oracle:
+        assert exact == float_
+
+
+def test_exact_lane_runs_no_float_detector(monkeypatch):
+    # A width-1 directed ring of 24 nodes is past the float detector: the
+    # float lane refuses it. The exact lane freezes every counter at its
+    # exact defect, n - 1, and never builds a float detector.
+    n = 24
+    g = random_strongly_connected(n, extra_edge_prob=0.0, seed=1)
+    y0 = np.random.default_rng(24).uniform(-5, 5, size=n)
+    with pytest.raises(NonIntegerResult):
+        ftdt_run(g, y0)
+
+    def no_detector(_n):
+        raise AssertionError("the exact lane built a float detector")
+
+    monkeypatch.setattr(admm, "HankelDetector", no_detector)
+    res = ftdt_run(g, y0, exact=True)
+    assert res.defect_indices == [n - 1] * n
+    assert res.t_terms == [4 * n - 1] * n       # 2(d_max+1) + 2(d_i+1) - 1
+    assert res.max_defect == n - 1 and res.rounds == 4 * n - 1
+    truth = float(sum(Fraction(float(v)) for v in y0) / n)
+    assert np.all(res.values == truth)
