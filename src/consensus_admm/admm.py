@@ -77,11 +77,14 @@ class AdmmConfig:
         if self.rho <= 0:
             raise ValueError("rho must be positive")
         n_prime = self.n_prime if self.n_prime is not None else n
-        for name, value in (("k_max", self.k_max), ("n_prime", n_prime)):
+        for name, value in (("k_max", self.k_max), ("n_prime", n_prime),
+                            ("seed", self.seed)):
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         for name in ("eps_abs", "eps_rel"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")

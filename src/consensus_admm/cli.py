@@ -202,6 +202,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     if problem.kind == "l1_logistic" and problem.m < problem.n:
         raise ConfigError(path, line_of("problem", "m"),
                           "need at least one sample per node")
+    for section, field_name, value in (
+            ("problem", "data_seed", problem.data_seed),
+            ("graph", "seed", graph.seed)):
+        if value < 0:
+            raise ConfigError(path, line_of(section, field_name),
+                              f"{field_name} must be nonnegative")
     for section, field_name, value, upper in (
             ("problem", "noise", problem.noise, math.inf),
             ("problem", "mu_scale", problem.mu_scale, math.inf),
@@ -383,6 +389,13 @@ def _print_comparison(cmp: Comparison) -> None:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="consensus-admm",
@@ -392,7 +405,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run one configured experiment")
     p_run.add_argument("config", help="path to an INI-style experiment file")
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", type=_nonnegative_int, default=None,
                        help="override the solver seed")
     p_run.add_argument("--out", default=None,
                        help="override the output directory")

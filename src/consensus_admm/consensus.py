@@ -103,7 +103,7 @@ class HankelDetector:
             sigma = np.linalg.svd(stacked, compute_uv=False)
             deficient = ~(sigma[:, -1] > RANK_TOL * sigma[:, 0])
             if deficient.any():
-                vt = np.linalg.svd(stacked[deficient])[2]
+                vt = np.linalg.svd(stacked[deficient], full_matrices=False)[2]
                 for r, kernel in zip(rows[deficient].tolist(), vt[:, -1]):
                     if abs(kernel[-1]) <= DENOM_TOL:
                         raise NumericBreakdown(

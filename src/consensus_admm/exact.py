@@ -10,20 +10,30 @@ fractions, and every returned value is the correctly rounded exact average.
 It all runs on integers scaled by powers of the lcm of those divisors.
 Each node finds its defect index in one pass over the block sizes. Its
 difference channels are mixed into one channel with fixed small integer
-weights, and a fraction-free three-term recurrence over the mixed channel
-builds ``q_k``: ``det H_k`` times the monic degree-``k`` orthogonal
-polynomial of that moment sequence, an integer vector that annihilates
-Hankel rows ``0 .. k-1``. The first zero ``det H_m`` marks the candidate
-size ``m``. This is sound:
+weights, and a three-term (orthogonal-polynomial) recurrence over the mixed
+channel runs modulo primes below ``2**61``, so every step works on words,
+not on integers the size of ``det H_k``. ``q_k``, a multiple of the monic
+degree-``k`` orthogonal polynomial of that moment sequence, annihilates
+Hankel rows ``0 .. k-1``, and ``q_k . seq[k:2k+1]`` vanishes modulo a prime
+exactly when ``det H_(k+1)`` does. The primes that read the latest first
+zero ``m`` are combined by CRT, and rational reconstruction rebuilds the
+kernel as a primitive integer vector. This is sound:
 
+* a nonzero residue of ``det H_k`` proves ``det H_k != 0``. A prime that
+  reads a zero before another prime does is dropped, and one that reads no
+  zero up to the largest size proves every size nonsingular;
+* a kernel is accepted only once it annihilates all ``m`` Hankel rows
+  exactly, which proves ``det H_m = 0``: ``m`` is then the first singular
+  size and the kernel the only one. Past the Hadamard bound the primes
+  themselves prove ``det H_m = 0`` and reconstruction cannot fail, so
+  reaching it raises ``NumericBreakdown`` as an internal error;
 * every mixed Hankel row is a combination of stacked block rows, so each
   nonzero mixed ``det H_k`` proves the stacked block of size ``k`` has full
   rank: no size before ``m`` is deficient;
-* ``det H_(m-1) != 0`` makes the first ``m - 1`` mixed rows independent, so
-  ``q_(m-1)`` spans their kernel, which holds any kernel of the stacked
-  block. Every division in the recurrence is checked to be exact, and a
-  check of ``q_(m-1)`` against every stacked block row accepts it or shows
-  a false alarm (the block has full rank).
+* ``det H_(m-1) != 0`` makes the first ``m - 1`` mixed rows independent,
+  so the mixed kernel spans their kernel, which holds any kernel of the
+  stacked block. A check against every stacked block row accepts it or
+  shows a false alarm (the block has full rank).
 
 After a false alarm the next mix restarts the recurrence; once the mixes
 are used up, every remaining size is eliminated whole. No size is skipped.
@@ -42,6 +52,42 @@ from .errors import NumericBreakdown
 from .graph import Digraph
 
 _MIXES = (3, 5, 7)      # mix r weights difference channel c by r**(c + 1)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd ``37 < n < 2**64``."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class _PrimeSequence:
+    """The primes below ``2**61`` in descending order, each found on first
+    use and kept for every later call."""
+
+    def __init__(self):
+        self._found: list[int] = []
+
+    def __getitem__(self, i: int) -> int:
+        while len(self._found) <= i:
+            c = self._found[-1] - 2 if self._found else 2**61 - 1
+            while not _is_prime(c):
+                c -= 2
+            self._found.append(c)
+        return self._found[i]
+
+
+_PRIMES = _PrimeSequence()
 
 
 def _exact_trajectories(g: Digraph, seeds: np.ndarray, rounds: int):
@@ -129,31 +175,106 @@ def _differences(chans, base: int) -> list[list[int]]:
 
 def _hankel_kernel(seq: list[int], top: int) -> tuple[int, list[int]] | None:
     """First size ``m <= top`` whose Hankel matrix ``seq[i + j]`` is
-    singular, and the kernel ``q_(m-1)`` of its first ``m - 1`` rows; None
-    when every size up to ``top`` is nonsingular.
+    singular, and the primitive integer kernel of its ``m`` rows (gcd 1,
+    last entry positive); None when every size up to ``top`` is nonsingular.
 
-    ``q_k`` lists coefficients constant first; ``q_k . seq[k:2k+1]`` is
-    ``det H_(k+1)``. Each step's division by ``det H_k ** 2`` must be exact.
+    Each prime of :data:`_PRIMES` runs the recurrence until its first zero
+    ``det H_k``; the primes reading the latest zero are combined by CRT and
+    the kernel is rebuilt by rational reconstruction, then checked exactly.
     """
+    m, modulus, residues = 0, 1, []
+    for prime in _PRIMES:
+        found = _kernel_mod(seq, top, prime)
+        if found is None:
+            return None           # a nonzero det H_k mod prime for every k
+        size, monic = found
+        if size < m:
+            continue              # this prime divides a nonzero det H_size
+        if size > m:              # so did every prime used so far
+            m, modulus, residues = size, 1, [0] * size
+        lift = pow(modulus, -1, prime)
+        residues = [r + modulus * ((v - r) * lift % prime)
+                    for r, v in zip(residues, monic)]
+        modulus *= prime
+        kernel = _rational_kernel(residues, modulus)
+        if kernel is not None and _annihilates([seq], kernel):
+            return m, kernel
+        if modulus.bit_length() > _hadamard_bits(seq, m):
+            raise NumericBreakdown(
+                f"no kernel of Hankel size {m} within its Hadamard bound")
+    raise NumericBreakdown("the prime sequence ran out")
+
+
+def _kernel_mod(seq: list[int], top: int, prime: int):
+    """First size ``m <= top`` whose Hankel matrix is singular modulo
+    ``prime``, and the monic kernel of its first ``m - 1`` rows modulo
+    ``prime``, constant first; None when no size up to ``top`` is.
+
+    ``q_k`` is a nonzero multiple of the monic degree-``k`` orthogonal
+    polynomial of ``seq``: the fraction-free step without its division by
+    ``det H_k ** 2``. It annihilates Hankel rows ``0 .. k-1``, and
+    ``q_k . seq[k:2k+1]`` vanishes exactly when ``det H_(k+1)`` does.
+    """
+    s = [v % prime for v in seq]
     low, q = [], [1]              # q_(k-1) and q_k
-    det, moment = 1, 0            # det H_k and q_(k-1) . seq[k:2k]
+    h_low, nu_low = 1, 0          # q_(k-1) . s[k-1:2k-1] and . s[k:2k]
     for k in range(top):
-        det_next = sum(map(mul, q, seq[k:2 * k + 1]))
-        if det_next == 0:
-            return k + 1, q
+        h = sum(map(mul, q, s[k:2 * k + 1])) % prime
+        if h == 0:
+            unit = pow(q[-1], -1, prime)
+            return k + 1, [v * unit % prime for v in q]
         if k + 1 == top:
-            return None
-        nxt = sum(map(mul, q, seq[k + 1:2 * k + 2]))
-        lead, mid = det * det_next, det * nxt - det_next * moment
-        tail, div = det_next * det_next, det * det
-        step = []
-        for a, b, c in zip([0, *q], [*q, 0], [*low, 0, 0]):
-            v, rem = divmod(lead * a - mid * b - tail * c, div)
-            if rem:
-                raise NumericBreakdown("inexact Hankel recurrence step")
-            step.append(v)
-        low, q, det, moment = q, step, det_next, nxt
+            break
+        nu = sum(map(mul, q, s[k + 1:2 * k + 2])) % prime
+        lead = h_low * h % prime
+        mid = (h_low * nu - h * nu_low) % prime
+        tail = h * h % prime
+        low, q = q, [(lead * a - mid * b - tail * c) % prime for a, b, c
+                     in zip([0, *q], [*q, 0], [*low, 0, 0])]
+        h_low, nu_low = h, nu
     return None
+
+
+def _rational_kernel(residues: list[int], modulus: int) -> list[int] | None:
+    """Primitive integer vector whose ratios to its last entry are congruent
+    to ``residues`` (last entry 1) modulo ``modulus``, each rebuilt with
+    numerator and denominator at most ``sqrt(modulus / 2)``; None when some
+    entry has no such fraction.
+
+    Entries are rebuilt times the product of the denominators found so far,
+    so after the first fraction most entries come back as integers.
+    """
+    bound = math.isqrt((modulus - 1) // 2)
+    scale, fracs = 1, []
+    for u in residues[:-1]:
+        r0, r1, t0, t1 = modulus, u * scale % modulus, 0, 1
+        while r1 > bound:         # extended Euclid, stopped halfway
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if abs(t1) > bound:
+            return None
+        g = math.gcd(r1, t1)
+        num, den = (r1 // g, t1 // g) if t1 > 0 else (-r1 // g, -t1 // g)
+        fracs.append((num, den * scale))
+        scale *= den
+    kernel = [num * (scale // den) for num, den in fracs] + [scale]
+    g = math.gcd(*kernel)
+    return [v // g for v in kernel]
+
+
+def _hadamard_bits(seq: list[int], m: int) -> int:
+    """Exponent ``b`` with ``2**b`` above ``|det H_m|`` and above ``4 B**2``,
+    where ``B``, Hadamard's bound on the first ``m - 1`` rows of ``H_m``,
+    bounds ``det H_(m-1)`` and every minor that makes a kernel entry.
+
+    A modulus of at least ``2**b`` that reads ``det H_m = 0`` proves it.
+    Each kernel entry, a minor over ``det H_(m-1)``, then reconstructs with
+    numerator and denominator at most ``sqrt(modulus / 2)``, also when
+    multiplied by a partial product of the denominators found before it,
+    so reconstruction cannot fail there.
+    """
+    return 2 + sum(2 * max(abs(v).bit_length() for v in seq[i:i + m])
+                   + m.bit_length() for i in range(m))
 
 
 def _detect_node(ints: list[list[int]]) -> tuple[int, list[int]]:

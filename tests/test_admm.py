@@ -227,8 +227,12 @@ def test_config_validation_errors():
         with pytest.raises(ValueError):
             run_dadmm_fterc(objectives, graph, bad)
     # a fractional or boolean count is refused by name, not deep in the run
-    for name, value in (("k_max", 2.5), ("n_prime", 5.5), ("k_max", True)):
+    for name, value in (("k_max", 2.5), ("n_prime", 5.5), ("k_max", True),
+                        ("seed", 1.5)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             run_dadmm_fterc(objectives, graph, AdmmConfig(**{name: value}))
+    # a negative seed is refused by name, not by numpy's generator
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        run_dadmm_fterc(objectives, graph, AdmmConfig(seed=-1))
     with pytest.raises(ValueError):
         run_dadmm_fterc(objectives[:2], graph)

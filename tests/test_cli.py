@@ -240,6 +240,10 @@ def test_main_error_exit_codes(tmp_path, capsys):
     for old, value, line, message in (
             ("data_seed = 3", "noise = nan", 7, "noise must be finite"),
             ("data_seed = 3", "noise = -0.5", 7, "noise must be nonnegative"),
+            ("data_seed = 3", "data_seed = -1", 7,
+             "data_seed must be nonnegative"),
+            ("seed = 1", "seed = -1", 11, "seed must be nonnegative"),
+            ("k_max = 12", "seed = -1", 17, "seed must be nonnegative"),
             ("data_seed = 3", "mu_scale = nan", 7, "mu_scale must be finite"),
             ("data_seed = 3", "mu_scale = -1", 7,
              "mu_scale must be nonnegative"),
@@ -256,6 +260,11 @@ def test_main_error_exit_codes(tmp_path, capsys):
     small = _write(tmp_path, SMALL_LS.replace("init = zero", "n_prime = 2"))
     assert main(["run", str(small)]) == 1
     assert f"{small}:19: n_prime 2 is below" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(_write(tmp_path, SMALL_LS)), "--seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "--seed: must be nonnegative" in capsys.readouterr().err
 
     lone = tmp_path / "lone.csv"
     lone.write_text(",".join(CSV_COLUMNS) + "\n1,0,0,0,1,nan,nan\n",

@@ -1,6 +1,8 @@
 """Ratio iterations, defect detection, and finite-time exact averaging."""
 
+import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -162,9 +164,10 @@ def test_detector_fires_at_each_nodes_minimal_polynomial(n, prob, width,
 
 
 def test_stacked_svd_matches_per_matrix_calls_bitwise():
-    # The detector decomposes every open node's matrix in one stacked call;
-    # histories stay bitwise reproducible only while that equals one call
-    # per matrix, singular values and right vectors alike.
+    # The detector decomposes every open node's matrix in one stacked call,
+    # its right vectors from the thin one; histories stay bitwise
+    # reproducible only while that equals one full call per matrix,
+    # singular values and right vectors alike.
     g = random_strongly_connected(9, extra_edge_prob=0.3, seed=2)
     w = ratio_weights(g)
     state = np.column_stack((np.ones(9), np.random.default_rng(2)
@@ -182,10 +185,12 @@ def test_stacked_svd_matches_per_matrix_calls_bitwise():
                 for node in range(9)])
             sigma = np.linalg.svd(stack, compute_uv=False)
             vt = np.linalg.svd(stack)[2]
+            thin = np.linalg.svd(stack, full_matrices=False)[2]
             for k, matrix in enumerate(stack):
                 assert np.array_equal(
                     sigma[k], np.linalg.svd(matrix, compute_uv=False))
                 assert np.array_equal(vt[k], np.linalg.svd(matrix)[2])
+                assert np.array_equal(thin[k], vt[k])
 
 
 def test_fterc_matches_power_iteration_and_mean():
@@ -370,7 +375,7 @@ def test_exact_lane_screen_matches_rational_ranks():
             block = np.array(_stacked_block(seq.tolist(), k), float)
             assert np.linalg.matrix_rank(block) == k
     assert firsts[2] == 2 and firsts[3] == 1
-    assert _hankel_kernel([12 * 2 ** t for t in range(9)], 5) == (2, [-24, 12])
+    assert _hankel_kernel([12 * 2 ** t for t in range(9)], 5) == (2, [-2, 1])
     assert np.linalg.matrix_rank(np.array(_stacked_block(
         seqs[3].tolist(), 1), float)) == 1
     assert not _annihilates(seqs[3].tolist(), [1])
@@ -458,6 +463,65 @@ def test_hankel_kernel_matches_bareiss(seq):
         m, q = found
         assert len(q) == m and _annihilates([seq], q)
         assert m == 1 or q[-1] != 0
+
+
+def _primitive(vector):
+    g = math.gcd(*vector) * (1 if vector[-1] > 0 else -1)
+    return [v // g for v in vector]
+
+
+@st.composite
+def _wide_geometric_sequences(draw):
+    """Sums of up to four geometric modes with ratios up to +-1000, so the
+    kernel (their characteristic polynomial) outgrows any tiny prime, or
+    small random integers; zero leading entries drawn in either case."""
+    length = draw(st.integers(1, 11))
+    if draw(st.booleans()):
+        modes = draw(st.lists(st.tuples(st.integers(-3, 3).filter(bool),
+                                        st.integers(-1000, 1000)),
+                              min_size=1, max_size=4))
+        seq = [sum(c * r ** t for c, r in modes) for t in range(length)]
+    else:
+        seq = draw(st.lists(st.integers(-9, 9), min_size=length,
+                            max_size=length))
+    zeros = draw(st.sampled_from((0, 0, 0, 1, 2)))
+    return [0] * zeros + seq[zeros:]
+
+
+_TINY_PRIMES = [p for p in range(3, 20000)
+                if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_wide_geometric_sequences())
+def test_hankel_kernel_over_tiny_primes_matches_bareiss(seq):
+    # Tiny primes read spurious zeros of det H_k and hold only a few bits of
+    # each kernel entry, so the candidate size moves and several primes
+    # must be combined before the reconstructed kernel passes its check.
+    top = (len(seq) + 1) // 2
+    ranks = [_bareiss_echelon(_stacked_block([seq], k), k)[0]
+             for k in range(1, top + 1)]
+    first = next((k for k, r in enumerate(ranks, 1) if r < k), None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_PRIMES", _TINY_PRIMES)
+        found = _hankel_kernel(seq, top)
+    assert (found and found[0]) == first
+    if found:
+        m, kernel = found
+        assert kernel == _primitive(_exact_kernel([seq[:2 * m - 1]], m))
+
+
+def test_exact_lane_rings_of_forty_stay_fast():
+    # The exact referee at the size the float lane loses its rank decisions.
+    g = random_strongly_connected(40, extra_edge_prob=0.0, seed=3)
+    y0 = np.random.default_rng(5).uniform(-5, 5, size=(40, 3))
+    truth = _true_mean(y0)
+    start = time.perf_counter()
+    res = exact_consensus_run(g, y0)
+    assert time.perf_counter() - start < 1.0
+    for r in res:
+        assert r.defect == 39
+        assert np.array_equal(r.mu, truth)
 
 
 def _screen_cases():
