@@ -41,7 +41,7 @@ from .errors import InsufficientData, NonIntegerResult, NumericBreakdown
 from .exact import exact_consensus_run
 from .graph import Digraph
 from .netsim import RoundEngine, block_max, block_min, phase_lengths
-from .objectives import L1Regularizer, l1_z_update
+from .objectives import L1Regularizer, ObjectiveStacks, l1_z_update
 from .oracle import Reference
 from .termination import (Counters, counter_message, derive_max_defect,
                           freeze_counter, ftdt_step)
@@ -175,12 +175,9 @@ class _Phase:
 
     def __init__(self, engine: RoundEngine, seeds: np.ndarray,
                  flags: PhaseFlags, *, defect_sizes, window, spread_eps):
-        graph = engine.graph
         n, p = seeds.shape
-        self.t0, self.live = engine.tick, engine.live
+        self.t0, self.live, self.share = engine.tick, engine.live, engine.share
         self.window, self.spread_eps = window, spread_eps
-        self.share = 1.0 / (1.0 + np.array([[graph.out_degree(i)]
-                                            for i in range(n)], dtype=float))
         self.state = np.column_stack((np.ones(n), seeds))
         self.traj = [self.state]
         self.frozen = np.zeros(n, dtype=bool)
@@ -495,6 +492,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     x0, lam0, z0 = _initialize(n, p, config)
     lam = lam0.copy()
     z_stack = np.tile(z0, (n, 1))
+    stacks = ObjectiveStacks(objectives, rho)
 
     engine = RoundEngine(graph)
     betas: list = [None] * n
@@ -510,9 +508,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     steps = 0
 
     for k in range(1, config.k_max + 1):
-        x_stack = np.stack([objectives[i].solve_x_update(z_stack[i], lam[i],
-                                                         rho)
-                            for i in range(n)])
+        x_stack = stacks.x_update(z_stack, lam)
         seeds = x_stack + lam / rho
         flags = warmup[k - 1] if k <= len(warmup) else steady
         tick_before = engine.tick
@@ -544,8 +540,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
                                     config.eps_abs, config.eps_rel)
 
         z_bar = z_new.mean(axis=0)
-        obj_val = float(sum(objectives[i].evaluate(x_stack[i])
-                            for i in range(n)))
+        obj_val = stacks.total(x_stack)
         if regularizer is not None:
             obj_val += regularizer.mu * float(np.sum(np.abs(z_bar[mask])))
 
@@ -665,10 +660,8 @@ def check_o1k_bound(record: RunRecord, reference: Reference) -> BoundReport:
     steps = record.steps
     n = x_bar.shape[1]
 
-    f_vals = np.array([
-        sum(record.objectives[i].evaluate(x_bar[t, i]) for i in range(n))
-        for t in range(steps)
-    ])
+    stacks = ObjectiveStacks(record.objectives, rho)
+    f_vals = np.array([stacks.total(x_bar[t]) for t in range(steps)])
     coupling = np.einsum("ij,tij->t", lam_star, x_bar - z_bar[:, None, :])
     lhs = f_vals + coupling - reference.f_star
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -105,6 +106,8 @@ def random_strongly_connected(n: int, extra_edge_prob: float = 0.0,
     A random Hamiltonian cycle guarantees strong connectivity; every other
     ordered pair is then added independently with ``extra_edge_prob``.
     """
+    if isinstance(seed, Integral) and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     edge_set: set[tuple[int, int]] = set()

@@ -23,6 +23,7 @@ runs give identical logs and the cost of a digest is the width of a row.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import struct
@@ -40,8 +41,7 @@ Update = Callable[[np.ndarray, int], np.ndarray]
 def _digest_update(h, obj) -> None:
     kind = type(obj)
     if kind is np.ndarray:
-        h.update(b"a" + obj.dtype.str.encode()
-                 + struct.pack("<%dq" % obj.ndim, *obj.shape))
+        h.update(_array_header(obj.dtype.str, obj.shape))
         h.update(obj.tobytes())  # C order, also for non-contiguous views
     elif kind is float:
         h.update(b"f" + struct.pack("<d", obj))
@@ -85,8 +85,21 @@ def _digest_update(h, obj) -> None:
         h.update(b"r" + repr(obj).encode())
 
 
+@functools.lru_cache(maxsize=256)
+def _array_header(dtype: str, shape: tuple) -> bytes:
+    return b"a" + dtype.encode() + struct.pack("<%dq" % len(shape), *shape)
+
+
 def stable_digest(obj) -> str:
-    """Deterministic short hex digest of nested state (arrays included)."""
+    """Deterministic short hex digest of nested state (arrays included).
+
+    A plain ``np.ndarray``, such as a payload row, is hashed in one call
+    over its cached header and its bytes; the value is the one the general
+    walk gives.
+    """
+    if type(obj) is np.ndarray:
+        return hashlib.blake2b(_array_header(obj.dtype.str, obj.shape)
+                               + obj.tobytes(), digest_size=12).hexdigest()
     h = hashlib.blake2b(digest_size=12)
     _digest_update(h, obj)
     return h.hexdigest()
@@ -115,7 +128,9 @@ class RoundEngine:
 
     ``gather[i]`` lists the wave rows of node ``i``'s block: ``i`` itself,
     then ``in_neighbors[i]``, then the pad row ``n``; ``live`` is True where
-    a block row holds a payload.
+    a block row holds a payload. ``share[i, 0]`` is ``1 / (1 + out-degree)``
+    of node ``i``: the part of its mass that each copy of its payload
+    carries under ratio consensus.
     """
 
     graph: Digraph
@@ -131,6 +146,9 @@ class RoundEngine:
         self.gather = np.array([row + [pad] * (width - len(row))
                                 for row in rows])
         self.live = self.gather != pad
+        self.share = 1.0 / (1.0 + np.array([[self.graph.out_degree(i)]
+                                            for i in range(self.graph.n)],
+                                           dtype=float))
 
     def _broadcast(self, wave, phase: str, kind: str) -> RoundRecord:
         """Hold one wave of payload rows for delivery, and log it."""

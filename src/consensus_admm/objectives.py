@@ -5,6 +5,14 @@ solve ``argmin_x f_i(x) + lam^T x + (rho/2)||x - z||^2``. Least squares gets a
 closed form; the logistic loss gets a damped Newton solve. The l1 penalty
 never touches the x-update: it is applied through shrinkage in the shared
 z-update, with the intercept riding as a final unpenalized coordinate.
+
+Each kind has one kernel, over a stack of same-shape terms: a solver run
+holds its terms as :class:`ObjectiveStacks` and updates them whole-network,
+while a single term's methods are the same kernel on one term. Only terms
+whose class is exactly :class:`LeastSquaresObjective` or exactly
+:class:`LogisticObjective` are stacked, one stack per kind and shape; any
+other class, a subclass included, is called node by node through its own
+methods. Stacked results equal node-by-node ones to the last bit.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 import csv
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -51,8 +60,8 @@ class LeastSquaresObjective(LocalObjective):
         return self.mat.shape[1]
 
     def evaluate(self, x) -> float:
-        r = self.mat @ x - self.rhs
-        return 0.5 * float(r @ r)
+        x = np.asarray(x, dtype=float)
+        return float(_ls_values(self.mat, self.rhs, x))
 
     def gradient(self, x) -> np.ndarray:
         return self.mat.T @ (self.mat @ x - self.rhs)
@@ -60,6 +69,17 @@ class LeastSquaresObjective(LocalObjective):
     def solve_x_update(self, z, lam, rho) -> np.ndarray:
         return ls_x_update(self.mat, self.rhs, z, lam, rho,
                            gram=self._gram, atb=self._atb)
+
+
+def _ls_values(mat, rhs, x):
+    """0.5 ||A x - b||^2 of each term of a stack (or of a single term)."""
+    r = (mat @ x[..., None])[..., 0] - rhs
+    return 0.5 * np.vecdot(r, r)
+
+
+def _ls_solve(lhs, atb, z, lam, rho):
+    """Solve ``lhs x = A^T b - lam + rho z`` for each term of a stack."""
+    return np.linalg.solve(lhs, (atb - lam + rho * z)[..., None])[..., 0]
 
 
 def ls_x_update(mat, rhs, z, lam, rho, *, gram=None, atb=None) -> np.ndarray:
@@ -70,8 +90,9 @@ def ls_x_update(mat, rhs, z, lam, rho, *, gram=None, atb=None) -> np.ndarray:
         gram = mat.T @ mat
     if atb is None:
         atb = mat.T @ np.atleast_1d(np.asarray(rhs, dtype=float))
-    lhs = gram + rho * np.eye(p)
-    return np.linalg.solve(lhs, atb - lam + rho * np.asarray(z, dtype=float))
+    return _ls_solve(gram + rho * np.eye(p), atb,
+                     np.asarray(z, dtype=float), np.asarray(lam, dtype=float),
+                     rho)
 
 
 class LogisticObjective(LocalObjective):
@@ -94,22 +115,71 @@ class LogisticObjective(LocalObjective):
         return self.design.shape[1]
 
     def evaluate(self, x) -> float:
-        margins = self.labels * (self.design @ x)
-        return float(np.sum(np.logaddexp(0.0, -margins)))
+        x = np.asarray(x, dtype=float)
+        return float(_logistic_loss(_margins(self.design, self.labels, x)))
 
     def gradient(self, x) -> np.ndarray:
-        margins = self.labels * (self.design @ x)
-        sig = 1.0 / (1.0 + np.exp(margins))
-        return self.design.T @ (-self.labels * sig)
+        x = np.asarray(x, dtype=float)
+        sig = _sigmoid(_margins(self.design, self.labels, x))
+        return _logistic_gradient(self.design, self.labels, sig)
 
     def hessian(self, x) -> np.ndarray:
-        margins = self.labels * (self.design @ x)
-        sig = 1.0 / (1.0 + np.exp(margins))
-        weights = sig * (1.0 - sig)
-        return (self.design * weights[:, None]).T @ self.design
+        x = np.asarray(x, dtype=float)
+        sig = _sigmoid(_margins(self.design, self.labels, x))
+        return _logistic_hessian(self.design, sig)
 
     def solve_x_update(self, z, lam, rho) -> np.ndarray:
         return logistic_x_update(self, z, lam, rho)
+
+
+# Logistic pieces over a stack of terms (or a single term): design
+# ``(..., rows, p)``, labels and margins ``(..., rows)``, iterates
+# ``(..., p)``. Every operation acts term by term.
+
+def _margins(design, labels, x):
+    """b_k * a_k^T x for every row."""
+    return labels * (design @ x[..., None])[..., 0]
+
+
+def _sigmoid(margins):
+    """sigmoid(-margin) for every row."""
+    return 1.0 / (1.0 + np.exp(margins))
+
+
+def _logistic_loss(margins):
+    return np.add.reduce(np.logaddexp(0.0, -margins), axis=-1)
+
+
+def _logistic_gradient(design, labels, sig):
+    return (design.mT @ (-labels * sig)[..., None])[..., 0]
+
+
+def _logistic_hessian(design, sig):
+    weights = sig * (1.0 - sig)
+    return (design * weights[..., None]).mT @ design
+
+
+def _solve_each(hess, grad):
+    """Newton directions term by term, after a stacked solve failed.
+
+    A singular term gets a NaN direction, which no line search accepts,
+    and the error its own solve raised.
+    """
+    direction = np.full(grad.shape, np.nan)
+    singular = {}
+    for pos in range(grad.shape[0]):
+        try:
+            direction[pos] = np.linalg.solve(hess[pos], grad[pos])
+        except np.linalg.LinAlgError as exc:
+            singular[pos] = exc
+    return direction, singular
+
+
+def _composite_value(margins, z, lam, rho, x):
+    """f(x) + lam^T x + (rho/2) ||x - z||^2, given the margins at x."""
+    d = x - z
+    return (_logistic_loss(margins) + np.vecdot(lam, x)
+            + 0.5 * rho * np.vecdot(d, d))
 
 
 def logistic_x_update(objective: LogisticObjective, z, lam, rho, *,
@@ -123,43 +193,177 @@ def logistic_x_update(objective: LogisticObjective, z, lam, rho, *,
     converged-to-precision. Raises :class:`SolverFailure` once the
     iteration budget is exhausted.
     """
-    z = np.asarray(z, dtype=float)
-    lam = np.asarray(lam, dtype=float)
+    x, failures = _logistic_newton(
+        objective.design[None], objective.labels[None],
+        np.asarray(z, dtype=float)[None], np.asarray(lam, dtype=float)[None],
+        rho, tol=tol, max_iter=max_iter)
+    if failures:
+        raise failures[0]
+    return x[0]
+
+
+def _logistic_newton(design, labels, z, lam, rho, *, tol: float = 1e-6,
+                     max_iter: int = 200):
+    """The damped Newton solve of :func:`logistic_x_update` on a stack.
+
+    Every term keeps its own iterate, convergence test and Armijo halving,
+    and each stack operation acts term by term, so a term's iterate is the
+    one it gets solved alone, to the last bit. Returns the iterates and,
+    for each term that failed, the error it raises when solved alone.
+    """
     x = z.copy()  # the penalty anchors the solution near z
-
-    def composite_grad(xv):
-        return objective.gradient(xv) + lam + rho * (xv - z)
-
-    def composite_value(xv):
-        d = xv - z
-        return objective.evaluate(xv) + float(lam @ xv) + 0.5 * rho * float(d @ d)
-
-    grad = composite_grad(x)
-    for _ in range(max_iter):
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol:
-            return x
-        hess = objective.hessian(x) + rho * np.eye(objective.dim)
-        direction = np.linalg.solve(hess, grad)
-        slope = float(grad @ direction)
-        value = composite_value(x)
-        step = 1.0
+    eye = rho * np.eye(design.shape[-1])
+    failures: dict[int, Exception] = {}
+    # the terms still iterating, with their data and iterates aligned
+    open_ = np.arange(x.shape[0])
+    d, lab, zo, lo, xo = design, labels, z, lam, x
+    margins = _margins(d, lab, xo)
+    value = _composite_value(margins, zo, lo, rho, xo)
+    for it in range(max_iter + 1):
+        sig = _sigmoid(margins)
+        grad = _logistic_gradient(d, lab, sig) + lo + rho * (xo - zo)
+        grad_norm = np.sqrt(np.vecdot(grad, grad))
+        going = ~(grad_norm <= tol)
+        if not going.any():
+            break
+        if it == max_iter:
+            failures.update((int(t), SolverFailure(
+                f"Newton stalled after {max_iter} iterations "
+                f"(|grad| = {g:.3e})"))
+                for t, g in zip(open_[going], grad_norm[going]))
+            break
+        if not going.all():
+            x[open_] = xo
+            open_, d, lab, zo, lo, xo, value, sig, grad, grad_norm = (
+                a[going] for a in (open_, d, lab, zo, lo, xo, value, sig,
+                                   grad, grad_norm))
+        hess = _logistic_hessian(d, sig) + eye
+        try:
+            direction, singular = (
+                np.linalg.solve(hess, grad[..., None])[..., 0], {})
+        except np.linalg.LinAlgError:
+            direction, singular = _solve_each(hess, grad)
+        slope = np.vecdot(grad, direction)
+        step = np.ones(open_.size)
+        searching = np.ones(open_.size, dtype=bool)
         for _ in range(60):
-            candidate = x - step * direction
-            if composite_value(candidate) <= value - 1e-4 * step * slope:
+            candidate = xo - step[:, None] * direction
+            margins = _margins(d, lab, candidate)
+            trial = _composite_value(margins, zo, lo, rho, candidate)
+            searching &= ~(trial <= value - 1e-4 * step * slope)
+            if not searching.any():
                 break
-            step *= 0.5
+            step[searching] *= 0.5
         else:
-            if grad_norm <= 1e3 * tol:
-                return x  # descent direction, but float64 is flat here
-            raise SolverFailure(f"no representable decrease at "
-                                f"|grad| = {grad_norm:.3e}")
-        x = x - step * direction
-        grad = composite_grad(x)
-    if float(np.linalg.norm(grad)) <= tol:
+            for pos in np.flatnonzero(searching):
+                if pos in singular:
+                    failures[int(open_[pos])] = singular[pos]
+                # a descent direction, but float64 is flat here: converged
+                # to precision unless the gradient is still large
+                elif not grad_norm[pos] <= 1e3 * tol:
+                    failures[int(open_[pos])] = SolverFailure(
+                        f"no representable decrease at "
+                        f"|grad| = {grad_norm[pos]:.3e}")
+            x[open_] = xo
+            moved = ~searching
+            open_, d, lab, zo, lo, candidate, margins, trial = (
+                a[moved] for a in (open_, d, lab, zo, lo, candidate, margins,
+                                   trial))
+        # a term's last trial is its accepted step: the new iterate's value
+        xo, value = candidate, trial
+    x[open_] = xo
+    return x, failures
+
+
+class _LeastSquaresStack:
+    """Least-squares terms of one shape, with ``A^T A + rho I`` cached."""
+
+    def __init__(self, terms, rho: float):
+        self.mat = np.stack([t.mat for t in terms])
+        self.rhs = np.stack([t.rhs for t in terms])
+        self.atb = np.stack([t._atb for t in terms])
+        self.lhs = (np.stack([t._gram for t in terms])
+                    + rho * np.eye(self.mat.shape[-1]))
+        self.rho = rho
+
+    def x_update(self, z, lam):
+        return _ls_solve(self.lhs, self.atb, z, lam, self.rho), {}
+
+    def values(self, x):
+        return _ls_values(self.mat, self.rhs, x)
+
+
+class _LogisticStack:
+    """Logistic terms of one shape."""
+
+    def __init__(self, terms, rho: float):
+        self.design = np.stack([t.design for t in terms])
+        self.labels = np.stack([t.labels for t in terms])
+        self.rho = rho
+
+    def x_update(self, z, lam):
+        return _logistic_newton(self.design, self.labels, z, lam, self.rho)
+
+    def values(self, x):
+        return _logistic_loss(_margins(self.design, self.labels, x))
+
+
+class ObjectiveStacks:
+    """A network's local terms, held for whole-network x-updates and sums.
+
+    Terms whose class is exactly :class:`LeastSquaresObjective`, or exactly
+    :class:`LogisticObjective`, are stacked by kind and shape; unequal
+    shards form separate stacks, unpadded. Any other term, subclasses
+    included, is called through its own methods, node by node, before the
+    stacks, so overrides keep working. Results equal the node-by-node calls
+    to the last bit; ``rho`` is fixed for the life of the stacks.
+    """
+
+    _KINDS = {LeastSquaresObjective: (_LeastSquaresStack, "mat"),
+              LogisticObjective: (_LogisticStack, "design")}
+
+    def __init__(self, objectives, rho: float):
+        self.objectives = list(objectives)
+        self.rho = rho
+        self.per_node: list[int] = []
+        groups: dict[tuple, list[int]] = {}
+        for i, obj in enumerate(self.objectives):
+            kind = type(obj)
+            if kind in self._KINDS:
+                shape = getattr(obj, self._KINDS[kind][1]).shape
+                groups.setdefault((kind, shape), []).append(i)
+            else:
+                self.per_node.append(i)
+        self.stacks = [(np.array(nodes), self._KINDS[kind][0](
+                            [self.objectives[i] for i in nodes], rho))
+                       for (kind, _), nodes in groups.items()]
+
+    def x_update(self, z, lam) -> np.ndarray:
+        """Every node's x-update, one row per node.
+
+        Raises the error of the lowest-index failing stacked node, as a
+        node-by-node loop would.
+        """
+        x = np.empty(z.shape)
+        for i in self.per_node:
+            x[i] = self.objectives[i].solve_x_update(z[i], lam[i], self.rho)
+        failures = {}
+        for nodes, stack in self.stacks:
+            x[nodes], failed = stack.x_update(z[nodes], lam[nodes])
+            failures.update((nodes[pos], exc) for pos, exc in failed.items())
+        if failures:
+            raise failures[min(failures)]
         return x
-    raise SolverFailure(f"Newton stalled after {max_iter} iterations "
-                        f"(|grad| = {float(np.linalg.norm(grad)):.3e})")
+
+    def total(self, x) -> float:
+        """Sum of every node's value at its own row of ``x``, in node order."""
+        values = [None] * len(self.objectives)
+        for i in self.per_node:
+            values[i] = self.objectives[i].evaluate(x[i])
+        for nodes, stack in self.stacks:
+            for i, v in zip(nodes.tolist(), stack.values(x[nodes]).tolist()):
+                values[i] = v
+        return float(sum(values))
 
 
 def soft_threshold(values, kappa: float) -> np.ndarray:
@@ -218,10 +422,16 @@ def compute_mu_max(features, labels) -> float:
     return float(np.max(np.abs(grad)))
 
 
+def _seeded_rng(seed):
+    if isinstance(seed, Integral) and seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def make_least_squares_instance(n: int, p: int, q: int, seed: int,
                                 noise: float = 1.0):
     """Seeded per-node least-squares terms around a shared ground truth."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     x_true = rng.standard_normal(p)
     objectives = []
     for _ in range(n):
@@ -233,7 +443,7 @@ def make_least_squares_instance(n: int, p: int, q: int, seed: int,
 
 def make_logistic_instance(m: int, p: int, seed: int, noise: float = 0.1):
     """Seeded binary-labelled data: standard normal features, noisy margins."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     features = rng.standard_normal((m, p))
     w_true = rng.standard_normal(p)
     v_true = float(rng.standard_normal())

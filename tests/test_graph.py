@@ -54,6 +54,11 @@ def test_random_digraph_is_deterministic():
     assert a.out_neighbors != c.out_neighbors
 
 
+def test_random_digraph_refuses_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        random_strongly_connected(4, 0.3, seed=-1)
+
+
 def test_random_digraph_zero_extra_is_a_cycle():
     for n in (2, 5, 13):
         g = random_strongly_connected(n, extra_edge_prob=0.0, seed=3)

@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from consensus_admm import (L1Regularizer, LeastSquaresObjective,
-                            LogisticObjective, centralized_l1_logistic,
+from consensus_admm import (AdmmConfig, L1Regularizer, LeastSquaresObjective,
+                            LogisticObjective, SolverFailure,
+                            centralized_l1_logistic,
                             compute_mu_max, l1_z_update, load_dataset,
                             logistic_x_update, ls_x_update,
                             make_least_squares_instance,
-                            make_logistic_instance, save_dataset,
-                            soft_threshold, split_rows)
+                            make_logistic_instance, random_strongly_connected,
+                            run_dadmm_fterc, save_dataset, soft_threshold,
+                            split_rows)
+from consensus_admm.objectives import ObjectiveStacks
 
 
 def _finite_diff_grad(fun, x, h=1e-6):
@@ -80,6 +83,181 @@ def test_logistic_x_update_reaches_stationarity():
     x = logistic_x_update(obj, z, lam, rho)
     grad = obj.gradient(x) + lam + rho * (x - z)
     assert np.linalg.norm(grad) <= 1e-6
+
+
+def _newton_reference(obj, z, lam, rho, tol=1e-6, max_iter=200):
+    """The node-by-node damped Newton loop, the bitwise reference."""
+    x = z.copy()
+
+    def composite_grad(xv):
+        margins = obj.labels * (obj.design @ xv)
+        sig = 1.0 / (1.0 + np.exp(margins))
+        return obj.design.T @ (-obj.labels * sig) + lam + rho * (xv - z)
+
+    def composite_value(xv):
+        margins = obj.labels * (obj.design @ xv)
+        d = xv - z
+        return (float(np.sum(np.logaddexp(0.0, -margins)))
+                + float(lam @ xv) + 0.5 * rho * float(d @ d))
+
+    grad = composite_grad(x)
+    for _ in range(max_iter):
+        grad_norm = float(np.linalg.norm(grad))
+        if grad_norm <= tol:
+            return x
+        sig = 1.0 / (1.0 + np.exp(obj.labels * (obj.design @ x)))
+        hess = ((obj.design * (sig * (1.0 - sig))[:, None]).T @ obj.design
+                + rho * np.eye(obj.dim))
+        direction = np.linalg.solve(hess, grad)
+        slope = float(grad @ direction)
+        value = composite_value(x)
+        step = 1.0
+        for _ in range(60):
+            if (composite_value(x - step * direction)
+                    <= value - 1e-4 * step * slope):
+                break
+            step *= 0.5
+        else:
+            if grad_norm <= 1e3 * tol:
+                return x
+            raise SolverFailure(f"no representable decrease at "
+                                f"|grad| = {grad_norm:.3e}")
+        x = x - step * direction
+        grad = composite_grad(x)
+    if float(np.linalg.norm(grad)) <= tol:
+        return x
+    raise SolverFailure(f"Newton stalled after {max_iter} iterations "
+                        f"(|grad| = {float(np.linalg.norm(grad)):.3e})")
+
+
+def _reference_x_update(obj, z, lam, rho):
+    if type(obj) is LeastSquaresObjective:
+        return np.linalg.solve(obj.mat.T @ obj.mat + rho * np.eye(obj.dim),
+                               obj.mat.T @ obj.rhs - lam + rho * z)
+    return _newton_reference(obj, z, lam, rho)
+
+
+def _reference_value(obj, x):
+    if type(obj) is LeastSquaresObjective:
+        r = obj.mat @ x - obj.rhs
+        return 0.5 * float(r @ r)
+    return float(np.sum(np.logaddexp(0.0, -obj.labels * (obj.design @ x))))
+
+
+def _networks(seed):
+    """Least-squares, logistic and mixed networks with unequal shards."""
+    rng = np.random.default_rng(seed)
+    ls = [LeastSquaresObjective(rng.standard_normal((q, 3)),
+                                rng.standard_normal(q))
+          for q in (5, 5, 6, 5, 6, 4, 5)]
+    features, labels = make_logistic_instance(53, 3, seed=seed)
+    logistic = [LogisticObjective(f, y)
+                for f, y in split_rows(features, labels, 6)]
+    mixed_ls = [LeastSquaresObjective(rng.standard_normal((7, 4)),
+                                      rng.standard_normal(7))
+                for _ in range(3)]
+    mixed = [mixed_ls[0], logistic[0], logistic[1], mixed_ls[1], logistic[2],
+             mixed_ls[2]]
+    return {"least_squares": (ls, [1, 2, 4]), "logistic": (logistic, [1, 5]),
+            "mixed": (mixed, [1, 2, 3])}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_x_updates_equal_node_by_node_bitwise(seed):
+    rng = np.random.default_rng(100 + seed)
+    for name, (objs, sizes) in _networks(seed).items():
+        rho = float(rng.uniform(0.3, 3.0))
+        stacks = ObjectiveStacks(objs, rho)
+        # one stack per kind and shape, no padding
+        assert sorted(len(nodes) for nodes, _ in stacks.stacks) == sizes
+        assert stacks.per_node == []
+        p = objs[0].dim
+        z = rng.uniform(-2.0, 2.0, (len(objs), p))
+        lam = rng.uniform(-2.0, 2.0, (len(objs), p))
+        x = stacks.x_update(z, lam)
+        for i, obj in enumerate(objs):
+            alone = obj.solve_x_update(z[i], lam[i], rho)
+            assert np.array_equal(x[i], alone), (name, i)
+            assert np.array_equal(alone,
+                                  _reference_x_update(obj, z[i], lam[i], rho))
+        assert stacks.total(x) == float(sum(_reference_value(obj, x[i])
+                                            for i, obj in enumerate(objs)))
+
+
+def _scaled_logistic_network(scales):
+    features, labels = make_logistic_instance(62, 3, seed=1)
+    shards = split_rows(features, labels, len(scales))
+    return [LogisticObjective(f * s, y) for (f, y), s in zip(shards, scales)]
+
+
+def _first_failure(objs, z, lam, rho):
+    """The error a node-by-node loop raises: its first failing node's."""
+    for i, obj in enumerate(objs):
+        try:
+            _newton_reference(obj, z[i], lam[i], rho)
+        except (SolverFailure, np.linalg.LinAlgError) as exc:
+            return i, exc
+    return None
+
+
+# Feature scales per node. Scaled-up rows overflow the margins, and the
+# Newton solve of such a node fails: at 1e20 with no representable decrease,
+# at 1e10 node by node in all three ways (stalled at node 1, a singular
+# Hessian at node 2, no decrease at node 3).
+@pytest.mark.parametrize("scales, node, kind", [
+    ([1, 1, 1e20, 1, 1], 2, SolverFailure),
+    ([1, 1e20, 1e20, 1, 1e20], 1, SolverFailure),
+    ([1, 1, 1e10, 1e10, 1], 2, np.linalg.LinAlgError),
+    ([1e10] * 5, 1, SolverFailure),
+])
+def test_stacked_x_update_raises_the_first_failing_node(scales, node, kind):
+    objs = _scaled_logistic_network(scales)
+    # shards of 12, 12, 13, 12 and 13 rows make two stacks
+    assert [o.design.shape[0] for o in objs] == [12, 12, 13, 12, 13]
+    rng = np.random.default_rng(4)
+    z = rng.uniform(-1.0, 1.0, (5, 4))
+    lam = rng.uniform(-1.0, 1.0, (5, 4))
+    with np.errstate(all="ignore"):
+        first, expected = _first_failure(objs, z, lam, 1.0)
+        assert (first, type(expected)) == (node, kind)
+        with pytest.raises(kind) as stacked:
+            ObjectiveStacks(objs, 1.0).x_update(z, lam)
+        with pytest.raises(kind) as alone:
+            objs[node].solve_x_update(z[node], lam[node], 1.0)
+    assert str(stacked.value) == str(alone.value) == str(expected)
+
+
+def test_subclassed_terms_run_node_by_node_in_order():
+    rng = np.random.default_rng(7)
+    calls = []
+
+    class Logged(LeastSquaresObjective):
+        def solve_x_update(self, z, lam, rho):
+            calls.append(self.node)
+            return super().solve_x_update(z, lam, rho)
+
+    plain = [LeastSquaresObjective(rng.standard_normal((5, 3)),
+                                   rng.standard_normal(5)) for _ in range(5)]
+    logged = list(plain)
+    for i in (3, 1):
+        logged[i] = Logged(plain[i].mat, plain[i].rhs)
+        logged[i].node = i
+    stacks = ObjectiveStacks(logged, 1.5)
+    assert stacks.per_node == [1, 3]
+    z = rng.standard_normal((5, 3))
+    lam = rng.standard_normal((5, 3))
+    x = stacks.x_update(z, lam)
+    assert calls == [1, 3]
+    assert np.array_equal(x, ObjectiveStacks(plain, 1.5).x_update(z, lam))
+
+    calls.clear()
+    graph = random_strongly_connected(5, 0.3, seed=2)
+    config = AdmmConfig(k_max=4, stop_on_tolerance=False)
+    record = run_dadmm_fterc(logged, graph, config)
+    assert calls == [1, 3] * 4   # once per step, in node order
+    reference = run_dadmm_fterc(plain, graph, config)
+    for name in ("x_hist", "z_hist", "lam_hist", "objective"):
+        assert np.array_equal(getattr(record, name), getattr(reference, name))
 
 
 def test_soft_threshold_pins():
@@ -159,3 +337,13 @@ def test_dataset_roundtrip(tmp_path):
     loaded_f, loaded_l = load_dataset(path)
     assert np.array_equal(loaded_f, features)
     assert np.array_equal(loaded_l, labels)
+
+
+def test_make_least_squares_instance_refuses_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        make_least_squares_instance(3, 2, 4, seed=-1)
+
+
+def test_make_logistic_instance_refuses_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        make_logistic_instance(10, 2, seed=-1)
