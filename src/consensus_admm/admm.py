@@ -21,8 +21,8 @@ the standalone :func:`fterc_run` and :func:`ftdt_run`. A phase holds every
 node's ratio pair, trajectory and rider values as arrays and runs each
 round as one array step; one detector checks every open node's Hankel
 matrices at once from that trajectory, and one record of integer arrays
-steps every node's stopping counter; only the final evaluation runs node by
-node. The solvers exchange messages only through
+steps every node's stopping counter. Only ``fterc_final`` runs node by node,
+as kernel lengths differ. The solvers exchange messages only through
 :class:`~.netsim.RoundEngine`, so round logs, schedules, and determinism
 checks all observe real traffic.
 """
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -72,7 +72,11 @@ class AdmmConfig:
         Each ``ValueError`` message starts with the offending field's name.
         """
         for name in ("rho", "eps_abs", "eps_rel", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, "
+                                 f"got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.rho <= 0:
             raise ValueError("rho must be positive")
@@ -109,6 +113,12 @@ class StoppingReport:
     eps_dual: float
 
 
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm(a)`` of a real array by numpy's own path for it."""
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
+
+
 def stopping_criterion(x_stack, z_stack, z_prev_stack, lam_stack, rho: float,
                        eps_abs: float, eps_rel: float) -> StoppingReport:
     """Standard two-residual ADMM stopping test on stacked iterates.
@@ -123,11 +133,10 @@ def stopping_criterion(x_stack, z_stack, z_prev_stack, lam_stack, rho: float,
     z_prev_stack = np.asarray(z_prev_stack, dtype=float)
     lam_stack = np.asarray(lam_stack, dtype=float)
     scale = np.sqrt(x_stack.size)
-    primal = float(np.linalg.norm(x_stack - z_stack))
-    dual = float(rho * np.linalg.norm(z_stack - z_prev_stack))
-    eps_pri = scale * eps_abs + eps_rel * max(np.linalg.norm(x_stack),
-                                              np.linalg.norm(z_stack))
-    eps_dual = scale * eps_abs + eps_rel * float(np.linalg.norm(lam_stack))
+    primal = _norm(x_stack - z_stack)
+    dual = float(rho * _norm(z_stack - z_prev_stack))
+    eps_pri = scale * eps_abs + eps_rel * max(_norm(x_stack), _norm(z_stack))
+    eps_dual = scale * eps_abs + eps_rel * _norm(lam_stack)
     return StoppingReport(primal <= eps_pri and dual <= eps_dual,
                           primal, dual, float(eps_pri), float(eps_dual))
 
@@ -162,8 +171,11 @@ class _Phase:
 
     ``state`` is the ratio pair ``[x, y]``, denominator first, so a row is
     also the node's detector observation: the detector needs one kernel
-    across every channel. Each round appends the state to ``traj``. A
-    node's payload is its state divided by 1 + its out-degree, so receivers
+    across every channel. ``traj`` is one ``(rounds + 1, n, p + 1)`` array,
+    sized by the stop rule; round ``k`` writes the state to ``traj[k]``, and
+    a phase that outruns it raises ``IndexError`` rather than drop rows. A
+    certification phase (``rounds=None``) keeps only round 0. A node's
+    payload is its state divided by 1 + its out-degree, so receivers
     never learn sender degrees, followed by the rider columns the flags ask
     for: the counter pair ``(theta, c)``, the max-consensus value ``v``, and
     the certification bounds ``hi`` and ``lo``. One detector reads ``traj``
@@ -174,12 +186,14 @@ class _Phase:
     """
 
     def __init__(self, engine: RoundEngine, seeds: np.ndarray,
-                 flags: PhaseFlags, *, defect_sizes, window, spread_eps):
+                 flags: PhaseFlags, *, rounds, defect_sizes, window,
+                 spread_eps):
         n, p = seeds.shape
         self.t0, self.live, self.share = engine.tick, engine.live, engine.share
         self.window, self.spread_eps = window, spread_eps
-        self.state = np.column_stack((np.ones(n), seeds))
-        self.traj = [self.state]
+        self.traj = np.empty((1 if rounds is None else rounds + 1, n, p + 1))
+        self.state = self.traj[0]
+        self.state[:, 0], self.state[:, 1:] = 1.0, seeds
         self.frozen = np.zeros(n, dtype=bool)
         self.detector = self.counters = self.vmax = self.snap = None
         self.defect_sizes = defect_sizes
@@ -206,7 +220,8 @@ class _Phase:
             columns.append(self.vmax[:, None])
         if self.snap is not None:
             columns += [self.hi, self.lo]
-        return np.concatenate(columns, axis=1)
+        return (columns[0] if len(columns) == 1
+                else np.concatenate(columns, axis=1))
 
     def update(self, block: np.ndarray, tick: int) -> np.ndarray:
         k = tick - self.t0   # phase-local round index, from 1
@@ -217,9 +232,10 @@ class _Phase:
             # their frozen ratio pair; later exchanges no longer change them.
             state = np.where(self.frozen[:, None], self.state, state)
         self.state = state
-        self.traj.append(state)
+        if self.snap is None:
+            self.traj[k] = state
         if self.detector is not None:
-            fired = self.detector.feed(self.traj)
+            fired = self.detector.feed(self.traj[:k + 1])
             defects = self.detector.defect
         elif self.counters is not None:
             # without a detector, node i freezes when one would have fired
@@ -252,12 +268,17 @@ class _Phase:
                 self.hi[fresh] = self.lo[fresh] = self.snap[fresh]
         return self.wave(k + 1)
 
-    def exact_values(self, betas) -> list[np.ndarray]:
-        """Recover each node's exact average from its trajectory prefix."""
-        traj = np.stack(self.traj)
-        return [fterc_final(np.ascontiguousarray(traj[:len(beta), i, 1:]),
-                            np.ascontiguousarray(traj[:len(beta), i, 0]), beta)
-                for i, beta in enumerate(betas)]
+    def exact_values(self, betas) -> np.ndarray:
+        """Each node's exact average from its trajectory prefix, one row each.
+
+        Each node's numerator and denominator runs are C-contiguous views of
+        one node-major copy per kind: the layout its values are pinned on.
+        """
+        prefix = self.traj[:max(map(len, betas))]
+        ys = np.ascontiguousarray(prefix[:, :, 1:].transpose(1, 0, 2))
+        xs = np.ascontiguousarray(prefix[:, :, 0].T)
+        return np.array([fterc_final(ys[i, :len(beta)], xs[i, :len(beta)],
+                                     beta) for i, beta in enumerate(betas)])
 
 
 def _agree_int(values, what: str) -> int:
@@ -288,15 +309,19 @@ def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
     A detection phase raises :class:`NumericBreakdown` unless every node's
     detector fired.
     """
-    phase = _Phase(engine, seeds, flags, defect_sizes=defect_sizes,
-                   window=n_prime, spread_eps=epsilon)
+    rounds = (4 * (n_prime + 2) if flags.terminate     # the guard
+              else None if flags.certify
+              else 2 * n_prime if flags.detect
+              else n_prime if flags.piggyback else t_max)
+    phase = _Phase(engine, seeds, flags, rounds=rounds,
+                   defect_sizes=defect_sizes, window=n_prime,
+                   spread_eps=epsilon)
     engine.prime(phase.wave(1), label)
     if flags.terminate:
-        guard = 4 * (n_prime + 2)
         while not phase.frozen.all():
-            if engine.tick - phase.t0 >= guard:
+            if engine.tick - phase.t0 >= rounds:
                 raise NumericBreakdown(
-                    f"stopping counters still open after {guard} rounds")
+                    f"stopping counters still open after {rounds} rounds")
             engine.run_round(phase.update, label)
     elif flags.certify:
         windows = 0
@@ -306,11 +331,8 @@ def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
                     "certification made no progress in 10000 windows")
             engine.run_phase(phase.update, n_prime, label)
             windows += 1
-    elif flags.detect:
-        engine.run_phase(phase.update, 2 * n_prime, label)
     else:
-        engine.run_phase(phase.update, n_prime if flags.piggyback else t_max,
-                         label)
+        engine.run_phase(phase.update, rounds, label)
     if flags.detect and phase.detector.open.any():
         raise NumericBreakdown(f"node {np.argmax(phase.detector.open)} found "
                                f"no defect within {engine.tick - phase.t0} "
@@ -390,7 +412,7 @@ def ftdt_run(graph: Digraph, seeds, *,
     else:
         betas, defect = phase.detector.beta, phase.detector.defect
         max_defect = _agreed_max_defect(t_terms, defect)
-        values = np.stack(phase.exact_values(betas))
+        values = phase.exact_values(betas)
         if seeds.ndim == 1:
             values = values[:, 0]
     return TerminationRunResult(
@@ -526,22 +548,16 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
             max_defect = _agreed_max_defect(phase.counters.t_term.tolist(),
                                             defect)
             t_max = max_defect + 1
-        if flags.certify:
-            values = phase.snap
-        else:
-            values = phase.exact_values(betas)
-
-        if kappa is None:
-            z_new = np.stack(values)
-        else:
-            z_new = np.stack([l1_z_update(v, kappa, mask) for v in values])
+        z_new = phase.snap if flags.certify else phase.exact_values(betas)
+        if kappa is not None:
+            z_new = l1_z_update(z_new, kappa, mask)
         lam = lam + rho * (x_stack - z_new)
         report = stopping_criterion(x_stack, z_new, z_stack, lam, rho,
                                     config.eps_abs, config.eps_rel)
 
-        z_bar = z_new.mean(axis=0)
         obj_val = stacks.total(x_stack)
         if regularizer is not None:
+            z_bar = z_new.mean(axis=0)
             obj_val += regularizer.mu * float(np.sum(np.abs(z_bar[mask])))
 
         hist["objective"].append(obj_val)

@@ -62,8 +62,8 @@ class HankelDetector:
     """Finds each node's first defective square Hankel matrix of differences.
 
     One detector serves a whole phase: ``feed`` reads the phase trajectory,
-    one ``(n, channels)`` row block per round, and checks every node still
-    open at once. A node's matrix stacks one Hankel block per observed
+    one ``(n, channels)`` row block per round (an array or a list of
+    blocks), and checks every node still open at once. A node's matrix stacks one Hankel block per observed
     channel (denominator plus each numerator coordinate); it reports a
     defect at the first square size whose stacked matrix is numerically
     rank-deficient. The kernel vector, normalized so its last entry is one,
@@ -89,7 +89,7 @@ class HankelDetector:
         if length % 2 or checked.size == 0:
             return []
         m = length // 2
-        seq = np.stack(traj)[:, checked]       # (2m, nodes, channels)
+        seq = np.asarray(traj)[:, checked]     # (2m, nodes, channels)
         diffs = seq[1:] - seq[:-1]             # (2m-1, nodes, channels)
         if m == 1:
             still = np.max(np.abs(diffs[0]), axis=1) < ABS_TOL

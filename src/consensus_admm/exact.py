@@ -32,8 +32,9 @@ kernel as a primitive integer vector. This is sound:
   rank: no size before ``m`` is deficient;
 * ``det H_(m-1) != 0`` makes the first ``m - 1`` mixed rows independent,
   so the mixed kernel spans their kernel, which holds any kernel of the
-  stacked block. A check against every stacked block row accepts it or
-  shows a false alarm (the block has full rank).
+  stacked block. A candidate that annihilates every stacked block row is
+  accepted (those rows span the mixed ones); one that only annihilates the
+  mixed rows shows a false alarm (the stacked block has full rank).
 
 After a false alarm the next mix restarts the recurrence; once the mixes
 are used up, every remaining size is eliminated whole. No size is skipped.
@@ -173,7 +174,8 @@ def _differences(chans, base: int) -> list[list[int]]:
             for seq in chans]
 
 
-def _hankel_kernel(seq: list[int], top: int) -> tuple[int, list[int]] | None:
+def _hankel_kernel(seq: list[int], top: int,
+                   rows=None) -> tuple[int, list[int] | None] | None:
     """First size ``m <= top`` whose Hankel matrix ``seq[i + j]`` is
     singular, and the primitive integer kernel of its ``m`` rows (gcd 1,
     last entry positive); None when every size up to ``top`` is nonsingular.
@@ -181,6 +183,9 @@ def _hankel_kernel(seq: list[int], top: int) -> tuple[int, list[int]] | None:
     Each prime of :data:`_PRIMES` runs the recurrence until its first zero
     ``det H_k``; the primes reading the latest zero are combined by CRT and
     the kernel is rebuilt by rational reconstruction, then checked exactly.
+    Given ``rows``, whose Hankel rows span those of ``seq``, the kernel is
+    checked against their size-``m`` rows first; one that only annihilates
+    ``seq``'s rows is a false alarm, returned as ``(m, None)``.
     """
     m, modulus, residues = 0, 1, []
     for prime in _PRIMES:
@@ -197,8 +202,10 @@ def _hankel_kernel(seq: list[int], top: int) -> tuple[int, list[int]] | None:
                     for r, v in zip(residues, monic)]
         modulus *= prime
         kernel = _rational_kernel(residues, modulus)
-        if kernel is not None and _annihilates([seq], kernel):
+        if kernel is not None and _annihilates(rows or [seq], kernel):
             return m, kernel
+        if kernel is not None and rows and _annihilates([seq], kernel):
+            return m, None
         if modulus.bit_length() > _hadamard_bits(seq, m):
             raise NumericBreakdown(
                 f"no kernel of Hankel size {m} within its Hadamard bound")
@@ -290,12 +297,12 @@ def _detect_node(ints: list[list[int]]) -> tuple[int, list[int]]:
     for r in _MIXES:
         weights = [r ** (c + 1) for c in range(len(ints))]
         mixed = [sum(map(mul, weights, col)) for col in zip(*ints)]
-        found = _hankel_kernel(mixed, top)
+        found = _hankel_kernel(mixed, top, ints)
         if found is None:
             known = top
             break
         m, kernel = found
-        if m > known and _annihilates(ints, kernel):
+        if kernel is not None:
             return m - 1, kernel
         known = max(known, m)     # a false alarm: size m has full rank
     for m in range(known + 1, top + 1):

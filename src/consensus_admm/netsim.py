@@ -13,7 +13,9 @@ counts, values, and replayable logs.
 
 A phase of ``R`` rounds is ``R`` exchanges. Seed payloads enter via
 :meth:`RoundEngine.prime`, which replaces the wave still undelivered from a
-previous phase (phase boundaries are barriers).
+previous phase (phase boundaries are barriers). The engine copies each wave
+into one ``(n + 1, w)`` buffer whose last row is the NaN pad, so a caller
+may reuse its array; the buffer is only reallocated when ``w`` changes.
 
 With ``audit`` on, each log entry holds one digest per node:
 :func:`stable_digest` of the payload row that node broadcast, so identical
@@ -137,7 +139,7 @@ class RoundEngine:
     audit: bool = True
     tick: int = 0
     log: list[RoundRecord] = field(default_factory=list)
-    _wave: np.ndarray | None = None  # undelivered payloads plus the pad row
+    _wave: np.ndarray | None = None  # the wave buffer: payloads, pad row
 
     def __post_init__(self):
         ins = self.graph.in_neighbors
@@ -156,8 +158,9 @@ class RoundEngine:
         if wave.ndim != 2 or wave.shape[0] != self.graph.n:
             raise ValueError(f"a wave is one payload row per node, got shape "
                              f"{wave.shape} for {self.graph.n} nodes")
-        pad = np.full((1, wave.shape[1]), np.nan)
-        self._wave = np.concatenate((wave, pad))
+        if self._wave is None or self._wave.shape[1] != wave.shape[1]:
+            self._wave = np.full((self.graph.n + 1, wave.shape[1]), np.nan)
+        self._wave[:-1] = wave
         digests = tuple(map(stable_digest, wave)) if self.audit else ()
         record = RoundRecord(self.tick, phase, kind, self.graph.edge_count,
                              digests)

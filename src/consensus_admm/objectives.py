@@ -47,13 +47,14 @@ class LocalObjective(ABC):
 
 
 class LeastSquaresObjective(LocalObjective):
-    """f(x) = 0.5 * ||A x - b||^2 with a closed-form x-update."""
+    """f(x) = 0.5 ||A x - b||^2; the x-update keeps A^T A + rho I per rho."""
 
     def __init__(self, mat, rhs):
         self.mat = np.atleast_2d(np.asarray(mat, dtype=float))
         self.rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         self._gram = self.mat.T @ self.mat
         self._atb = self.mat.T @ self.rhs
+        self._lhs_rho, self._lhs = None, None
 
     @property
     def dim(self) -> int:
@@ -67,8 +68,11 @@ class LeastSquaresObjective(LocalObjective):
         return self.mat.T @ (self.mat @ x - self.rhs)
 
     def solve_x_update(self, z, lam, rho) -> np.ndarray:
-        return ls_x_update(self.mat, self.rhs, z, lam, rho,
-                           gram=self._gram, atb=self._atb)
+        if self._lhs_rho != rho:
+            self._lhs_rho = rho
+            self._lhs = self._gram + rho * np.eye(self.dim)
+        return _ls_solve(self._lhs, self._atb, np.asarray(z, dtype=float),
+                         np.asarray(lam, dtype=float), rho)
 
 
 def _ls_values(mat, rhs, x):

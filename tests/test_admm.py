@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from consensus_admm import (AdmmConfig, InsufficientData, L1Regularizer,
-                            build_digraph, centralized_least_squares,
-                            check_o1k_bound, composite_objective,
-                            ergodic_averages, make_least_squares_instance,
+                            PhaseFlags, RoundEngine, build_digraph,
+                            centralized_least_squares, check_o1k_bound,
+                            composite_objective, ergodic_averages,
+                            fterc_final, make_least_squares_instance,
                             minimal_poly_oracle, random_strongly_connected,
                             ratio_weights, rlinear_probe, run_dadmm_fterc,
                             run_epsilon_baseline, run_fdadmm_ftdt,
                             stopping_criterion)
+from consensus_admm.admm import _consensus_phase, _Phase
 
 
 def _instance(n=4, p=2, q=5, seed=3, graph_seed=1, extra=0.4):
@@ -231,8 +233,79 @@ def test_config_validation_errors():
                         ("seed", 1.5)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             run_dadmm_fterc(objectives, graph, AdmmConfig(**{name: value}))
+    # a float field refuses bools and non-real values by name, not with a
+    # raw TypeError from the finiteness check
+    for name, value in (("rho", "1"), ("eps_abs", None), ("rho", 1 + 0j),
+                        ("rho", True), ("eps_rel", False),
+                        ("epsilon", np.complex128(0.5))):
+        with pytest.raises(ValueError, match=f"^{name} must be a real"):
+            run_dadmm_fterc(objectives, graph, AdmmConfig(**{name: value}))
     # a negative seed is refused by name, not by numpy's generator
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         run_dadmm_fterc(objectives, graph, AdmmConfig(seed=-1))
     with pytest.raises(ValueError):
         run_dadmm_fterc(objectives[:2], graph)
+
+
+def _detection_phase(n, width, seed):
+    g = random_strongly_connected(n, extra_edge_prob=0.3, seed=seed)
+    seeds = np.random.default_rng(seed).uniform(-5, 5, size=(n, width))
+    return _consensus_phase(RoundEngine(g, audit=False), seeds,
+                            PhaseFlags(detect=True), "detect", n_prime=n)
+
+
+def test_exact_values_match_per_node_contiguous_calls_bitwise():
+    # Histories stay bitwise reproducible only while the node-major views
+    # exact_values hands fterc_final give the values of one fresh
+    # C-contiguous copy per node and per channel kind.
+    cases = 0
+    for seed in range(12):
+        for width in (1, 3, 5):
+            phase = _detection_phase(3 + seed % 7, width, seed)
+            betas, traj = phase.detector.beta, phase.traj
+            per_node = np.stack([
+                fterc_final(np.ascontiguousarray(traj[:len(beta), i, 1:]),
+                            np.ascontiguousarray(traj[:len(beta), i, 0]),
+                            beta)
+                for i, beta in enumerate(betas)])
+            values = phase.exact_values(betas)
+            assert values.shape == per_node.shape
+            assert values.tobytes() == per_node.tobytes()
+            cases += len({len(beta) for beta in betas}) > 1
+    assert cases                           # kernels of unequal lengths met
+
+
+def test_phase_that_outruns_its_trajectory_raises():
+    g = random_strongly_connected(4, extra_edge_prob=0.3, seed=1)
+    engine = RoundEngine(g, audit=False)
+    seeds = np.random.default_rng(1).uniform(-5, 5, size=(4, 2))
+    phase = _Phase(engine, seeds, PhaseFlags(), rounds=2, defect_sizes=None,
+                   window=4, spread_eps=None)
+    engine.prime(phase.wave(1))
+    engine.run_phase(phase.update, 2)
+    with pytest.raises(IndexError):
+        engine.run_round(phase.update)
+    assert phase.traj.shape == (3, 4, 3)
+
+
+def test_stopping_residuals_equal_linalg_norm_bitwise():
+    # The stopping test takes each norm as sqrt(r . r) over the ravelled
+    # array, numpy's own path for np.linalg.norm of a real array; the
+    # residual histories are pinned on that equality.
+    rng = np.random.default_rng(7)
+    norm = np.linalg.norm
+    rho, eps_abs, eps_rel = 1.7, 1e-4, 1e-2
+    for shape in ((6, 3), (5, 11), (1, 1), (13, 7)):
+        scales = 10.0 ** rng.integers(-8, 8, size=(4, 1, 1))
+        arrays = rng.standard_normal((4, *shape)) * scales
+        # C-ordered rows, then transposed views of them
+        for x, z, z_prev, lam in (arrays, arrays.transpose(0, 2, 1)):
+            report = stopping_criterion(x, z, z_prev, lam, rho, eps_abs,
+                                        eps_rel)
+            scale = np.sqrt(x.size)
+            assert report.primal_res == float(norm(x - z))
+            assert report.dual_res == float(rho * norm(z - z_prev))
+            assert report.eps_pri == float(
+                scale * eps_abs + eps_rel * max(norm(x), norm(z)))
+            assert report.eps_dual == float(
+                scale * eps_abs + eps_rel * float(norm(lam)))

@@ -386,6 +386,8 @@ def test_exact_lane_restarts_after_a_false_alarm(monkeypatch):
     # mix cancels their first differences (3 * 3 + 9 * -1 = 0), so it flags
     # size 1 although the stacked block has full rank there.
     ints = [[3 * 2 ** t for t in range(7)], [-(-1) ** t for t in range(7)]]
+    mixed = [3 * a + 9 * b for a, b in zip(*ints)]
+    assert _hankel_kernel(mixed, 4, ints) == (1, None)
     defect, kernel = _detect_node(ints)
     assert defect == 2
     assert [Fraction(k, kernel[-1]) for k in kernel] == [-2, -1, 1]
@@ -509,6 +511,36 @@ def test_hankel_kernel_over_tiny_primes_matches_bareiss(seq):
     if found:
         m, kernel = found
         assert kernel == _primitive(_exact_kernel([seq[:2 * m - 1]], m))
+
+
+@st.composite
+def _channel_pairs(draw):
+    """Two difference channels of one length, mixed as the first mix does."""
+    first, second = draw(_moment_sequences()), draw(_moment_sequences())
+    length = min(len(first), len(second))
+    ints = [first[:length], second[:length]]
+    return ints, [3 * a + 9 * b for a, b in zip(*ints)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_channel_pairs())
+def test_hankel_kernel_checks_stacked_rows_first(channels):
+    # Checking the stacked rows first must keep the decision of the mixed
+    # check followed by the stacked one: the same size, the same kernel,
+    # and a false alarm exactly where the kernel misses a stacked row.
+    ints, mixed = channels
+    top = (len(mixed) + 1) // 2
+    for primes in (exact._PRIMES, _TINY_PRIMES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_PRIMES", primes)
+            alone = _hankel_kernel(mixed, top)
+            found = _hankel_kernel(mixed, top, ints)
+        if alone is None:
+            assert found is None
+        else:
+            m, kernel = alone
+            assert found == (m, kernel if _annihilates(ints, kernel)
+                             else None)
 
 
 def test_exact_lane_rings_of_forty_stay_fast():

@@ -109,6 +109,54 @@ def test_inbox_sorted_by_sender():
     assert blocks[0][2, :, 0].tolist() == [12, 10, 11]
 
 
+def _delivered(engine, wave):
+    """The block every node gets from ``wave``: pads read NaN."""
+    padded = np.vstack((np.asarray(wave, dtype=float),
+                        np.full((1, np.shape(wave)[1]), np.nan)))
+    return padded[engine.gather]
+
+
+def test_wave_buffer_keeps_pads_nan_and_drops_earlier_phases():
+    # Nodes 0 and 1 hear only node 2, so their blocks end in a pad row.
+    g = build_digraph(3, [(2, 0), (2, 1), (0, 2), (1, 2)])
+    engine = RoundEngine(g)
+    assert (~engine.live).any()
+    blocks = []
+    rng = np.random.default_rng(0)
+    for width in (3, 1, 3, 3, 2):          # wide, narrow, wide, same, narrow
+        seed = rng.uniform(-5, 5, size=(3, width))
+        engine.prime(seed)
+        engine.run_phase(_recording(blocks), 2)
+        first, second = blocks[-2:]
+        # only this phase's seed reaches the first block, then its echo
+        np.testing.assert_array_equal(first, _delivered(engine, seed))
+        np.testing.assert_array_equal(second, _delivered(engine, seed))
+        assert np.isnan(first[~engine.live]).all()
+        assert not np.isnan(first[engine.live]).any()
+
+
+def test_caller_may_reuse_its_wave_arrays():
+    g = build_digraph(3, [(2, 0), (2, 1), (0, 2), (1, 2)])
+    engine = RoundEngine(g)
+    seed = _column([1, 2, 3])
+    engine.prime(seed)
+    seed[:] = -1.0                         # after prime: not delivered
+    blocks, sent = [], []
+
+    def update(block, tick):
+        blocks.append(block.copy())
+        sent.append(block[:, 0] * 10.0)
+        return sent[-1]
+
+    engine.run_round(update)
+    np.testing.assert_array_equal(blocks[0], _delivered(engine, [[1], [2],
+                                                                  [3]]))
+    sent[0][:] = 0.0                       # after run_round: not delivered
+    engine.run_round(update)
+    np.testing.assert_array_equal(blocks[1], _delivered(engine, [[10], [20],
+                                                                  [30]]))
+
+
 def test_log_records_and_phase_lengths():
     g = _cycle(4)
     engine = RoundEngine(g)

@@ -58,6 +58,17 @@ def test_ls_x_update_solves_normal_system():
     assert np.array_equal(x, cached)
 
 
+def test_ls_solve_x_update_keeps_its_matrix_per_rho():
+    rng = np.random.default_rng(3)
+    mat = rng.standard_normal((6, 4))
+    rhs = rng.standard_normal(6)
+    obj = LeastSquaresObjective(mat, rhs)
+    for rho in (1.7, 1.7, 0.4, 1.7):       # a hit, then a changed rho
+        z, lam = rng.standard_normal((2, 4))
+        assert np.array_equal(obj.solve_x_update(z, lam, rho),
+                              ls_x_update(mat, rhs, z, lam, rho))
+
+
 def test_logistic_value_gradient_hessian():
     rng = np.random.default_rng(2)
     features = rng.standard_normal((12, 3))
@@ -347,3 +358,11 @@ def test_make_least_squares_instance_refuses_negative_seed():
 def test_make_logistic_instance_refuses_negative_seed():
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         make_logistic_instance(10, 2, seed=-1)
+
+
+def test_l1_z_update_on_a_stack_equals_row_by_row_bitwise():
+    # The solvers shrink every node's row in one call.
+    values = np.random.default_rng(5).uniform(-3.0, 3.0, size=(6, 5))
+    for mask in (np.array([True, True, False, True, False]), None):
+        rows = np.stack([l1_z_update(v, 0.7, mask) for v in values])
+        assert l1_z_update(values, 0.7, mask).tobytes() == rows.tobytes()
