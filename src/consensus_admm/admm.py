@@ -172,9 +172,11 @@ class _Phase:
     ``state`` is the ratio pair ``[x, y]``, denominator first, so a row is
     also the node's detector observation: the detector needs one kernel
     across every channel. ``traj`` is one ``(rounds + 1, n, p + 1)`` array,
-    sized by the stop rule; round ``k`` writes the state to ``traj[k]``, and
-    a phase that outruns it raises ``IndexError`` rather than drop rows. A
-    certification phase (``rounds=None``) keeps only round 0. A node's
+    sized by what reads it; round ``k`` writes the state to ``traj[k]``, and
+    a phase of fixed length that outruns it raises ``IndexError`` rather
+    than drop rows. With ``rounds=None`` a phase keeps only round 0. A phase
+    that stops on its counters writes rounds only while a detector is open,
+    and doubles ``traj`` for a detector still open past its end. A node's
     payload is its state divided by 1 + its out-degree, so receivers
     never learn sender degrees, followed by the rider columns the flags ask
     for: the counter pair ``(theta, c)``, the max-consensus value ``v``, and
@@ -196,11 +198,12 @@ class _Phase:
         self.state[:, 0], self.state[:, 1:] = 1.0, seeds
         self.frozen = np.zeros(n, dtype=bool)
         self.detector = self.counters = self.vmax = self.snap = None
-        self.defect_sizes = defect_sizes
         if flags.detect:
             self.detector = HankelDetector(n)
         if flags.terminate:
             self.counters = Counters(n)
+            if not flags.detect:
+                self.fire_round = 2 * np.asarray(defect_sizes) + 1
         if flags.piggyback:
             self.vmax = np.asarray(defect_sizes, dtype=float) + 1.0
         if flags.certify:
@@ -232,17 +235,23 @@ class _Phase:
             # their frozen ratio pair; later exchanges no longer change them.
             state = np.where(self.frozen[:, None], self.state, state)
         self.state = state
-        if self.snap is None:
+        if self.snap is None and self.counters is None:
+            self.traj[k] = state
+        elif self.detector is not None and self.detector.open.any():
+            if k == len(self.traj):
+                self.traj = np.concatenate((self.traj,
+                                            np.empty_like(self.traj)))
             self.traj[k] = state
         if self.detector is not None:
             fired = self.detector.feed(self.traj[:k + 1])
-            defects = self.detector.defect
+            defects = [self.detector.defect[i] for i in fired]
         elif self.counters is not None:
             # without a detector, node i freezes when one would have fired
-            defects = self.defect_sizes
-            fired = [i for i, d in enumerate(defects) if 2 * d + 1 == k]
+            fired = np.flatnonzero(self.fire_round == k)
+            defects = (self.fire_round[fired] - 1) // 2
         if self.counters is not None:
-            freeze_counter(self.counters, fired, [defects[i] for i in fired])
+            if len(fired):
+                freeze_counter(self.counters, fired, defects)
             # ftdt_step keeps only the largest counter value a node hears;
             # counters are nonnegative, so 0 stands in for an empty inbox
             heard = np.max(block[:, 1:, self.ratio_end:self.v_col],
@@ -308,12 +317,20 @@ def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
 
     A detection phase raises :class:`NumericBreakdown` unless every node's
     detector fired.
+
+    The trajectory holds what its readers need: the detector's ``2n'``
+    horizon, which ``exact_values`` never reads past (a terminating phase
+    grows it for a detector that fires later), or the rounds of a phase of
+    fixed length; a terminating phase without a detector and a
+    certification phase keep round 0 only.
     """
     rounds = (4 * (n_prime + 2) if flags.terminate     # the guard
               else None if flags.certify
               else 2 * n_prime if flags.detect
               else n_prime if flags.piggyback else t_max)
-    phase = _Phase(engine, seeds, flags, rounds=rounds,
+    kept = (2 * n_prime if flags.detect
+            else None if flags.terminate else rounds)
+    phase = _Phase(engine, seeds, flags, rounds=kept,
                    defect_sizes=defect_sizes, window=n_prime,
                    spread_eps=epsilon)
     engine.prime(phase.wave(1), label)

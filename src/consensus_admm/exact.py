@@ -7,17 +7,22 @@ the final-value evaluation in exact rational arithmetic: seeds are taken at
 their exact binary values, the push-sum weights ``1/(1+d_out)`` are exact
 fractions, and every returned value is the correctly rounded exact average.
 
-It all runs on integers scaled by powers of the lcm of those divisors.
+It all runs on integers scaled by powers of the lcm of those divisors,
+the whole network's state one object array of Python integers per round.
 Each node finds its defect index in one pass over the block sizes. Its
 difference channels are mixed into one channel with fixed small integer
 weights, and a three-term (orthogonal-polynomial) recurrence over the mixed
-channel runs modulo primes below ``2**61``, so every step works on words,
-not on integers the size of ``det H_k``. ``q_k``, a multiple of the monic
-degree-``k`` orthogonal polynomial of that moment sequence, annihilates
-Hankel rows ``0 .. k-1``, and ``q_k . seq[k:2k+1]`` vanishes modulo a prime
-exactly when ``det H_(k+1)`` does. The primes that read the latest first
-zero ``m`` are combined by CRT, and rational reconstruction rebuilds the
-kernel as a primitive integer vector. This is sound:
+channel runs on ``int64`` residues modulo primes below ``2**31``, so every
+step works on words, not on integers the size of ``det H_k``, and a product
+of two residues fits one. Every open node runs it at once: a lockstep pass
+gives each one the next pair of primes, one row per node and prime, each
+row with its own modulus. ``q_k``, a multiple of the monic degree-``k``
+orthogonal polynomial of that moment sequence, annihilates Hankel rows
+``0 .. k-1``, and ``q_k . seq[k:2k+1]`` vanishes modulo a prime exactly
+when ``det H_(k+1)`` does. Node by node, the primes that read the latest
+first zero ``m`` are combined by CRT, and rational reconstruction rebuilds
+the kernel as a primitive integer vector; a node whose kernel is not yet
+rebuilt takes the next pass. This is sound:
 
 * a nonzero residue of ``det H_k`` proves ``det H_k != 0``. A prime that
   reads a zero before another prime does is dropped, and one that reads no
@@ -37,13 +42,14 @@ kernel as a primitive integer vector. This is sound:
   mixed rows shows a false alarm (the stacked block has full rank).
 
 After a false alarm the next mix restarts the recurrence; once the mixes
-are used up, every remaining size is eliminated whole. No size is skipped.
+are used up, every remaining size is eliminated whole, node by node. No
+size is skipped.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from itertools import islice
 from operator import mul
 
 import numpy as np
@@ -51,8 +57,10 @@ import numpy as np
 from .consensus import ConsensusResult, check_seeds
 from .errors import NumericBreakdown
 from .graph import Digraph
+from .netsim import gather_rows
 
 _MIXES = (3, 5, 7)      # mix r weights difference channel c by r**(c + 1)
+_PAIR = 2               # primes per open node in one lockstep pass
 
 
 def _is_prime(n: int) -> bool:
@@ -73,15 +81,16 @@ def _is_prime(n: int) -> bool:
 
 
 class _PrimeSequence:
-    """The primes below ``2**61`` in descending order, each found on first
-    use and kept for every later call."""
+    """The primes below ``2**31`` in descending order, each found on first
+    use and kept for every later call. The product of two residues modulo
+    one of them fits an ``int64``."""
 
     def __init__(self):
         self._found: list[int] = []
 
     def __getitem__(self, i: int) -> int:
         while len(self._found) <= i:
-            c = self._found[-1] - 2 if self._found else 2**61 - 1
+            c = self._found[-1] - 2 if self._found else 2**31 - 1
             while not _is_prime(c):
                 c -= 2
             self._found.append(c)
@@ -92,31 +101,29 @@ _PRIMES = _PrimeSequence()
 
 
 def _exact_trajectories(g: Digraph, seeds: np.ndarray, rounds: int):
-    """Evolve (numerators, denominator) exactly for ``rounds`` exchanges.
+    """Evolve (denominator, numerators) exactly for ``rounds`` exchanges.
 
-    Returns ``(chans, base)``: ``chans[j][c][t]`` is node ``j``'s channel
-    ``c`` (0 being the denominator) at round ``t``, scaled by ``base**t *
-    2**e`` into an integer; ``base`` is the lcm of the divisors ``1 + d_out``.
+    Returns ``(traj, base)``: ``traj[t, j, c]``, an object array of Python
+    integers, is node ``j``'s channel ``c`` (0 being the denominator) at
+    round ``t``, scaled by ``base**t * 2**e``; ``base`` is the lcm of the
+    divisors ``1 + d_out``. Every receiver sums its own share and its
+    in-neighbours' shares, gathered as the round engine gathers a block.
     """
-    n = seeds.shape[0]
-    base = math.lcm(*(1 + g.out_degree(j) for j in range(n)))
-    gains = [base // (1 + g.out_degree(j)) for j in range(n)]
+    n, p = seeds.shape
+    degrees = [1 + g.out_degree(j) for j in range(n)]
+    base = math.lcm(*degrees)
+    gains = np.array([[base // d] for d in degrees], dtype=object)
     ratios = [[float(v).as_integer_ratio() for v in row] for row in seeds]
     unit = max(den for row in ratios for _, den in row)   # a power of two
-    state = [[unit] + [num * (unit // den) for num, den in row]
-             for row in ratios]
-    history = [[row] for row in state]
-    for _ in range(rounds):
-        nxt = [[0] * len(row) for row in state]
-        for j in range(n):
-            share = [gains[j] * v for v in state[j]]
-            for r in (j, *g.out_neighbors[j]):
-                nxt[r] = [a + b for a, b in zip(nxt[r], share)]
-        state = nxt
-        for j in range(n):
-            history[j].append(state[j])
-    chans = [[list(seq) for seq in zip(*rows)] for rows in history]
-    return chans, base
+    traj = np.empty((rounds + 1, n, p + 1), dtype=object)
+    traj[0] = [[unit] + [num * (unit // den) for num, den in row]
+               for row in ratios]
+    gather = gather_rows(g)
+    share = np.zeros((n + 1, p + 1), dtype=object)      # row n: the pad
+    for t in range(rounds):
+        share[:n] = gains * traj[t]
+        traj[t + 1] = share[gather].sum(axis=1)
+    return traj, base
 
 
 def _bareiss_echelon(int_rows: list[list[int]], ncols: int):
@@ -162,16 +169,15 @@ def _kernel_vector(echelon, pivots, ncols: int) -> list[int]:
     return beta
 
 
-def _differences(chans, base: int) -> list[list[int]]:
-    """One node's integer difference channels.
+def _differences(traj: np.ndarray, base: int) -> np.ndarray:
+    """Every node's integer difference channels: ``diffs[j, c, t]``.
 
     Difference ``t`` (rounds ``t + 1`` minus ``t``) is scaled by
     ``base**(t + 1) * 2**e``, so Hankel entry ``(i, j)`` carries a row scale,
     which keeps ranks and kernels, times ``base**j``: kernel entry ``t`` is
     the rational kernel's entry over ``base**t``.
     """
-    return [[seq[t + 1] - base * seq[t] for t in range(len(seq) - 1)]
-            for seq in chans]
+    return (traj[1:] - base * traj[:-1]).transpose(1, 2, 0)
 
 
 def _hankel_kernel(seq: list[int], top: int,
@@ -180,66 +186,128 @@ def _hankel_kernel(seq: list[int], top: int,
     singular, and the primitive integer kernel of its ``m`` rows (gcd 1,
     last entry positive); None when every size up to ``top`` is nonsingular.
 
-    Each prime of :data:`_PRIMES` runs the recurrence until its first zero
-    ``det H_k``; the primes reading the latest zero are combined by CRT and
-    the kernel is rebuilt by rational reconstruction, then checked exactly.
     Given ``rows``, whose Hankel rows span those of ``seq``, the kernel is
     checked against their size-``m`` rows first; one that only annihilates
-    ``seq``'s rows is a false alarm, returned as ``(m, None)``.
+    ``seq``'s rows is a false alarm, returned as ``(m, None)``. This is the
+    one-sequence case of :func:`_hankel_kernels`.
     """
-    m, modulus, residues = 0, 1, []
-    for prime in _PRIMES:
-        found = _kernel_mod(seq, top, prime)
-        if found is None:
-            return None           # a nonzero det H_k mod prime for every k
-        size, monic = found
-        if size < m:
-            continue              # this prime divides a nonzero det H_size
-        if size > m:              # so did every prime used so far
-            m, modulus, residues = size, 1, [0] * size
-        lift = pow(modulus, -1, prime)
-        residues = [r + modulus * ((v - r) * lift % prime)
-                    for r, v in zip(residues, monic)]
-        modulus *= prime
-        kernel = _rational_kernel(residues, modulus)
-        if kernel is not None and _annihilates(rows or [seq], kernel):
-            return m, kernel
-        if kernel is not None and rows and _annihilates([seq], kernel):
-            return m, None
-        if modulus.bit_length() > _hadamard_bits(seq, m):
-            raise NumericBreakdown(
-                f"no kernel of Hankel size {m} within its Hadamard bound")
-    raise NumericBreakdown("the prime sequence ran out")
+    return _hankel_kernels(np.array([seq], dtype=object), top, [rows])[0]
 
 
-def _kernel_mod(seq: list[int], top: int, prime: int):
-    """First size ``m <= top`` whose Hankel matrix is singular modulo
-    ``prime``, and the monic kernel of its first ``m - 1`` rows modulo
-    ``prime``, constant first; None when no size up to ``top`` is.
+def _hankel_kernels(seqs: np.ndarray, top: int, blocks: list) -> list:
+    """:func:`_hankel_kernel` of every row of the object array ``seqs``,
+    ``blocks[i]`` (or None) holding the stacked rows of row ``i``.
+
+    Each lockstep pass runs the recurrence of every unresolved row modulo
+    the next :data:`_PAIR` primes of :data:`_PRIMES` at once, until its
+    first zero ``det H_k``. Row by row, the primes reading the latest zero
+    are then combined by CRT and the kernel is rebuilt by rational
+    reconstruction and checked exactly; a row whose kernel is not yet
+    rebuilt takes the next pass.
+    """
+    results: list = [None] * len(seqs)
+    crt = [(0, 1, [])] * len(seqs)       # size m, modulus, kernel residues
+    pending = list(range(len(seqs)))
+    primes = iter(_PRIMES)
+    while pending:
+        pair = list(islice(primes, _PAIR))
+        if not pair:
+            raise NumericBreakdown("the prime sequence ran out")
+        moduli = np.array(pair * len(pending), dtype=object)[:, None]
+        residues = np.repeat(seqs[pending], len(pair), axis=0) % moduli
+        sizes, monics = _kernels_mod(residues.astype(np.int64), top,
+                                     moduli[:, 0].astype(np.int64))
+        still = []
+        for at, i in zip(range(0, len(moduli), len(pair)), pending):
+            rows = slice(at, at + len(pair))
+            if not sizes[rows].all():
+                continue          # a nonzero det H_k mod prime for every k
+            m, modulus, kernel_mod = crt[i]
+            for prime, size, monic in zip(pair, sizes[rows].tolist(),
+                                          monics[rows]):
+                if size < m:
+                    continue      # this prime divides a nonzero det H_size
+                if size > m:      # so did every prime used so far
+                    m, modulus, kernel_mod = size, 1, [0] * size
+                lift = pow(modulus, -1, prime)
+                kernel_mod = [r + modulus * ((v - r) * lift % prime)
+                              for r, v in zip(kernel_mod, monic)]
+                modulus *= prime
+            crt[i] = m, modulus, kernel_mod
+            seq = seqs[i].tolist()
+            kernel = _rational_kernel(kernel_mod, modulus)
+            if kernel is not None and _annihilates(blocks[i] or [seq],
+                                                   kernel):
+                results[i] = m, kernel
+            elif (kernel is not None and blocks[i]
+                  and _annihilates([seq], kernel)):
+                results[i] = m, None
+            elif modulus.bit_length() > _hadamard_bits(seq, m):
+                raise NumericBreakdown(
+                    f"no kernel of Hankel size {m} within its Hadamard bound")
+            else:
+                still.append(i)
+        pending = still
+    return results
+
+
+def _kernels_mod(s: np.ndarray, top: int, primes: np.ndarray):
+    """The recurrence of every row of the ``int64`` residues ``s`` at once,
+    row ``r`` modulo ``primes[r] < 2**31``, so that every product of two
+    residues fits an ``int64``.
+
+    Returns ``(sizes, monics)``: ``sizes[r]`` is the first size
+    ``m <= top`` whose Hankel matrix is singular modulo ``primes[r]`` (0
+    when none is), and ``monics[r]`` the monic kernel of its first
+    ``m - 1`` rows modulo ``primes[r]``, constant first.
 
     ``q_k`` is a nonzero multiple of the monic degree-``k`` orthogonal
-    polynomial of ``seq``: the fraction-free step without its division by
+    polynomial of the row: the fraction-free step without its division by
     ``det H_k ** 2``. It annihilates Hankel rows ``0 .. k-1``, and
-    ``q_k . seq[k:2k+1]`` vanishes exactly when ``det H_(k+1)`` does.
+    ``q_k . s[k:2k+1]`` vanishes exactly when ``det H_(k+1)`` does. A row
+    leaves the pass at its first zero.
     """
-    s = [v % prime for v in seq]
-    low, q = [], [1]              # q_(k-1) and q_k
-    h_low, nu_low = 1, 0          # q_(k-1) . s[k-1:2k-1] and . s[k:2k]
+    sizes = np.zeros(len(s), dtype=np.int64)
+    monics: list = [None] * len(s)
+    rows = np.arange(len(s))
+    p = primes[:, None]
+    q = np.zeros((len(s), top), dtype=np.int64)   # q_k: entries 0 .. k
+    q[:, 0] = 1
+    low = np.zeros_like(q)                        # q_(k-1)
+    h_low, nu_low = np.ones_like(p), np.zeros_like(p)
     for k in range(top):
-        h = sum(map(mul, q, s[k:2 * k + 1])) % prime
-        if h == 0:
-            unit = pow(q[-1], -1, prime)
-            return k + 1, [v * unit % prime for v in q]
+        # q_k . s[k:2k+1] and . s[k+1:2k+2], each product reduced first
+        h = (q[:, :k + 1] * s[:, k:2 * k + 1] % p).sum(
+            axis=1, keepdims=True) % p
+        zero = h[:, 0] == 0
+        if zero.any():
+            units = [[pow(v, -1, prime)] for v, prime
+                     in zip(q[zero, k].tolist(), p[zero, 0].tolist())]
+            monic = q[zero, :k + 1] * np.array(units, dtype=np.int64) % p[zero]
+            sizes[rows[zero]] = k + 1
+            for r, row in zip(rows[zero].tolist(), monic.tolist()):
+                monics[r] = row
+            keep = ~zero
+            if not keep.any():
+                break
+            rows, s, p, q, low, h, h_low, nu_low = (
+                a[keep] for a in (rows, s, p, q, low, h, h_low, nu_low))
         if k + 1 == top:
             break
-        nu = sum(map(mul, q, s[k + 1:2 * k + 2])) % prime
-        lead = h_low * h % prime
-        mid = (h_low * nu - h * nu_low) % prime
-        tail = h * h % prime
-        low, q = q, [(lead * a - mid * b - tail * c) % prime for a, b, c
-                     in zip([0, *q], [*q, 0], [*low, 0, 0])]
+        nu = (q[:, :k + 1] * s[:, k + 1:2 * k + 2] % p).sum(
+            axis=1, keepdims=True) % p
+        lead = h_low * h % p
+        mid = (h_low * nu - h * nu_low) % p
+        tail = h * h % p
+        # q_(k+1) = lead x q_k - mid q_k - tail q_(k-1), on entries 0 .. k+1
+        width = k + 2
+        nxt = np.zeros_like(q)
+        nxt[:, :width] = -(mid * q[:, :width] % p) - tail * low[:, :width] % p
+        nxt[:, 1:width] += lead * q[:, :width - 1] % p
+        nxt[:, :width] %= p
+        low, q = q, nxt
         h_low, nu_low = h, nu
-    return None
+    return sizes, monics
 
 
 def _rational_kernel(residues: list[int], modulus: int) -> list[int] | None:
@@ -285,31 +353,56 @@ def _hadamard_bits(seq: list[int], m: int) -> int:
 
 
 def _detect_node(ints: list[list[int]]) -> tuple[int, list[int]]:
-    """Exact defect index and integer kernel from one node's differences.
+    """Exact defect index and integer kernel from one node's differences:
+    the one-node case of :func:`_detect_nodes`."""
+    return _detect_nodes(np.array([ints], dtype=object))[0]
 
-    The defect index is ``m - 1`` for the first size ``m`` whose stacked
-    block (rows ``(c, i)``, entries ``ints[c][i + j]``, ``i, j < m``) is rank
-    deficient. The recurrence runs on each mix of :data:`_MIXES` in turn;
-    once they are used up, every remaining size is eliminated whole.
+
+def _detect_nodes(diffs: np.ndarray) -> list[tuple[int, list[int]]]:
+    """Exact defect index and integer kernel of every node, from the object
+    array ``diffs[j, c, t]`` of their differences.
+
+    Node ``j``'s defect index is ``m - 1`` for the first size ``m`` whose
+    stacked block (rows ``(c, i)``, entries ``diffs[j, c, i + k]``,
+    ``i, k < m``) is rank deficient. The recurrence runs on each mix of
+    :data:`_MIXES` in turn, for every node still open at once; once they
+    are used up, every remaining size is eliminated whole, node by node.
     """
-    top = (len(ints[0]) + 1) // 2
-    known = 0                     # every size up to ``known`` has full rank
+    nodes, channels, length = diffs.shape
+    top = (length + 1) // 2
+    blocks = diffs.tolist()
+    found: list = [None] * nodes
+    known = [0] * nodes           # every size up to known[j] has full rank
+    open_ = list(range(nodes))
     for r in _MIXES:
-        weights = [r ** (c + 1) for c in range(len(ints))]
-        mixed = [sum(map(mul, weights, col)) for col in zip(*ints)]
-        found = _hankel_kernel(mixed, top, ints)
-        if found is None:
-            known = top
+        if not open_:
             break
-        m, kernel = found
-        if kernel is not None:
-            return m - 1, kernel
-        known = max(known, m)     # a false alarm: size m has full rank
-    for m in range(known + 1, top + 1):
-        kernel = _exact_kernel(ints, m)
-        if kernel is not None:
-            return m - 1, kernel
-    raise NumericBreakdown(f"no exact defect within {len(ints[0])} exchanges")
+        weights = np.array([r ** (c + 1) for c in range(channels)],
+                           dtype=object)
+        outcomes = _hankel_kernels(weights @ diffs[open_], top,
+                                   [blocks[j] for j in open_])
+        still = []
+        for j, outcome in zip(open_, outcomes):
+            if outcome is None:
+                raise NumericBreakdown(
+                    f"no exact defect within {length} exchanges")
+            m, kernel = outcome
+            if kernel is None:    # a false alarm: size m has full rank
+                known[j] = max(known[j], m)
+                still.append(j)
+            else:
+                found[j] = m - 1, kernel
+        open_ = still
+    for j in open_:
+        for m in range(known[j] + 1, top + 1):
+            kernel = _exact_kernel(blocks[j], m)
+            if kernel is not None:
+                found[j] = m - 1, kernel
+                break
+        else:
+            raise NumericBreakdown(
+                f"no exact defect within {length} exchanges")
+    return found
 
 
 def _annihilates(ints, kernel: list[int]) -> bool:
@@ -342,23 +435,24 @@ def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
     detection envelope rather than for inner solver loops.
     """
     seeds = check_seeds(y0, g.n)
-    chans, base = _exact_trajectories(g, seeds.reshape(g.n, -1), 2 * g.n + 1)
+    traj, base = _exact_trajectories(g, seeds.reshape(g.n, -1), 2 * g.n + 1)
     results = []
-    for j in range(g.n):
-        defect, kernel = _detect_node(_differences(chans[j], base))
+    for j, (defect, kernel) in enumerate(
+            _detect_nodes(_differences(traj, base))):
         if kernel[-1] == 0:
             raise NumericBreakdown("kernel vector has a vanishing last entry")
         # Kernel entry t over base**t meets channel entries over base**t, so
         # the powers cancel in every sum; the value ratio is invariant to the
         # kernel's scale, and int / int is correctly rounded.
-        den = sum(b * chans[j][0][t] for t, b in enumerate(kernel))
+        den, *nums = np.array(kernel, dtype=object) @ traj[:len(kernel), j]
         if den == 0:
             raise NumericBreakdown("exact combination denominator is zero")
         if den < 0:       # so that an exact zero mean comes out as +0.0
-            kernel, den = [-b for b in kernel], -den
-        mu = np.array([sum(b * chans[j][c][t] for t, b in enumerate(kernel))
-                       / den for c in range(1, len(chans[j]))])
-        beta = [float(Fraction(b, kernel[-1] * base ** (defect - t)))
+            kernel, den, nums = [-b for b in kernel], -den, [-v for v in nums]
+        mu = np.array([v / den for v in nums])
+        # b / d is the correctly rounded b/d, as float(Fraction(b, d)) is;
+        # an exact zero is +0.0 whatever the sign of d
+        beta = [b / (kernel[-1] * base ** (defect - t)) if b else 0.0
                 for t, b in enumerate(kernel)]
         results.append(ConsensusResult(
             mu=mu[0] if seeds.ndim == 1 else mu, defect=defect, beta=np.array(beta),

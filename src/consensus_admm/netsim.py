@@ -107,6 +107,15 @@ def stable_digest(obj) -> str:
     return h.hexdigest()
 
 
+def gather_rows(graph: Digraph) -> np.ndarray:
+    """Each node's block rows as an ``(n, slots)`` index array: the node
+    itself, then ``in_neighbors`` in sender order, then the pad index ``n``.
+    """
+    rows = [[i, *senders] for i, senders in enumerate(graph.in_neighbors)]
+    width = max(map(len, rows))
+    return np.array([row + [graph.n] * (width - len(row)) for row in rows])
+
+
 @dataclass
 class RoundRecord:
     """One append-only log entry: a seed emission or a full exchange.
@@ -142,12 +151,8 @@ class RoundEngine:
     _wave: np.ndarray | None = None  # the wave buffer: payloads, pad row
 
     def __post_init__(self):
-        ins = self.graph.in_neighbors
-        rows = [[i, *senders] for i, senders in enumerate(ins)]
-        width, pad = max(map(len, rows)), self.graph.n
-        self.gather = np.array([row + [pad] * (width - len(row))
-                                for row in rows])
-        self.live = self.gather != pad
+        self.gather = gather_rows(self.graph)
+        self.live = self.gather != self.graph.n
         self.share = 1.0 / (1.0 + np.array([[self.graph.out_degree(i)]
                                             for i in range(self.graph.n)],
                                            dtype=float))

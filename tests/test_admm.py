@@ -288,6 +288,55 @@ def test_phase_that_outruns_its_trajectory_raises():
     assert phase.traj.shape == (3, 4, 3)
 
 
+def test_phase_trajectories_are_sized_by_their_readers():
+    n = 6
+    g = random_strongly_connected(n, extra_edge_prob=0.3, seed=2)
+    seeds = np.random.default_rng(2).uniform(-5, 5, size=(n, 2))
+
+    def phase(flags, **kw):
+        return _consensus_phase(RoundEngine(g, audit=False), seeds, flags,
+                                "p", n_prime=n, **kw)
+
+    # a detecting phase keeps the detector's 2n' horizon, also when its
+    # counters run on past it
+    detect = phase(PhaseFlags(detect=True))
+    assert detect.traj.shape == (2 * n + 1, n, 3)
+    stopping = phase(PhaseFlags(detect=True, terminate=True))
+    assert stopping.traj.shape == (2 * n + 1, n, 3)
+    assert (stopping.counters.t_term > 2 * n).any()
+    # the exact lane's counters read no trajectory: round 0 only
+    exact = phase(PhaseFlags(terminate=True),
+                  defect_sizes=detect.detector.defect)
+    assert exact.traj.shape == (1, n, 3)
+    assert exact.counters.t_term.tolist() == stopping.counters.t_term.tolist()
+    certify = phase(PhaseFlags(certify=True), epsilon=1e-3)
+    assert certify.traj.shape == (1, n, 3)
+    piggy = phase(PhaseFlags(piggyback=True), defect_sizes=[3] * n)
+    assert piggy.traj.shape == (n + 1, n, 3)
+    assert phase(PhaseFlags(), t_max=4).traj.shape == (5, n, 3)
+
+
+def test_late_detector_fire_grows_the_trajectory():
+    # Tied seeds on a 6-ring: node 4's detector fires at size 7, past the
+    # 2n' horizon, so the terminating phase doubles its trajectory. Its
+    # rounds and counters match a phase given room for the whole guard.
+    g = random_strongly_connected(6, extra_edge_prob=0.0, seed=5)
+    seeds = np.array([[0.0], [0.0], [-2.0], [-2.0], [-2.0], [-2.0]])
+    flags = PhaseFlags(detect=True, terminate=True)
+    late = _consensus_phase(RoundEngine(g, audit=False), seeds, flags, "t",
+                            n_prime=6)
+    assert late.detector.defect == [1, 0, 0, 0, 6, 0]
+    assert late.traj.shape == (26, 6, 2)
+    engine = RoundEngine(g, audit=False)
+    roomy = _Phase(engine, seeds, flags, rounds=4 * (6 + 2),
+                   defect_sizes=None, window=6, spread_eps=None)
+    engine.prime(roomy.wave(1))
+    while not roomy.frozen.all():
+        engine.run_round(roomy.update)
+    assert late.traj[:14].tobytes() == roomy.traj[:14].tobytes()
+    assert late.counters.t_term.tolist() == roomy.counters.t_term.tolist()
+
+
 def test_stopping_residuals_equal_linalg_norm_bitwise():
     # The stopping test takes each norm as sqrt(r . r) over the ravelled
     # array, numpy's own path for np.linalg.norm of a real array; the

@@ -405,8 +405,9 @@ def test_exact_lane_restarts_after_a_false_alarm(monkeypatch):
 
 def test_exact_lane_memory_stays_per_node_beyond_the_family():
     # A 24-ring has defect 23 at every node, past criterion 1's n <= 20.
-    # The screen holds one node's mixed channel at a time; holding every
-    # node's stacked blocks at once peaked near 14 MB here.
+    # The lane holds every node's integer channels and word-sized residues
+    # at once, which is linear in the sequence length; holding every node's
+    # stacked blocks at once peaked near 14 MB here.
     g = random_strongly_connected(24, extra_edge_prob=0.0, seed=3)
     y0 = np.random.default_rng(5).uniform(-5, 5, size=(24, 3))
     truth = _true_mean(y0)
@@ -574,13 +575,152 @@ def test_exact_lane_defects_match_whole_block_ranks():
     # Referee: whole-block Bareiss. Every size up to the defect index d has
     # full rank and size d + 1 is deficient.
     for g, y0 in _screen_cases():
-        chans, base = _exact_trajectories(g, y0.reshape(g.n, -1),
-                                          2 * g.n + 1)
+        diffs = _differences(*_exact_trajectories(g, y0.reshape(g.n, -1),
+                                                  2 * g.n + 1))
         for j, res in enumerate(exact_consensus_run(g, y0)):
-            ints = _differences(chans[j], base)
+            ints = diffs[j].tolist()
             for m in range(1, res.defect + 2):
                 rank = _bareiss_echelon(_stacked_block(ints, m), m)[0]
                 assert (rank == m) == (m <= res.defect), (g.n, j, m)
+
+
+def _loop_trajectories(g, seeds, rounds):
+    """Reference: the node-by-node list loop the object arrays replace;
+    ``chans[j][c][t]`` is node j's channel c at round t."""
+    n = seeds.shape[0]
+    base = math.lcm(*(1 + g.out_degree(j) for j in range(n)))
+    gains = [base // (1 + g.out_degree(j)) for j in range(n)]
+    ratios = [[float(v).as_integer_ratio() for v in row] for row in seeds]
+    unit = max(den for row in ratios for _, den in row)
+    state = [[unit] + [num * (unit // den) for num, den in row]
+             for row in ratios]
+    history = [[row] for row in state]
+    for _ in range(rounds):
+        nxt = [[0] * len(row) for row in state]
+        for j in range(n):
+            share = [gains[j] * v for v in state[j]]
+            for r in (j, *g.out_neighbors[j]):
+                nxt[r] = [a + b for a, b in zip(nxt[r], share)]
+        state = nxt
+        for j in range(n):
+            history[j].append(state[j])
+    return [[list(seq) for seq in zip(*rows)] for rows in history], base
+
+
+def test_exact_trajectories_match_the_node_loop():
+    for g, y0 in _screen_cases():
+        seeds = y0.reshape(g.n, -1)
+        traj, base = _exact_trajectories(g, seeds, 2 * g.n + 1)
+        chans, loop_base = _loop_trajectories(g, seeds, 2 * g.n + 1)
+        assert base == loop_base
+        assert traj.transpose(1, 2, 0).tolist() == chans
+        assert all(type(v) is int for v in traj.flat)
+
+
+def _kernel_mod(seq, top, prime):
+    """Reference: one row's recurrence on Python integers, the scalar loop
+    :func:`exact._kernels_mod` runs in lockstep."""
+    s = [v % prime for v in seq]
+    low, q = [], [1]
+    h_low, nu_low = 1, 0
+    for k in range(top):
+        h = sum(a * b for a, b in zip(q, s[k:2 * k + 1])) % prime
+        if h == 0:
+            unit = pow(q[-1], -1, prime)
+            return k + 1, [v * unit % prime for v in q]
+        if k + 1 == top:
+            break
+        nu = sum(a * b for a, b in zip(q, s[k + 1:2 * k + 2])) % prime
+        lead = h_low * h % prime
+        mid = (h_low * nu - h * nu_low) % prime
+        tail = h * h % prime
+        low, q = q, [(lead * a - mid * b - tail * c) % prime for a, b, c
+                     in zip([0, *q], [*q, 0], [*low, 0, 0])]
+        h_low, nu_low = h, nu
+    return 0, None
+
+
+def _lockstep(seqs, top, primes):
+    residues = np.array([[v % p for v in seq] for seq, p in zip(seqs, primes)],
+                        dtype=np.int64)
+    sizes, monics = exact._kernels_mod(residues, top,
+                                       np.array(primes, dtype=np.int64))
+    return list(zip(sizes.tolist(), monics))
+
+
+def test_lockstep_recurrence_stays_inside_int64():
+    # Residues are int64, so every product of two must stay below 2**63:
+    # the primes must stay below 2**31. Residues of p - 1 make the largest
+    # products; a random order-20 recurrence near p keeps every row open
+    # to the last size of a 20-ring's sequence, the family's longest.
+    primes = [exact._PRIMES[0], exact._PRIMES[1]]
+    assert primes[0] == 2**31 - 1 and primes[1] < primes[0]
+    length = 2 * 20 + 1
+    top = (length + 1) // 2
+    rng = np.random.default_rng(11)
+    seqs, coeffs = [], []
+    for p in primes:
+        c = [int(v) for v in rng.integers(p - 2**20, p, size=20)]
+        seq = [int(v) for v in rng.integers(p - 2**20, p, size=20)]
+        while len(seq) < length:
+            seq.append(sum(a * b for a, b in zip(c, seq[-20:])) % p)
+        seqs += [[p - 1] * length, seq]
+        coeffs.append([(-v) % p for v in c] + [1])
+    rows = [p for p in primes for _ in range(2)]
+    found = _lockstep(seqs, top, rows)
+    assert found == [_kernel_mod(seq, top, p) for seq, p in zip(seqs, rows)]
+    assert [found[1], found[3]] == [(21, coeffs[0]), (21, coeffs[1])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_wide_geometric_sequences(), min_size=1, max_size=4),
+       st.lists(st.sampled_from((3, 5, 7, 101, 19997, 2**31 - 1)),
+                min_size=4, max_size=4))
+def test_lockstep_recurrence_matches_the_scalar_loop(seqs, primes):
+    # Rows of one pass share a length and each carries its own modulus.
+    length = min(map(len, seqs))
+    seqs = [seq[:length] for seq in seqs]
+    primes = primes[:len(seqs)]
+    top = (length + 1) // 2
+    assert _lockstep(seqs, top, primes) == [
+        _kernel_mod(seq, top, p) for seq, p in zip(seqs, primes)]
+
+
+@st.composite
+def _seeded_networks(draw):
+    """Seeded digraphs with n <= 10 and generic, tied or rounded seeds."""
+    n = draw(st.integers(1, 10))
+    g = random_strongly_connected(
+        n, extra_edge_prob=draw(st.sampled_from((0.0, 0.3, 0.6))),
+        seed=draw(st.integers(0, 10_000)))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    shape = (n, draw(st.sampled_from((1, 3))))
+    kind = draw(st.sampled_from(("generic", "tied", "rounded")))
+    y0 = (rng.uniform(-5, 5, size=shape) if kind == "generic"
+          else rng.integers(-2, 3, size=shape).astype(float) if kind == "tied"
+          else rng.integers(-8, 9, size=shape) / 4)
+    return g, y0
+
+
+@settings(max_examples=100, deadline=None)
+@given(_seeded_networks())
+def test_exact_lane_kernels_match_whole_block_bareiss(network):
+    # Referee: whole-block Bareiss. Every node's defect is its first
+    # deficient size and its kernel the primitive kernel there, under the
+    # real primes and under tiny ones, which read spurious zeros (dropping
+    # primes) and need several lockstep passes per node.
+    g, y0 = network
+    diffs = _differences(*_exact_trajectories(g, y0, 2 * g.n + 1))
+    blocks = diffs.tolist()
+    for primes in (exact._PRIMES, _TINY_PRIMES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_PRIMES", primes)
+            found = exact._detect_nodes(diffs)
+        for ints, (defect, kernel) in zip(blocks, found):
+            m = defect + 1
+            assert all(_bareiss_echelon(_stacked_block(ints, k), k)[0] == k
+                       for k in range(1, m))
+            assert _primitive(kernel) == _primitive(_exact_kernel(ints, m))
 
 
 def test_exact_lane_fallback_matches_the_screen(monkeypatch):
