@@ -174,17 +174,25 @@ class _Phase:
     across every channel. ``traj`` is one ``(rounds + 1, n, p + 1)`` array,
     sized by what reads it; round ``k`` writes the state to ``traj[k]``, and
     a phase of fixed length that outruns it raises ``IndexError`` rather
-    than drop rows. With ``rounds=None`` a phase keeps only round 0. A phase
-    that stops on its counters writes rounds only while a detector is open,
-    and doubles ``traj`` for a detector still open past its end. A node's
-    payload is its state divided by 1 + its out-degree, so receivers
-    never learn sender degrees, followed by the rider columns the flags ask
-    for: the counter pair ``(theta, c)``, the max-consensus value ``v``, and
-    the certification bounds ``hi`` and ``lo``. One detector reads ``traj``
-    for every node, and one :class:`~.termination.Counters` record holds
-    every node's stopping counter. A node's counter freezes the round its
-    detector fires or, in a phase that does not detect, at round
-    ``2 * defect_sizes[i] + 1``, when a detector would have fired.
+    than drop rows. With ``rounds=None`` a phase keeps only round 0.
+
+    The flags choose once, at construction, the steps every round runs and
+    the columns every payload carries; a steady phase only mixes the ratio
+    pair and writes it to ``traj``. A payload is the node's state divided by
+    1 + its out-degree, so receivers never learn sender degrees, followed by
+    the rider columns the flags ask for: the counter pair ``(theta, c)``,
+    the max-consensus value ``v``, and the certification bounds ``hi`` and
+    ``lo``. One detector reads ``traj`` for every node; a detecting phase
+    writes rounds only while it is open and raises
+    :class:`NumericBreakdown` when a node is still open at the end of
+    ``traj``, its ``2n'`` horizon. One :class:`~.termination.Counters`
+    record holds every node's stopping counter, which freezes the round the
+    node's detector fires. A terminated node keeps relaying counters and
+    re-broadcasting its frozen ratio pair. A phase that stops on its
+    counters but does not detect (the exact lane, whose values come from
+    rational arithmetic) carries the counter pair alone, and node ``i``'s
+    counter freezes at round ``2 * defect_sizes[i] + 1``, when a detector
+    would have fired.
     """
 
     def __init__(self, engine: RoundEngine, seeds: np.ndarray,
@@ -198,84 +206,114 @@ class _Phase:
         self.state[:, 0], self.state[:, 1:] = 1.0, seeds
         self.frozen = np.zeros(n, dtype=bool)
         self.detector = self.counters = self.vmax = self.snap = None
+        steps, sends, width = [], [], 0   # sends make the payload columns
+
+        def columns(count: int) -> slice:
+            nonlocal width
+            width += count
+            return slice(width - count, width)
+
+        if flags.detect or not flags.terminate:
+            self.ratio = columns(p + 1)
+            steps.append(self._mix_unfrozen if flags.terminate else self._mix)
+            sends.append(lambda _: self.state * self.share)
         if flags.detect:
             self.detector = HankelDetector(n)
+            steps.append(self._detect)
+        elif not (flags.terminate or flags.certify):
+            steps.append(self._record)
         if flags.terminate:
             self.counters = Counters(n)
+            self.counter_cols = columns(2)
             if not flags.detect:
                 self.fire_round = 2 * np.asarray(defect_sizes) + 1
+                steps.append(self._fire_on_schedule)
+            steps.append(self._count)
+            sends.append(lambda r: counter_message(self.counters, r))
         if flags.piggyback:
             self.vmax = np.asarray(defect_sizes, dtype=float) + 1.0
+            self.v_col = columns(1)
+            steps.append(self._max_consensus)
+            sends.append(lambda _: self.vmax[:, None])
         if flags.certify:
             self.certified = np.zeros(n, dtype=bool)
             self.snap = self.state[:, 1:] / self.state[:, :1]
             self.hi, self.lo = self.snap.copy(), self.snap.copy()
-        # rider columns follow the p + 1 ratio columns, in flag order
-        self.ratio_end = p + 1
-        self.v_col = self.ratio_end + (2 if flags.terminate else 0)
-        self.hi_col = self.v_col + (1 if flags.piggyback else 0)
+            self.hi_cols, self.lo_cols = columns(p), columns(p)
+            steps.append(self._certify)
+            sends += [lambda _: self.hi, lambda _: self.lo]
+        self.steps, self.sends = tuple(steps), tuple(sends)
 
     def wave(self, next_round: int) -> np.ndarray:
-        columns = [self.state * self.share]
-        if self.counters is not None:
-            columns.append(counter_message(self.counters, next_round))
-        if self.vmax is not None:
-            columns.append(self.vmax[:, None])
-        if self.snap is not None:
-            columns += [self.hi, self.lo]
-        return (columns[0] if len(columns) == 1
-                else np.concatenate(columns, axis=1))
+        if len(self.sends) == 1:
+            return self.sends[0](next_round)
+        return np.concatenate([send(next_round) for send in self.sends],
+                              axis=1)
 
     def update(self, block: np.ndarray, tick: int) -> np.ndarray:
         k = tick - self.t0   # phase-local round index, from 1
-        live = self.live
-        state = ratio_update(block[:, :, :self.ratio_end], live)
-        if self.frozen.any():
-            # Terminated nodes keep relaying counters and re-broadcasting
-            # their frozen ratio pair; later exchanges no longer change them.
-            state = np.where(self.frozen[:, None], self.state, state)
-        self.state = state
-        if self.snap is None and self.counters is None:
-            self.traj[k] = state
-        elif self.detector is not None and self.detector.open.any():
-            if k == len(self.traj):
-                self.traj = np.concatenate((self.traj,
-                                            np.empty_like(self.traj)))
-            self.traj[k] = state
-        if self.detector is not None:
-            fired = self.detector.feed(self.traj[:k + 1])
-            defects = [self.detector.defect[i] for i in fired]
-        elif self.counters is not None:
-            # without a detector, node i freezes when one would have fired
-            fired = np.flatnonzero(self.fire_round == k)
-            defects = (self.fire_round[fired] - 1) // 2
-        if self.counters is not None:
-            if len(fired):
-                freeze_counter(self.counters, fired, defects)
-            # ftdt_step keeps only the largest counter value a node hears;
-            # counters are nonnegative, so 0 stands in for an empty inbox
-            heard = np.max(block[:, 1:, self.ratio_end:self.v_col],
-                           axis=(1, 2), where=live[:, 1:, None], initial=0)
-            ftdt_step(self.counters, k, heard.astype(np.int64))
-            self.frozen = self.counters.t_term > 0
-        if self.vmax is not None:
-            self.vmax = block_max(block[:, :, self.v_col:self.hi_col],
-                                  live)[:, 0]
-        if self.snap is not None:
-            lo_col = self.hi_col + self.snap.shape[1]
-            self.hi = block_max(block[:, :, self.hi_col:lo_col], live)
-            self.lo = block_min(block[:, :, lo_col:], live)
-            if k % self.window == 0:
-                open_ = ~self.certified
-                # a snapshot whose spread is within epsilon a window later
-                # is globally certified; the others are taken afresh
-                done = open_ & (np.max(self.hi - self.lo, axis=1)
-                                <= self.spread_eps)
-                self.certified |= done
-                fresh = open_ & ~done
-                self.snap[fresh] = state[fresh, 1:] / state[fresh, :1]
-                self.hi[fresh] = self.lo[fresh] = self.snap[fresh]
+        for step in self.steps:
+            step(block, k)
         return self.wave(k + 1)
+
+    # -- round steps, in the order a round runs them --------------------
+
+    def _mix(self, block, k):
+        self.state = ratio_update(block[:, :, self.ratio], self.live)
+
+    def _mix_unfrozen(self, block, k):
+        state = ratio_update(block[:, :, self.ratio], self.live)
+        np.copyto(state, self.state, where=self.frozen[:, None])
+        self.state = state
+
+    def _record(self, block, k):
+        self.traj[k] = self.state
+
+    def _detect(self, block, k):
+        detector = self.detector
+        if not detector.open.any():
+            return
+        self.traj[k] = self.state
+        fired = detector.feed(self.traj[:k + 1])
+        if fired and self.counters is not None:
+            freeze_counter(self.counters, fired,
+                           [detector.defect[i] for i in fired])
+        if k == len(self.traj) - 1 and detector.open.any():
+            # a node fires by round 2n - 1 at the latest: a later fire is noise
+            raise NumericBreakdown(f"node {np.argmax(detector.open)} found "
+                                   f"no defect within {k} rounds")
+
+    def _fire_on_schedule(self, block, k):
+        fired = np.flatnonzero(self.fire_round == k)
+        if fired.size:
+            freeze_counter(self.counters, fired,
+                           (self.fire_round[fired] - 1) // 2)
+
+    def _count(self, block, k):
+        # ftdt_step keeps only the largest counter value a node hears;
+        # counters are nonnegative, so 0 stands in for an empty inbox
+        heard = np.max(block[:, 1:, self.counter_cols], axis=(1, 2),
+                       where=self.live[:, 1:, None], initial=0)
+        ftdt_step(self.counters, k, heard.astype(np.int64))
+        self.frozen = self.counters.t_term > 0
+
+    def _max_consensus(self, block, k):
+        self.vmax = block_max(block[:, :, self.v_col], self.live)[:, 0]
+
+    def _certify(self, block, k):
+        self.hi = block_max(block[:, :, self.hi_cols], self.live)
+        self.lo = block_min(block[:, :, self.lo_cols], self.live)
+        if k % self.window == 0:
+            open_ = ~self.certified
+            # a snapshot whose spread is within epsilon a window later
+            # is globally certified; the others are taken afresh
+            done = open_ & (np.max(self.hi - self.lo, axis=1)
+                            <= self.spread_eps)
+            self.certified |= done
+            fresh = open_ & ~done
+            state = self.state
+            self.snap[fresh] = state[fresh, 1:] / state[fresh, :1]
+            self.hi[fresh] = self.lo[fresh] = self.snap[fresh]
 
     def exact_values(self, betas) -> np.ndarray:
         """Each node's exact average from its trajectory prefix, one row each.
@@ -315,13 +353,12 @@ def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
     * ``detect`` alone: ``2n'`` exchanges; ``piggyback``: ``n'`` exchanges;
     * neither: ``t_max`` exchanges.
 
-    A detection phase raises :class:`NumericBreakdown` unless every node's
-    detector fired.
+    A detecting phase raises :class:`NumericBreakdown` unless every node's
+    detector fired within ``2n'`` rounds, also when its counters run on.
 
     The trajectory holds what its readers need: the detector's ``2n'``
-    horizon, which ``exact_values`` never reads past (a terminating phase
-    grows it for a detector that fires later), or the rounds of a phase of
-    fixed length; a terminating phase without a detector and a
+    horizon, which ``exact_values`` never reads past, or the rounds of a
+    phase of fixed length; a terminating phase without a detector and a
     certification phase keep round 0 only.
     """
     rounds = (4 * (n_prime + 2) if flags.terminate     # the guard
@@ -350,10 +387,6 @@ def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
             windows += 1
     else:
         engine.run_phase(phase.update, rounds, label)
-    if flags.detect and phase.detector.open.any():
-        raise NumericBreakdown(f"node {np.argmax(phase.detector.open)} found "
-                               f"no defect within {engine.tick - phase.t0} "
-                               "rounds")
     return phase
 
 

@@ -48,14 +48,18 @@ def ratio_update(block: np.ndarray, live: np.ndarray) -> np.ndarray:
 
     ``block[i]`` holds node i's own ratio row, then its in-neighbours' rows
     in sender order, each already divided by 1 + its sender's out-degree;
-    ``live`` marks those rows, and pad rows are never read. The rows are
-    summed slot by slot in that order, so each node's sum is the one a
-    sequential loop over its inbox gives, to the last bit.
+    ``live`` marks those rows, and pad rows are never read. One masked
+    reduction sums the rows slot by slot in that order, so each node's sum
+    is the one a sequential loop over its inbox gives, to the last bit: it
+    starts from ``-0.0``, which leaves every first row as it is (``+0.0``
+    would turn a ``-0.0`` row into ``+0.0``). A ratio row holds the
+    denominator and at least one numerator; a block of one column is
+    refused, since numpy would sum its slots pairwise, out of that order.
     """
-    total = block[:, 0].copy()
-    for slot in range(1, block.shape[1]):
-        np.add(total, block[:, slot], out=total, where=live[:, slot, None])
-    return total
+    if block.shape[2] < 2:
+        raise ValueError("a ratio row has at least two columns, got "
+                         f"{block.shape[2]}")
+    return np.add.reduce(block, axis=1, where=live[:, :, None], initial=-0.0)
 
 
 class HankelDetector:

@@ -19,7 +19,9 @@ may reuse its array; the buffer is only reallocated when ``w`` changes.
 
 With ``audit`` on, each log entry holds one digest per node:
 :func:`stable_digest` of the payload row that node broadcast, so identical
-runs give identical logs and the cost of a digest is the width of a row.
+runs give identical logs. A row's digest starts from a copy of a header
+digest cached by dtype and shape, so what it costs beyond a fixed call is
+the width of the row.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ Update = Callable[[np.ndarray, int], np.ndarray]
 def _digest_update(h, obj) -> None:
     kind = type(obj)
     if kind is np.ndarray:
-        h.update(_array_header(obj.dtype.str, obj.shape))
+        h.update(_array_header(obj.dtype, obj.shape))
         h.update(obj.tobytes())  # C order, also for non-contiguous views
     elif kind is float:
         h.update(b"f" + struct.pack("<d", obj))
@@ -87,21 +89,30 @@ def _digest_update(h, obj) -> None:
         h.update(b"r" + repr(obj).encode())
 
 
+def _array_header(dtype: np.dtype, shape: tuple) -> bytes:
+    return b"a" + dtype.str.encode() + struct.pack("<%dq" % len(shape), *shape)
+
+
 @functools.lru_cache(maxsize=256)
-def _array_header(dtype: str, shape: tuple) -> bytes:
-    return b"a" + dtype.encode() + struct.pack("<%dq" % len(shape), *shape)
+def _header_hash(dtype: np.dtype, shape: tuple):
+    """A digest already fed the array header; use copies, never update it.
+
+    Keyed on the dtype object itself: equal dtypes share their ``str``.
+    """
+    return hashlib.blake2b(_array_header(dtype, shape), digest_size=12)
 
 
 def stable_digest(obj) -> str:
     """Deterministic short hex digest of nested state (arrays included).
 
-    A plain ``np.ndarray``, such as a payload row, is hashed in one call
-    over its cached header and its bytes; the value is the one the general
+    A plain ``np.ndarray``, such as a payload row, is hashed by a copy of
+    its cached header digest fed its bytes; the value is the one the general
     walk gives.
     """
     if type(obj) is np.ndarray:
-        return hashlib.blake2b(_array_header(obj.dtype.str, obj.shape)
-                               + obj.tobytes(), digest_size=12).hexdigest()
+        h = _header_hash(obj.dtype, obj.shape).copy()
+        h.update(obj.tobytes())
+        return h.hexdigest()
     h = hashlib.blake2b(digest_size=12)
     _digest_update(h, obj)
     return h.hexdigest()

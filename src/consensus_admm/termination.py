@@ -49,8 +49,10 @@ def freeze_counter(counters: Counters, nodes, defects) -> None:
     counters.cap[nodes] = 2 * (np.asarray(defects, dtype=np.int64) + 1)
 
 
-def _own_counter(counters: Counters, k: int) -> np.ndarray:
-    return np.where(counters.cap > 0, np.minimum(k, counters.cap), k)
+def _own_counter(counters: Counters, k: int, out: np.ndarray) -> np.ndarray:
+    """Each node's counter at round ``k``, ``min(k, cap)`` once capped."""
+    out[...] = k
+    return np.minimum(out, counters.cap, out=out, where=counters.cap > 0)
 
 
 def counter_message(counters: Counters, next_round: int) -> np.ndarray:
@@ -59,23 +61,29 @@ def counter_message(counters: Counters, next_round: int) -> np.ndarray:
     The counter is forward-dated to the round the message arrives, so
     distance-one neighbours always see the current value without lag.
     """
-    return np.column_stack((counters.theta,
-                            _own_counter(counters, next_round)))
+    message = np.empty((counters.theta.size, 2), dtype=np.int64)
+    message[:, 0] = counters.theta
+    _own_counter(counters, next_round, message[:, 1])
+    return message
 
 
 def ftdt_step(counters: Counters, k: int, heard) -> None:
     """Advance every node through round ``k``.
 
     ``heard[i]`` is the largest theta or counter value node ``i`` received,
-    already forward-dated to ``k`` (0 for an empty inbox). The node's own
-    counter joins the maximum directly.
+    already forward-dated to ``k`` (0 for an empty inbox), as an integer: a
+    float ``heard`` is refused with a ``TypeError``. The node's own counter
+    joins the maximum directly.
     """
-    theta = np.maximum(np.maximum(counters.theta, _own_counter(counters, k)),
-                       heard)
-    counters.r = np.where(theta == counters.theta, counters.r + 1, 1)
+    theta = _own_counter(counters, k, np.empty_like(counters.theta))
+    np.maximum(theta, heard, out=theta)
+    np.maximum(theta, counters.theta, out=theta)
+    counters.r += 1
+    counters.r[theta != counters.theta] = 1
     counters.theta = theta
-    stops = ((counters.t_term == 0) & (counters.cap > 0)
-             & (counters.r >= counters.cap))
+    stops = counters.r >= counters.cap
+    stops &= counters.cap > 0
+    stops &= counters.t_term == 0
     counters.t_term[stops] = k
 
 

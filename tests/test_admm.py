@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from consensus_admm import (AdmmConfig, InsufficientData, L1Regularizer,
-                            PhaseFlags, RoundEngine, build_digraph,
-                            centralized_least_squares, check_o1k_bound,
-                            composite_objective, ergodic_averages,
-                            fterc_final, make_least_squares_instance,
+                            NumericBreakdown, PhaseFlags, RoundEngine,
+                            build_digraph, centralized_least_squares,
+                            check_o1k_bound, composite_objective,
+                            ergodic_averages, ftdt_run, fterc_final,
+                            make_least_squares_instance,
                             minimal_poly_oracle, random_strongly_connected,
                             ratio_weights, rlinear_probe, run_dadmm_fterc,
                             run_epsilon_baseline, run_fdadmm_ftdt,
@@ -316,25 +317,23 @@ def test_phase_trajectories_are_sized_by_their_readers():
     assert phase(PhaseFlags(), t_max=4).traj.shape == (5, n, 3)
 
 
-def test_late_detector_fire_grows_the_trajectory():
-    # Tied seeds on a 6-ring: node 4's detector fires at size 7, past the
-    # 2n' horizon, so the terminating phase doubles its trajectory. Its
-    # rounds and counters match a phase given room for the whole guard.
+def test_late_detector_fire_is_a_breakdown():
+    # Tied seeds on a 6-ring: in a terminating phase node 4's detector would
+    # fire at size 7, past the 2n' horizon, where no minimal polynomial
+    # fires. The phase refuses at that horizon with the detect-only phase's
+    # message, and so does ftdt_run (it used to accept the fire and refuse
+    # with NonIntegerResult: the nodes disagreed on the largest defect).
     g = random_strongly_connected(6, extra_edge_prob=0.0, seed=5)
     seeds = np.array([[0.0], [0.0], [-2.0], [-2.0], [-2.0], [-2.0]])
-    flags = PhaseFlags(detect=True, terminate=True)
-    late = _consensus_phase(RoundEngine(g, audit=False), seeds, flags, "t",
-                            n_prime=6)
-    assert late.detector.defect == [1, 0, 0, 0, 6, 0]
-    assert late.traj.shape == (26, 6, 2)
+    message = "node 4 found no defect within 12 rounds"
     engine = RoundEngine(g, audit=False)
-    roomy = _Phase(engine, seeds, flags, rounds=4 * (6 + 2),
-                   defect_sizes=None, window=6, spread_eps=None)
-    engine.prime(roomy.wave(1))
-    while not roomy.frozen.all():
-        engine.run_round(roomy.update)
-    assert late.traj[:14].tobytes() == roomy.traj[:14].tobytes()
-    assert late.counters.t_term.tolist() == roomy.counters.t_term.tolist()
+    with pytest.raises(NumericBreakdown, match=message):
+        _consensus_phase(engine, seeds,
+                         PhaseFlags(detect=True, terminate=True), "t",
+                         n_prime=6)
+    assert engine.tick == 12
+    with pytest.raises(NumericBreakdown, match=message):
+        ftdt_run(g, seeds[:, 0])
 
 
 def test_stopping_residuals_equal_linalg_norm_bitwise():

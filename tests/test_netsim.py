@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from consensus_admm import (ProtocolViolation, RoundEngine, build_digraph,
-                            phase_lengths, ratio_update, ratio_weights,
-                            stable_digest)
-from consensus_admm.netsim import _digest_update, block_max, block_min
+                            phase_lengths, random_strongly_connected,
+                            ratio_update, ratio_weights, stable_digest)
+from consensus_admm.netsim import (_digest_update, _header_hash, block_max,
+                                   block_min)
 
 
 def _cycle(n):
@@ -298,6 +299,52 @@ def test_blocks_and_reductions_match_brute_force(g, seed, rounds):
     assert np.allclose(states[-1], expected, rtol=0.0, atol=1e-12)
 
 
+def _delivered_block(g, values):
+    """The block every node receives after ``values`` is broadcast."""
+    engine = RoundEngine(g)
+    engine.prime(values)
+    blocks = []
+    engine.run_round(_recording(blocks))
+    return blocks[0], engine.live
+
+
+def test_ratio_update_equals_the_inbox_loop_bitwise():
+    # One masked reduction from -0.0 must give every node the sum of a
+    # sequential loop over its inbox, bit for bit (tobytes tells -0.0 from
+    # +0.0): at 12 live slots, past the 8 where numpy sums an inner-axis
+    # run pairwise; at width 2, the ratio pair of scalar seeds; on -0.0
+    # rows; and on the ratio columns of payloads that also carry riders.
+    rng = np.random.default_rng(11)
+    complete = build_digraph(12, [(r, s) for r in range(12)
+                                  for s in range(12) if r != s])
+    spread = 10.0 ** rng.integers(-8, 9, size=(12, 1))
+    # node 0 hears nobody, node 1 hears node 0, node 2 nodes 0 and 1
+    sparse = build_digraph(4, [(1, 0), (2, 0), (2, 1), (3, 2)])
+    signed = np.array([[-0.0, -0.0], [-0.0, -0.0], [-0.0, 2.5],
+                       [0.0, -1.0]])
+    cases = [(complete, rng.standard_normal((12, 4)) * spread, 4),
+             (complete, rng.standard_normal((12, 2)) * spread, 2),
+             (_cycle(5), rng.standard_normal((5, 2)), 2),
+             (sparse, signed, 2),
+             (random_strongly_connected(9, 0.4, seed=3),
+              rng.standard_normal((9, 5)), 3)]
+    for g, values, width in cases:
+        block, live = _delivered_block(g, values)
+        ratio = block[:, :, :width]
+        assert ratio.flags.c_contiguous == (width == values.shape[1])
+        summed = ratio_update(ratio, live)
+        for i, senders in enumerate(g.in_neighbors):
+            inbox_sum = values[i, :width]
+            for j in senders:
+                inbox_sum = inbox_sum + values[j, :width]
+            assert summed[i].tobytes() == inbox_sum.tobytes()
+    assert _delivered_block(complete, np.ones((12, 2)))[1].all()  # 12 slots
+    block, live = _delivered_block(sparse, signed)
+    assert np.signbit(ratio_update(block, live)[:2]).all()
+    with pytest.raises(ValueError, match="at least two columns"):
+        ratio_update(block[:, :, :1], live)
+
+
 def test_stable_digest_discriminates():
     a = np.arange(4, dtype=float)
     assert stable_digest(a) == stable_digest(a.copy())
@@ -355,3 +402,32 @@ def test_stable_digest_fast_path_equals_the_general_walk():
     # digest values are part of the log format: pinned
     assert stable_digest(np.arange(3.0)) == "268e43d0d3085f7ef59233c2"
     assert stable_digest(np.array([0.5, -1.25])) == "79f756b5ed2d77f466a3780e"
+
+
+def test_stable_digest_rows_of_every_dtype_equal_the_general_walk():
+    # The fast path looks its header digest up by the dtype object and the
+    # shape. Rows of each dtype a log may hold, at each shape, and a
+    # non-contiguous row view all hash as the general walk does.
+    base = np.arange(-3.0, 3.0).reshape(2, 3)
+    for dtype in (np.float64, np.int64, ">f8", np.bool_):
+        grid = base.astype(dtype)
+        for arr in (grid[1], grid[1, :0], grid, grid.T[1]):
+            walk = hashlib.blake2b(digest_size=12)
+            _digest_update(walk, arr)
+            assert (stable_digest(arr) == walk.hexdigest()
+                    == _walked_digest(arr))
+        assert not grid.T[1].flags.c_contiguous
+    # equal dtypes built apart share one header
+    assert (stable_digest(np.zeros(3, dtype=np.dtype("<f8")))
+            == stable_digest(np.zeros(3, dtype=np.dtype(float))))
+
+
+def test_digest_header_cache_stays_bounded():
+    _header_hash.cache_clear()
+    for width in range(300):
+        row = np.zeros(width)
+        assert stable_digest(row) == _walked_digest(row)
+    info = _header_hash.cache_info()
+    assert info.maxsize == 256 and info.currsize == 256
+    # the cached digests are only ever copied: a repeat gives the same value
+    assert stable_digest(np.zeros(299)) == _walked_digest(np.zeros(299))

@@ -136,6 +136,17 @@ def test_single_node_counter_unroll():
     assert _node(counters) == (2, 3, 3)         # the stop round stays put
 
 
+def test_ftdt_step_takes_integer_heard_values():
+    # counters stay int64: a float inbox maximum is refused, not mixed in
+    counters = Counters(2)
+    with pytest.raises(TypeError):
+        ftdt_step(counters, 1, np.array([3.0, 0.0]))
+    assert counters.theta.tolist() == [0, 0] and counters.r.tolist() == [0, 0]
+    ftdt_step(counters, 1, [3, 0])
+    assert counters.theta.tolist() == [3, 1]
+    assert counters.theta.dtype == np.int64
+
+
 def test_derive_max_defect_pins():
     assert derive_max_defect(11, 2) == 2     # equal-defect 3-ring
     assert derive_max_defect(3, 0) == 0      # single node
@@ -300,3 +311,27 @@ def test_exact_lane_runs_no_float_detector(monkeypatch):
     assert res.max_defect == n - 1 and res.rounds == 4 * n - 1
     truth = float(sum(Fraction(float(v)) for v in y0) / n)
     assert np.all(res.values == truth)
+
+
+def test_exact_lane_replays_the_counter_pair_alone(monkeypatch):
+    # The exact lane's values come from rational arithmetic, so its counter
+    # replay makes no ratio update and broadcasts 2-column waves: the
+    # (theta, c) pair of every node, from the seed wave on.
+    g = random_strongly_connected(7, extra_edge_prob=0.3, seed=4)
+    y0 = np.random.default_rng(4).uniform(-5, 5, size=(7, 3))
+    defects = [res.defect for res in exact_consensus_run(g, y0)]
+    widths = []
+
+    class Recording(admm.RoundEngine):
+        def _broadcast(self, wave, phase, kind):
+            widths.append(np.shape(wave)[1])
+            return super()._broadcast(wave, phase, kind)
+
+    def no_ratio_update(block, live):
+        raise AssertionError("the exact lane ran a ratio update")
+
+    monkeypatch.setattr(admm, "RoundEngine", Recording)
+    monkeypatch.setattr(admm, "ratio_update", no_ratio_update)
+    res = ftdt_run(g, y0, exact=True)
+    assert widths == [2] * (res.rounds + 1)
+    assert _outcome(lambda: res) == _replay_outcome(g, defects)
