@@ -21,10 +21,14 @@ the standalone :func:`fterc_run` and :func:`ftdt_run`. A phase holds every
 node's ratio pair, trajectory and rider values as arrays and runs each
 round as one array step; one detector checks every open node's Hankel
 matrices at once from that trajectory, and one record of integer arrays
-steps every node's stopping counter. Only ``fterc_final`` runs node by node,
-as kernel lengths differ. The solvers exchange messages only through
-:class:`~.netsim.RoundEngine`, so round logs, schedules, and determinism
-checks all observe real traffic.
+steps every node's stopping counter. One ``fterc_final`` call evaluates
+every node's limit from its kernel, the kernels zero-padded into one matrix
+that the phase holds. Every step after the warm-up runs the same
+fixed-length steady phase, so a run builds it once and restarts it with
+each step's seeds: its trajectory, payload buffer, round step and kernel
+matrix are reused, and each round reduces straight into its trajectory row.
+The solvers exchange messages only through :class:`~.netsim.RoundEngine`,
+so round logs, schedules, and determinism checks all observe real traffic.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .consensus import (ConsensusResult, HankelDetector, check_seeds,
-                        fterc_final, ratio_update)
+                        fterc_final, pad_kernels, ratio_update)
 from .errors import InsufficientData, NonIntegerResult, NumericBreakdown
 from .exact import exact_consensus_run
 from .graph import Digraph
@@ -177,35 +181,37 @@ class _Phase:
     than drop rows. With ``rounds=None`` a phase keeps only round 0.
 
     The flags choose once, at construction, the steps every round runs and
-    the columns every payload carries; a steady phase only mixes the ratio
-    pair and writes it to ``traj``. A payload is the node's state divided by
-    1 + its out-degree, so receivers never learn sender degrees, followed by
-    the rider columns the flags ask for: the counter pair ``(theta, c)``,
-    the max-consensus value ``v``, and the certification bounds ``hi`` and
-    ``lo``. One detector reads ``traj`` for every node; a detecting phase
-    writes rounds only while it is open and raises
-    :class:`NumericBreakdown` when a node is still open at the end of
+    the columns every payload carries; a phase without a detector, counters
+    or certification (the steady and max-consensus phases) only mixes the
+    ratio pair, reducing each round straight into its ``traj`` row. Such a
+    phase of fixed length can be restarted with new seeds (:meth:`restart`)
+    and rewrites every row of ``traj`` in its rounds. A payload is the
+    node's state divided by 1 + its out-degree, so receivers never learn
+    sender degrees, followed by the rider columns the flags ask for: the
+    counter pair ``(theta, c)``, the max-consensus value ``v``, and the
+    certification bounds ``hi`` and ``lo``. One detector reads ``traj`` for
+    every node; a detecting phase writes rounds only while it is open and
+    raises :class:`NumericBreakdown` when a node is still open at the end of
     ``traj``, its ``2n'`` horizon. One :class:`~.termination.Counters`
     record holds every node's stopping counter, which freezes the round the
-    node's detector fires. A terminated node keeps relaying counters and
-    re-broadcasting its frozen ratio pair. A phase that stops on its
-    counters but does not detect (the exact lane, whose values come from
-    rational arithmetic) carries the counter pair alone, and node ``i``'s
-    counter freezes at round ``2 * defect_sizes[i] + 1``, when a detector
-    would have fired.
+    node's detector fires. A terminated node keeps mixing its ratio pair
+    and relaying counters, so its neighbours' detectors keep observing the
+    ratio-consensus sequence. A phase that stops on its counters but does
+    not detect (the exact lane, whose values come from rational arithmetic)
+    carries the counter pair alone, and node ``i``'s counter freezes at
+    round ``2 * defect_sizes[i] + 1``, when a detector would have fired.
     """
 
     def __init__(self, engine: RoundEngine, seeds: np.ndarray,
                  flags: PhaseFlags, *, rounds, defect_sizes, window,
                  spread_eps):
         n, p = seeds.shape
-        self.t0, self.live, self.share = engine.tick, engine.live, engine.share
+        self.live, self.share = engine.live, engine.share
         self.window, self.spread_eps = window, spread_eps
         self.traj = np.empty((1 if rounds is None else rounds + 1, n, p + 1))
-        self.state = self.traj[0]
-        self.state[:, 0], self.state[:, 1:] = 1.0, seeds
-        self.frozen = np.zeros(n, dtype=bool)
+        self.restart(engine, seeds)
         self.detector = self.counters = self.vmax = self.snap = None
+        self.kernels = None   # (betas, their padded matrix)
         steps, sends, width = [], [], 0   # sends make the payload columns
 
         def columns(count: int) -> slice:
@@ -215,13 +221,16 @@ class _Phase:
 
         if flags.detect or not flags.terminate:
             self.ratio = columns(p + 1)
-            steps.append(self._mix_unfrozen if flags.terminate else self._mix)
-            sends.append(lambda _: self.state * self.share)
+            self.payload = np.empty((n, p + 1))
+            sends.append(lambda _: np.multiply(self.state, self.share,
+                                               out=self.payload))
         if flags.detect:
             self.detector = HankelDetector(n)
-            steps.append(self._detect)
-        elif not (flags.terminate or flags.certify):
-            steps.append(self._record)
+            steps += [self._mix, self._detect]
+        elif flags.certify:
+            steps.append(self._mix)
+        elif not flags.terminate:
+            steps.append(self._mix_record)
         if flags.terminate:
             self.counters = Counters(n)
             self.counter_cols = columns(2)
@@ -244,6 +253,13 @@ class _Phase:
             sends += [lambda _: self.hi, lambda _: self.lo]
         self.steps, self.sends = tuple(steps), tuple(sends)
 
+    def restart(self, engine: RoundEngine, seeds: np.ndarray) -> _Phase:
+        """Start the phase afresh at the engine's tick from ``seeds``."""
+        self.t0 = engine.tick
+        self.state = self.traj[0]
+        self.state[:, 0], self.state[:, 1:] = 1.0, seeds
+        return self
+
     def wave(self, next_round: int) -> np.ndarray:
         if len(self.sends) == 1:
             return self.sends[0](next_round)
@@ -261,13 +277,9 @@ class _Phase:
     def _mix(self, block, k):
         self.state = ratio_update(block[:, :, self.ratio], self.live)
 
-    def _mix_unfrozen(self, block, k):
-        state = ratio_update(block[:, :, self.ratio], self.live)
-        np.copyto(state, self.state, where=self.frozen[:, None])
-        self.state = state
-
-    def _record(self, block, k):
-        self.traj[k] = self.state
+    def _mix_record(self, block, k):
+        self.state = ratio_update(block[:, :, self.ratio], self.live,
+                                  out=self.traj[k])
 
     def _detect(self, block, k):
         detector = self.detector
@@ -295,7 +307,6 @@ class _Phase:
         heard = np.max(block[:, 1:, self.counter_cols], axis=(1, 2),
                        where=self.live[:, 1:, None], initial=0)
         ftdt_step(self.counters, k, heard.astype(np.int64))
-        self.frozen = self.counters.t_term > 0
 
     def _max_consensus(self, block, k):
         self.vmax = block_max(block[:, :, self.v_col], self.live)[:, 0]
@@ -318,14 +329,14 @@ class _Phase:
     def exact_values(self, betas) -> np.ndarray:
         """Each node's exact average from its trajectory prefix, one row each.
 
-        Each node's numerator and denominator runs are C-contiguous views of
-        one node-major copy per kind: the layout its values are pinned on.
+        One ``fterc_final`` call evaluates every node. The first call pads
+        ``betas`` into one kernel matrix, which the phase keeps for later
+        calls, across restarts, that pass the same list.
         """
-        prefix = self.traj[:max(map(len, betas))]
-        ys = np.ascontiguousarray(prefix[:, :, 1:].transpose(1, 0, 2))
-        xs = np.ascontiguousarray(prefix[:, :, 0].T)
-        return np.array([fterc_final(ys[i, :len(beta)], xs[i, :len(beta)],
-                                     beta) for i, beta in enumerate(betas)])
+        if self.kernels is None or self.kernels[0] is not betas:
+            self.kernels = betas, pad_kernels(betas)
+        return fterc_final(self.traj[:, :, 1:], self.traj[:, :, 0],
+                           self.kernels[1])
 
 
 def _agree_int(values, what: str) -> int:
@@ -345,7 +356,8 @@ def _agreed_max_defect(t_terms, defects) -> int:
 def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
                      flags: PhaseFlags, label: str, *, n_prime: int,
                      t_max: int | None = None, defect_sizes=None,
-                     epsilon: float | None = None) -> _Phase:
+                     epsilon: float | None = None,
+                     reuse: _Phase | None = None) -> _Phase:
     """Open one consensus phase and run it under the stop rule its flags imply.
 
     * ``terminate``: until every node's stopping counter fires;
@@ -360,6 +372,9 @@ def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
     horizon, which ``exact_values`` never reads past, or the rounds of a
     phase of fixed length; a terminating phase without a detector and a
     certification phase keep round 0 only.
+
+    Given ``reuse``, a phase that ran before under the same flags and
+    lengths, that phase is restarted from ``seeds`` in place of a new one.
     """
     rounds = (4 * (n_prime + 2) if flags.terminate     # the guard
               else None if flags.certify
@@ -367,12 +382,13 @@ def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
               else n_prime if flags.piggyback else t_max)
     kept = (2 * n_prime if flags.detect
             else None if flags.terminate else rounds)
-    phase = _Phase(engine, seeds, flags, rounds=kept,
-                   defect_sizes=defect_sizes, window=n_prime,
-                   spread_eps=epsilon)
+    phase = (reuse.restart(engine, seeds) if reuse is not None
+             else _Phase(engine, seeds, flags, rounds=kept,
+                         defect_sizes=defect_sizes, window=n_prime,
+                         spread_eps=epsilon))
     engine.prime(phase.wave(1), label)
     if flags.terminate:
-        while not phase.frozen.all():
+        while not phase.counters.t_term.all():
             if engine.tick - phase.t0 >= rounds:
                 raise NumericBreakdown(
                     f"stopping counters still open after {rounds} rounds")
@@ -578,6 +594,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
                               "eps_dual", "rounds", "x", "z", "lam")}
     stopped_early = False
     steps = 0
+    plan = None   # the fixed-length steady phase, restarted every step
 
     for k in range(1, config.k_max + 1):
         x_stack = stacks.x_update(z_stack, lam)
@@ -586,7 +603,10 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
         tick_before = engine.tick
         phase = _consensus_phase(engine, seeds, flags, f"step-{k}",
                                  n_prime=n_prime, t_max=t_max,
-                                 defect_sizes=defect, epsilon=config.epsilon)
+                                 defect_sizes=defect, epsilon=config.epsilon,
+                                 reuse=plan)
+        if flags == PhaseFlags():
+            plan = phase
         rounds_k = engine.tick - tick_before
         if flags.detect:
             betas, defect = phase.detector.beta, phase.detector.defect

@@ -43,7 +43,8 @@ def check_seeds(y0, n: int) -> np.ndarray:
     return seeds
 
 
-def ratio_update(block: np.ndarray, live: np.ndarray) -> np.ndarray:
+def ratio_update(block: np.ndarray, live: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """One receiver-side ratio update for every node at once.
 
     ``block[i]`` holds node i's own ratio row, then its in-neighbours' rows
@@ -55,11 +56,14 @@ def ratio_update(block: np.ndarray, live: np.ndarray) -> np.ndarray:
     would turn a ``-0.0`` row into ``+0.0``). A ratio row holds the
     denominator and at least one numerator; a block of one column is
     refused, since numpy would sum its slots pairwise, out of that order.
+    Given ``out``, an ``(n, columns)`` array, the sums are written there and
+    ``out`` is returned.
     """
     if block.shape[2] < 2:
         raise ValueError("a ratio row has at least two columns, got "
                          f"{block.shape[2]}")
-    return np.add.reduce(block, axis=1, where=live[:, :, None], initial=-0.0)
+    return np.add.reduce(block, axis=1, where=live[:, :, None], initial=-0.0,
+                         out=out)
 
 
 class HankelDetector:
@@ -144,21 +148,52 @@ class HankelDetector:
         return bool(np.all(drift <= STAB_TOL))
 
 
+def pad_kernels(betas) -> np.ndarray:
+    """Kernel vectors as the rows of one matrix, zero-padded to the longest."""
+    kernels = np.zeros((len(betas), max(map(len, betas))))
+    for row, beta in zip(kernels, betas):
+        row[:len(beta)] = beta
+    return kernels
+
+
 def fterc_final(traj_y, traj_x, beta) -> np.ndarray:
     """Exact consensus value from trajectory prefixes and kernel coefficients.
 
-    ``mu = (sum_i beta_i y^i) / (sum_i beta_i x^i)`` — the shared coefficient
+    ``mu = (sum_t beta_t y_t) / (sum_t beta_t x_t)`` — the shared coefficient
     sums cancel, so this is the limit of the ratio in finitely many terms.
+
+    One node passes its kernel ``beta`` of length ``L`` with ``traj_x`` of
+    shape ``(T,)`` and ``traj_y`` of shape ``(T,)`` or ``(T, p)``. A stack of
+    ``n`` nodes passes a ``(n, L)`` matrix of kernels zero-padded to the
+    longest (:func:`pad_kernels`), ``traj_x`` of shape ``(T, n)`` and
+    ``traj_y`` of shape ``(T, n)`` or ``(T, n, p)``. Both sums are taken
+    together, one ``[x, y]`` row of at least two columns per round, by one
+    reduction over the rounds: numpy adds the rows in round order there. A
+    pad term is ``+-0.0``, which changes no sum but the sign of a zero one,
+    so each node's value is the one it gets alone. Raises ``ValueError``
+    when a trajectory has fewer than ``L`` rounds, and
+    :class:`NumericBreakdown` naming the first node whose denominator sum is
+    numerically zero.
     """
     beta = np.asarray(beta, dtype=float)
     traj_y = np.asarray(traj_y, dtype=float)
     traj_x = np.asarray(traj_x, dtype=float)
-    if len(traj_y) < len(beta) or len(traj_x) < len(beta):
+    length = beta.shape[-1]
+    if len(traj_y) < length or len(traj_x) < length:
         raise ValueError("trajectory shorter than the coefficient vector")
-    denominator = float(beta @ traj_x[:len(beta)])
-    if abs(denominator) <= DENOM_TOL:
-        raise NumericBreakdown("ratio denominator is numerically zero")
-    return beta @ traj_y[:len(beta)] / denominator
+    kernels = beta.reshape(-1, length).T[:, :, None]     # (L, nodes, 1)
+    nodes = kernels.shape[1]
+    ys = traj_y[:length].reshape(length, nodes, -1)
+    terms = np.empty((length, nodes, 1 + ys.shape[2]))
+    np.multiply(kernels, traj_x[:length].reshape(length, nodes, 1),
+                out=terms[:, :, :1])
+    np.multiply(kernels, ys, out=terms[:, :, 1:])
+    sums = np.add.reduce(terms, axis=0)
+    small = np.abs(sums[:, 0]) <= DENOM_TOL
+    if small.any():
+        raise NumericBreakdown("ratio denominator is numerically zero at "
+                               f"node {np.argmax(small)}")
+    return (sums[:, 1:] / sums[:, :1]).reshape(traj_y.shape[1:])[()]
 
 
 @dataclass

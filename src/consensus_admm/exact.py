@@ -207,6 +207,7 @@ def _hankel_kernels(seqs: np.ndarray, top: int, blocks: list) -> list:
     """
     results: list = [None] * len(seqs)
     crt = [(0, 1, [])] * len(seqs)       # size m, modulus, kernel residues
+    bound = _HadamardBounds(seqs)
     pending = list(range(len(seqs)))
     primes = iter(_PRIMES)
     while pending:
@@ -242,7 +243,7 @@ def _hankel_kernels(seqs: np.ndarray, top: int, blocks: list) -> list:
             elif (kernel is not None and blocks[i]
                   and _annihilates([seq], kernel)):
                 results[i] = m, None
-            elif modulus.bit_length() > _hadamard_bits(seq, m):
+            elif modulus.bit_length() > bound(i, m):
                 raise NumericBreakdown(
                     f"no kernel of Hankel size {m} within its Hadamard bound")
             else:
@@ -350,6 +351,25 @@ def _hadamard_bits(seq: list[int], m: int) -> int:
     """
     return 2 + sum(2 * max(abs(v).bit_length() for v in seq[i:i + m])
                    + m.bit_length() for i in range(m))
+
+
+class _HadamardBounds:
+    """:func:`_hadamard_bits` of the rows of ``seqs`` by size, taking each
+    row's bit lengths once and each row's exponent once per size."""
+
+    def __init__(self, seqs: np.ndarray):
+        self.seqs = seqs
+        self.bits: dict[int, list[int]] = {}
+        self.exponents: dict[tuple[int, int], int] = {}
+
+    def __call__(self, i: int, m: int) -> int:
+        if (i, m) not in self.exponents:
+            if i not in self.bits:
+                self.bits[i] = [abs(v).bit_length() for v in self.seqs[i]]
+            bits = self.bits[i]
+            self.exponents[i, m] = 2 + sum(2 * max(bits[j:j + m])
+                                           + m.bit_length() for j in range(m))
+        return self.exponents[i, m]
 
 
 def _detect_node(ints: list[list[int]]) -> tuple[int, list[int]]:

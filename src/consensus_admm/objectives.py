@@ -222,7 +222,7 @@ def _logistic_newton(design, labels, z, lam, rho, *, tol: float = 1e-6,
     open_ = np.arange(x.shape[0])
     d, lab, zo, lo, xo = design, labels, z, lam, x
     margins = _margins(d, lab, xo)
-    value = _composite_value(margins, zo, lo, rho, xo)
+    value = None   # taken at the entry point of the terms that step
     for it in range(max_iter + 1):
         sig = _sigmoid(margins)
         grad = _logistic_gradient(d, lab, sig) + lo + rho * (xo - zo)
@@ -238,9 +238,13 @@ def _logistic_newton(design, labels, z, lam, rho, *, tol: float = 1e-6,
             break
         if not going.all():
             x[open_] = xo
-            open_, d, lab, zo, lo, xo, value, sig, grad, grad_norm = (
-                a[going] for a in (open_, d, lab, zo, lo, xo, value, sig,
+            open_, d, lab, zo, lo, xo, margins, sig, grad, grad_norm = (
+                a[going] for a in (open_, d, lab, zo, lo, xo, margins, sig,
                                    grad, grad_norm))
+            if value is not None:
+                value = value[going]
+        if value is None:
+            value = _composite_value(margins, zo, lo, rho, xo)
         hess = _logistic_hessian(d, sig) + eye
         try:
             direction, singular = (

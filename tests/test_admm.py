@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from consensus_admm import (AdmmConfig, InsufficientData, L1Regularizer,
+                            LogisticObjective, NonIntegerResult,
                             NumericBreakdown, PhaseFlags, RoundEngine,
                             build_digraph, centralized_least_squares,
                             check_o1k_bound, composite_objective,
-                            ergodic_averages, ftdt_run, fterc_final,
-                            make_least_squares_instance,
-                            minimal_poly_oracle, random_strongly_connected,
-                            ratio_weights, rlinear_probe, run_dadmm_fterc,
+                            compute_mu_max, ergodic_averages, ftdt_run,
+                            fterc_final, make_least_squares_instance,
+                            make_logistic_instance, minimal_poly_oracle,
+                            random_strongly_connected, ratio_weights,
+                            rlinear_probe, run_dadmm_fterc,
                             run_epsilon_baseline, run_fdadmm_ftdt,
-                            stopping_criterion)
+                            split_rows, stopping_criterion)
+from consensus_admm import admm
 from consensus_admm.admm import _consensus_phase, _Phase
 
 
@@ -317,23 +320,121 @@ def test_phase_trajectories_are_sized_by_their_readers():
     assert phase(PhaseFlags(), t_max=4).traj.shape == (5, n, 3)
 
 
-def test_late_detector_fire_is_a_breakdown():
-    # Tied seeds on a 6-ring: in a terminating phase node 4's detector would
-    # fire at size 7, past the 2n' horizon, where no minimal polynomial
-    # fires. The phase refuses at that horizon with the detect-only phase's
-    # message, and so does ftdt_run (it used to accept the fire and refuse
-    # with NonIntegerResult: the nodes disagreed on the largest defect).
+def test_tied_ring_fires_inside_the_terminating_phase():
+    # Tied seeds on a 6-ring. A stopped node keeps mixing its ratio pair,
+    # so node 4 fires with the defect a detect-only phase finds; the nodes'
+    # stopping rounds then disagree on the largest defect index, and
+    # ftdt_run refuses the run rather than guess.
     g = random_strongly_connected(6, extra_edge_prob=0.0, seed=5)
     seeds = np.array([[0.0], [0.0], [-2.0], [-2.0], [-2.0], [-2.0]])
-    message = "node 4 found no defect within 12 rounds"
     engine = RoundEngine(g, audit=False)
-    with pytest.raises(NumericBreakdown, match=message):
-        _consensus_phase(engine, seeds,
-                         PhaseFlags(detect=True, terminate=True), "t",
-                         n_prime=6)
-    assert engine.tick == 12
-    with pytest.raises(NumericBreakdown, match=message):
+    phase = _consensus_phase(engine, seeds,
+                             PhaseFlags(detect=True, terminate=True), "t",
+                             n_prime=6)
+    alone = _consensus_phase(RoundEngine(g, audit=False), seeds,
+                             PhaseFlags(detect=True), "d", n_prime=6)
+    assert phase.detector.defect == alone.detector.defect == [1, 0, 0, 0, 4, 0]
+    assert phase.counters.t_term.tolist() == [7, 5, 11, 3, 19, 3]
+    assert engine.tick == 19
+    with pytest.raises(NonIntegerResult,
+                       match=r"largest defect index: \[0, 1, 4\]"):
         ftdt_run(g, seeds[:, 0])
+
+
+@pytest.mark.parametrize("flags", [PhaseFlags(detect=True),
+                                   PhaseFlags(detect=True, terminate=True)])
+def test_detector_open_at_its_horizon_is_a_breakdown(flags):
+    # n' = 2 is below what a 6-ring needs: no node fires by round 2n' = 4,
+    # and the phase refuses there, also when its counters could run on.
+    g = random_strongly_connected(6, extra_edge_prob=0.0, seed=1)
+    seeds = np.random.default_rng(0).uniform(-5, 5, size=(6, 2))
+    engine = RoundEngine(g, audit=False)
+    with pytest.raises(NumericBreakdown,
+                       match="node 0 found no defect within 4 rounds"):
+        _consensus_phase(engine, seeds, flags, "t", n_prime=2)
+    assert engine.tick == 4
+
+
+def _l1_logistic_problem():
+    features, labels = make_logistic_instance(60, 4, seed=2)
+    objectives = [LogisticObjective(f, y)
+                  for f, y in split_rows(features, labels, 5)]
+    mu = 0.1 * compute_mu_max(features, labels)
+    return (objectives, random_strongly_connected(5, 0.2, seed=1),
+            L1Regularizer(mu))
+
+
+@pytest.mark.parametrize("stop_on_tolerance", [True, False])
+@pytest.mark.parametrize("problem", ["least_squares", "l1_logistic"])
+@pytest.mark.parametrize("solver", [run_dadmm_fterc, run_fdadmm_ftdt,
+                                    run_epsilon_baseline])
+def test_steady_restart_equals_a_rebuilt_phase(monkeypatch, solver, problem,
+                                               stop_on_tolerance):
+    # A run restarts one steady phase at every step after its warm-up; it
+    # must leave nothing behind that a freshly built phase would not.
+    if problem == "least_squares":
+        (objectives, graph), regularizer = _instance(n=6, p=3), None
+    else:
+        objectives, graph, regularizer = _l1_logistic_problem()
+    config = AdmmConfig(k_max=40, stop_on_tolerance=stop_on_tolerance)
+    built = []
+    init = _Phase.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Phase, "__init__", counted)
+    reused = solver(objectives, graph, config, regularizer=regularizer)
+    reused_phases = len(built)
+    run_phase = admm._consensus_phase
+    monkeypatch.setattr(admm, "_consensus_phase",
+                        lambda *args, reuse=None, **kw: run_phase(*args, **kw))
+    rebuilt = solver(objectives, graph, config, regularizer=regularizer)
+    assert len(built) - reused_phases == rebuilt.steps
+    warmup = {"run_dadmm_fterc": 2, "run_fdadmm_ftdt": 1}.get(
+        solver.__name__, rebuilt.steps - 1)
+    assert reused_phases == min(warmup + 1, rebuilt.steps)
+    assert reused.steps == rebuilt.steps > 3
+    for name in ("objective", "primal_res", "dual_res", "eps_pri", "eps_dual",
+                 "consensus_rounds", "x_hist", "z_hist", "lam_hist"):
+        assert getattr(reused, name).tobytes() == \
+            getattr(rebuilt, name).tobytes(), name
+    assert reused.schedule == rebuilt.schedule
+    assert reused.log == rebuilt.log          # every entry, digests included
+
+
+def test_exact_values_read_only_written_rows(monkeypatch):
+    # Trajectories come from np.empty, and exact_values reads every row
+    # below the longest kernel: each of those rows must have been written
+    # (the last node fires at round 2 d_max + 1 >= d_max). Filling every
+    # new float array with NaN shows any row that was not.
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    objectives, graph = _instance(n=6, p=3)
+    config = AdmmConfig(k_max=6, stop_on_tolerance=False)
+    cases = [(n, width, seed) for seed in range(8) for n in (2, 5, 9)
+             for width in (1, 3)]
+    solvers = (run_dadmm_fterc, run_fdadmm_ftdt)
+
+    def outputs():
+        for case in cases:
+            phase = _detection_phase(*case)
+            betas = phase.detector.beta
+            assert np.isfinite(phase.traj[:max(map(len, betas))]).all()
+            yield phase.exact_values(betas).tobytes()
+        for solver in solvers:
+            yield solver(objectives, graph, config).z_hist.tobytes()
+
+    expected = list(outputs())
+    monkeypatch.setattr(np, "empty", nan_empty)
+    assert list(outputs()) == expected
 
 
 def test_stopping_residuals_equal_linalg_norm_bitwise():

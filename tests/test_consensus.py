@@ -18,9 +18,11 @@ from consensus_admm import (HankelDetector, NonIntegerResult, RoundEngine,
                             random_strongly_connected, ratio_update,
                             ratio_weights)
 from consensus_admm import exact
+from consensus_admm.consensus import pad_kernels
 from consensus_admm.exact import (_annihilates, _bareiss_echelon,
                                   _detect_node, _differences, _exact_kernel,
-                                  _exact_trajectories, _hankel_kernel)
+                                  _exact_trajectories, _hadamard_bits,
+                                  _HadamardBounds, _hankel_kernel)
 
 THREE_CYCLE = build_digraph(3, [(1, 0), (2, 1), (0, 2)])
 
@@ -113,6 +115,46 @@ def test_detector_on_known_recurrence():
     assert det.defect == [1]
     combo = fterc_final(np.array(y_seq)[:, None], np.array(x_seq), det.beta[0])
     assert np.isclose(combo[0], 3.0, atol=1e-12)
+
+
+def test_stacked_fterc_final_equals_the_in_order_loop_bitwise():
+    # One call over a stack of kernels of unequal lengths, zero-padded, gives
+    # each node the value of its own call, and both are the in-order sums
+    # sum_t beta_t [x_t, y_t] of a Python loop, to the last bit.
+    rng = np.random.default_rng(3)
+    betas = [rng.standard_normal(length) for length in (4, 1, 7, 3, 7, 2)]
+    kernels = pad_kernels(betas)
+    assert kernels.shape == (6, 7)
+    rounds = rng.uniform(0.5, 2.0, size=(9, 6, 4)) * 10.0 ** rng.integers(
+        -6, 7, size=(1, 6, 4))
+    for ys in (rounds[:, :, 1:], rounds[:, :, 1]):
+        stacked = fterc_final(ys, rounds[:, :, 0], kernels)
+        assert stacked.shape == ys.shape[1:]
+        for i, beta in enumerate(betas):
+            alone = fterc_final(ys[:, i], rounds[:, i, 0], beta)
+            num, den = beta[0] * ys[0, i], beta[0] * rounds[0, i, 0]
+            for t in range(1, len(beta)):
+                num = num + beta[t] * ys[t, i]
+                den = den + beta[t] * rounds[t, i, 0]
+            assert np.shape(alone) == np.shape(num)
+            assert np.asarray(alone).tobytes() == stacked[i].tobytes() \
+                == np.asarray(num / den).tobytes()
+
+
+def test_stacked_fterc_final_refusals():
+    ones = np.ones((3, 3))
+    kernels = pad_kernels([np.array([1.0]), np.array([-1.0, 1.0]),
+                           np.array([2.0, -1.0, -1.0])])
+    # nodes 1 and 2 have zero denominator sums; the first is named
+    with pytest.raises(NumericBreakdown, match="zero at node 1$"):
+        fterc_final(ones, ones, kernels)
+    with pytest.raises(NumericBreakdown, match="zero at node 0$"):
+        fterc_final(ones[:, 0], ones[:, 0], [-1.0, 1.0])
+    # a trajectory shorter than the longest kernel
+    with pytest.raises(ValueError, match="shorter"):
+        fterc_final(ones[:2], ones[:2], kernels)
+    with pytest.raises(ValueError, match="shorter"):
+        fterc_final(ones[:3, 0], ones[:2, 0], [1.0, 0.0, 1.0])
 
 
 def test_detector_rejects_collapsing_combination():
@@ -752,3 +794,18 @@ def test_exact_zero_mean_comes_back_positive():
         except NonIntegerResult:
             continue
         assert not np.signbit(term.values).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2**300, 2**300), min_size=1, max_size=24),
+       st.data())
+def test_memoized_hadamard_exponent_equals_the_bound(seq, data):
+    # The exact lane takes each row's bit lengths once and each exponent
+    # once per size; every answer, repeated or not, is _hadamard_bits.
+    rows = np.array([[0] * len(seq), seq], dtype=object)
+    bounds = _HadamardBounds(rows)
+    top = (len(seq) + 1) // 2
+    for m in data.draw(st.lists(st.integers(1, top), min_size=1,
+                                max_size=6)):
+        assert bounds(1, m) == _hadamard_bits(seq, m)
+        assert bounds(0, m) == _hadamard_bits([0] * len(seq), m)

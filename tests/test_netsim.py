@@ -333,6 +333,9 @@ def test_ratio_update_equals_the_inbox_loop_bitwise():
         ratio = block[:, :, :width]
         assert ratio.flags.c_contiguous == (width == values.shape[1])
         summed = ratio_update(ratio, live)
+        out = np.empty_like(summed)    # a phase reduces into its traj row
+        assert ratio_update(ratio, live, out=out) is out
+        assert out.tobytes() == summed.tobytes()
         for i, senders in enumerate(g.in_neighbors):
             inbox_sum = values[i, :width]
             for j in senders:

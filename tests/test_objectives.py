@@ -14,6 +14,7 @@ from consensus_admm import (AdmmConfig, L1Regularizer, LeastSquaresObjective,
                             make_logistic_instance, random_strongly_connected,
                             run_dadmm_fterc, save_dataset, soft_threshold,
                             split_rows)
+from consensus_admm import objectives
 from consensus_admm.objectives import ObjectiveStacks
 
 
@@ -236,6 +237,33 @@ def test_stacked_x_update_raises_the_first_failing_node(scales, node, kind):
         with pytest.raises(kind) as alone:
             objs[node].solve_x_update(z[node], lam[node], 1.0)
     assert str(stacked.value) == str(alone.value) == str(expected)
+
+
+def test_newton_takes_entry_values_only_of_terms_that_step(monkeypatch):
+    # A term already at its optimum leaves at iteration 0 and never needs
+    # the composite value of its entry point.
+    objs = _scaled_logistic_network([1, 1, 1, 1])
+    rng = np.random.default_rng(5)
+    z = rng.uniform(-1.0, 1.0, (4, 4))
+    at_optimum = -np.stack([o.gradient(z[i]) for i, o in enumerate(objs)])
+    calls = []
+    value = objectives._composite_value
+
+    def spy(margins, *args):
+        calls.append(len(margins))
+        return value(margins, *args)
+
+    monkeypatch.setattr(objectives, "_composite_value", spy)
+    stacks = ObjectiveStacks(objs, 1.0)
+    assert np.array_equal(stacks.x_update(z, at_optimum), z)
+    assert calls == []
+    # terms 1 and 3 step, each one as it does alone
+    lam = at_optimum.copy()
+    lam[[1, 3]] = rng.uniform(-1.0, 1.0, (2, 4))
+    x = stacks.x_update(z, lam)
+    assert calls[0] == 2
+    for i, obj in enumerate(objs):
+        assert np.array_equal(x[i], obj.solve_x_update(z[i], lam[i], 1.0))
 
 
 def test_subclassed_terms_run_node_by_node_in_order():
