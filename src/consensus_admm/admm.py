@@ -335,8 +335,7 @@ class _Phase:
         """
         if self.kernels is None or self.kernels[0] is not betas:
             self.kernels = betas, pad_kernels(betas)
-        return fterc_final(self.traj[:, :, 1:], self.traj[:, :, 0],
-                           self.kernels[1])
+        return fterc_final(self.traj, self.kernels[1])
 
 
 def _agree_int(values, what: str) -> int:

@@ -56,13 +56,16 @@ _RUNNERS = {
     "epsilon_baseline": run_epsilon_baseline,
 }
 
+# section -> {key: type}: the keys a config may set, and how each parses
 _SECTION_KEYS = {
-    "problem": {"kind", "n", "p", "q", "m", "noise", "data_seed", "mu_scale"},
-    "graph": {"extra_edge_prob", "seed"},
-    "algorithm": {"name", "epsilon"},
-    "admm": {"rho", "k_max", "eps_abs", "eps_rel", "n_prime", "init", "seed",
-             "stop_on_tolerance"},
-    "output": {"dir"},
+    "problem": {"kind": str, "n": int, "p": int, "q": int, "m": int,
+                "noise": float, "data_seed": int, "mu_scale": float},
+    "graph": {"extra_edge_prob": float, "seed": int},
+    "algorithm": {"name": str, "epsilon": float},
+    "admm": {"rho": float, "k_max": int, "eps_abs": float, "eps_rel": float,
+             "n_prime": int, "init": str, "seed": int,
+             "stop_on_tolerance": bool},
+    "output": {"dir": str},
 }
 
 
@@ -153,9 +156,10 @@ def _convert(path, lineno, key, text, kind):
                           f"{key} expects a {kind.__name__}, got {text!r}")
 
 
-def _fill(path, section_values, spec_obj, types):
+def _fill(path, sections, name, spec_obj):
     """Overwrite dataclass fields from one parsed section, with typing."""
-    for key, (lineno, text) in section_values.items():
+    types = _SECTION_KEYS[name]
+    for key, (lineno, text) in sections.get(name, {}).items():
         setattr(spec_obj, key, _convert(path, lineno, key, text, types[key]))
     return spec_obj
 
@@ -164,15 +168,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     """Parse an experiment description, failing with file:line context."""
     path, sections, headers = _parse_sections(path)
 
-    problem = _fill(path, sections.get("problem", {}), ProblemSpec(),
-                    {"kind": str, "n": int, "p": int, "q": int, "m": int,
-                     "noise": float, "data_seed": int, "mu_scale": float})
-    graph = _fill(path, sections.get("graph", {}), GraphSpec(),
-                  {"extra_edge_prob": float, "seed": int})
-    admm = _fill(path, sections.get("admm", {}), AdmmConfig(),
-                 {"rho": float, "k_max": int, "eps_abs": float,
-                  "eps_rel": float, "n_prime": int, "init": str, "seed": int,
-                  "stop_on_tolerance": bool})
+    problem = _fill(path, sections, "problem", ProblemSpec())
+    graph = _fill(path, sections, "graph", GraphSpec())
+    admm = _fill(path, sections, "admm", AdmmConfig())
 
     algo_section = sections.get("algorithm", {})
     if "name" not in algo_section:
@@ -186,7 +184,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                           + ", ".join(ALGORITHMS))
     if "epsilon" in algo_section:
         eps_line, eps_text = algo_section["epsilon"]
-        admm.epsilon = _convert(path, eps_line, "epsilon", eps_text, float)
+        admm.epsilon = _convert(path, eps_line, "epsilon", eps_text,
+                                _SECTION_KEYS["algorithm"]["epsilon"])
 
     def line_of(section, key):
         return sections.get(section, {}).get(key,

@@ -6,7 +6,8 @@ Every node's ratio converges to the network average; the finite-time machinery
 watches the per-node observation sequence, finds the first rank-deficient
 square Hankel matrix of its differences, and combines the resulting kernel
 coefficients with the stored trajectory prefix to jump straight to the exact
-limit.
+limit. That prefix is the ``[x, y]`` rows a phase already holds, the
+denominator first, so :func:`fterc_final` reduces them as they are.
 """
 
 from __future__ import annotations
@@ -156,44 +157,39 @@ def pad_kernels(betas) -> np.ndarray:
     return kernels
 
 
-def fterc_final(traj_y, traj_x, beta) -> np.ndarray:
-    """Exact consensus value from trajectory prefixes and kernel coefficients.
+def fterc_final(traj, beta) -> np.ndarray:
+    """Exact consensus value from a trajectory prefix and kernel coefficients.
 
     ``mu = (sum_t beta_t y_t) / (sum_t beta_t x_t)`` — the shared coefficient
     sums cancel, so this is the limit of the ratio in finitely many terms.
 
-    One node passes its kernel ``beta`` of length ``L`` with ``traj_x`` of
-    shape ``(T,)`` and ``traj_y`` of shape ``(T,)`` or ``(T, p)``. A stack of
-    ``n`` nodes passes a ``(n, L)`` matrix of kernels zero-padded to the
-    longest (:func:`pad_kernels`), ``traj_x`` of shape ``(T, n)`` and
-    ``traj_y`` of shape ``(T, n)`` or ``(T, n, p)``. Both sums are taken
-    together, one ``[x, y]`` row of at least two columns per round, by one
-    reduction over the rounds: numpy adds the rows in round order there. A
-    pad term is ``+-0.0``, which changes no sum but the sign of a zero one,
-    so each node's value is the one it gets alone. Raises ``ValueError``
-    when a trajectory has fewer than ``L`` rounds, and
-    :class:`NumericBreakdown` naming the first node whose denominator sum is
-    numerically zero.
+    ``traj`` holds one ``[x, y]`` row per round, the denominator in column 0:
+    ``(T, p + 1)`` for one node with its kernel ``beta`` of length ``L``, or
+    ``(T, n, p + 1)`` for a stack of ``n`` nodes with the ``(n, L)`` matrix
+    of their kernels zero-padded to the longest (:func:`pad_kernels`). The
+    products are laid out in C order, so one reduction over the rounds adds
+    them in round order. A pad term is ``+-0.0``, which changes no sum but
+    the sign of a zero one, so each node's value is the one it gets alone.
+    Returns ``(p,)`` or ``(n, p)``. Raises ``ValueError`` when the
+    trajectory's shape does not fit the kernels or it has fewer than ``L``
+    rounds, and :class:`NumericBreakdown` naming the first node whose
+    denominator sum is numerically zero.
     """
-    beta = np.asarray(beta, dtype=float)
-    traj_y = np.asarray(traj_y, dtype=float)
-    traj_x = np.asarray(traj_x, dtype=float)
-    length = beta.shape[-1]
-    if len(traj_y) < length or len(traj_x) < length:
+    kernels = np.asarray(beta, dtype=float)
+    traj = np.asarray(traj, dtype=float)
+    length = kernels.shape[-1]
+    if traj.ndim < 2 or traj.shape[1:-1] != kernels.shape[:-1]:
+        raise ValueError(f"a trajectory of shape {traj.shape} does not fit "
+                         f"kernels of shape {kernels.shape}")
+    if len(traj) < length:
         raise ValueError("trajectory shorter than the coefficient vector")
-    kernels = beta.reshape(-1, length).T[:, :, None]     # (L, nodes, 1)
-    nodes = kernels.shape[1]
-    ys = traj_y[:length].reshape(length, nodes, -1)
-    terms = np.empty((length, nodes, 1 + ys.shape[2]))
-    np.multiply(kernels, traj_x[:length].reshape(length, nodes, 1),
-                out=terms[:, :, :1])
-    np.multiply(kernels, ys, out=terms[:, :, 1:])
-    sums = np.add.reduce(terms, axis=0)
-    small = np.abs(sums[:, 0]) <= DENOM_TOL
+    sums = np.add.reduce(np.multiply(kernels.T[..., None], traj[:length],
+                                     order="C"), axis=0)
+    small = np.abs(sums[..., 0]) <= DENOM_TOL
     if small.any():
         raise NumericBreakdown("ratio denominator is numerically zero at "
                                f"node {np.argmax(small)}")
-    return (sums[:, 1:] / sums[:, :1]).reshape(traj_y.shape[1:])[()]
+    return sums[..., 1:] / sums[..., :1]
 
 
 @dataclass

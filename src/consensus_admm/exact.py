@@ -29,9 +29,10 @@ rebuilt takes the next pass. This is sound:
   zero up to the largest size proves every size nonsingular;
 * a kernel is accepted only once it annihilates all ``m`` Hankel rows
   exactly, which proves ``det H_m = 0``: ``m`` is then the first singular
-  size and the kernel the only one. Past the Hadamard bound the primes
-  themselves prove ``det H_m = 0`` and reconstruction cannot fail, so
-  reaching it raises ``NumericBreakdown`` as an internal error;
+  size and the kernel the only one. Past the Hadamard bound (one per node
+  and size, :class:`_HadamardBounds`) the primes themselves prove
+  ``det H_m = 0`` and reconstruction cannot fail, so reaching it raises
+  ``NumericBreakdown`` as an internal error;
 * every mixed Hankel row is a combination of stacked block rows, so each
   nonzero mixed ``det H_k`` proves the stacked block of size ``k`` has full
   rank: no size before ``m`` is deficient;
@@ -43,7 +44,8 @@ rebuilt takes the next pass. This is sound:
 
 After a false alarm the next mix restarts the recurrence; once the mixes
 are used up, every remaining size is eliminated whole, node by node. No
-size is skipped.
+size is skipped. There is no one-node path: a single node is the one-row
+case of :func:`_detect_nodes` and :func:`_hankel_kernels`.
 """
 
 from __future__ import annotations
@@ -180,23 +182,16 @@ def _differences(traj: np.ndarray, base: int) -> np.ndarray:
     return (traj[1:] - base * traj[:-1]).transpose(1, 2, 0)
 
 
-def _hankel_kernel(seq: list[int], top: int,
-                   rows=None) -> tuple[int, list[int] | None] | None:
-    """First size ``m <= top`` whose Hankel matrix ``seq[i + j]`` is
-    singular, and the primitive integer kernel of its ``m`` rows (gcd 1,
-    last entry positive); None when every size up to ``top`` is nonsingular.
-
-    Given ``rows``, whose Hankel rows span those of ``seq``, the kernel is
-    checked against their size-``m`` rows first; one that only annihilates
-    ``seq``'s rows is a false alarm, returned as ``(m, None)``. This is the
-    one-sequence case of :func:`_hankel_kernels`.
-    """
-    return _hankel_kernels(np.array([seq], dtype=object), top, [rows])[0]
-
-
 def _hankel_kernels(seqs: np.ndarray, top: int, blocks: list) -> list:
-    """:func:`_hankel_kernel` of every row of the object array ``seqs``,
-    ``blocks[i]`` (or None) holding the stacked rows of row ``i``.
+    """For every row ``seq`` of the object array ``seqs``: the first size
+    ``m <= top`` whose Hankel matrix ``seq[i + j]`` is singular, and the
+    primitive integer kernel of its ``m`` rows (gcd 1, last entry
+    positive); None when every size up to ``top`` is nonsingular.
+
+    Given ``blocks[i]`` (or None), stacked rows whose Hankel rows span those
+    of row ``i``, the kernel is checked against their size-``m`` rows first;
+    one that only annihilates the row's own Hankel rows is a false alarm,
+    returned as ``(m, None)``.
 
     Each lockstep pass runs the recurrence of every unresolved row modulo
     the next :data:`_PAIR` primes of :data:`_PRIMES` at once, until its
@@ -338,10 +333,12 @@ def _rational_kernel(residues: list[int], modulus: int) -> list[int] | None:
     return [v // g for v in kernel]
 
 
-def _hadamard_bits(seq: list[int], m: int) -> int:
-    """Exponent ``b`` with ``2**b`` above ``|det H_m|`` and above ``4 B**2``,
-    where ``B``, Hadamard's bound on the first ``m - 1`` rows of ``H_m``,
-    bounds ``det H_(m-1)`` and every minor that makes a kernel entry.
+class _HadamardBounds:
+    """``bound(i, m)``: an exponent ``b`` with ``2**b`` above ``|det H_m|``
+    of row ``i`` of ``seqs`` and above ``4 B**2``, where ``B``, Hadamard's
+    bound on the first ``m - 1`` rows of ``H_m``, bounds ``det H_(m-1)``
+    and every minor that makes a kernel entry. Each row's bit lengths are
+    taken once, and each row's exponent once per size.
 
     A modulus of at least ``2**b`` that reads ``det H_m = 0`` proves it.
     Each kernel entry, a minor over ``det H_(m-1)``, then reconstructs with
@@ -349,13 +346,6 @@ def _hadamard_bits(seq: list[int], m: int) -> int:
     multiplied by a partial product of the denominators found before it,
     so reconstruction cannot fail there.
     """
-    return 2 + sum(2 * max(abs(v).bit_length() for v in seq[i:i + m])
-                   + m.bit_length() for i in range(m))
-
-
-class _HadamardBounds:
-    """:func:`_hadamard_bits` of the rows of ``seqs`` by size, taking each
-    row's bit lengths once and each row's exponent once per size."""
 
     def __init__(self, seqs: np.ndarray):
         self.seqs = seqs
@@ -370,12 +360,6 @@ class _HadamardBounds:
             self.exponents[i, m] = 2 + sum(2 * max(bits[j:j + m])
                                            + m.bit_length() for j in range(m))
         return self.exponents[i, m]
-
-
-def _detect_node(ints: list[list[int]]) -> tuple[int, list[int]]:
-    """Exact defect index and integer kernel from one node's differences:
-    the one-node case of :func:`_detect_nodes`."""
-    return _detect_nodes(np.array([ints], dtype=object))[0]
 
 
 def _detect_nodes(diffs: np.ndarray) -> list[tuple[int, list[int]]]:

@@ -19,14 +19,13 @@ may reuse its array; the buffer is only reallocated when ``w`` changes.
 
 With ``audit`` on, each log entry holds one digest per node:
 :func:`stable_digest` of the payload row that node broadcast, so identical
-runs give identical logs. A row's digest starts from a copy of a header
-digest cached by dtype and shape, so what it costs beyond a fixed call is
-the width of the row.
+runs give identical logs. It hashes arrays only: a row's digest starts from
+a copy of a header digest cached by dtype and shape, so what it costs
+beyond a fixed call is the width of the row.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -42,79 +41,26 @@ from .graph import Digraph
 Update = Callable[[np.ndarray, int], np.ndarray]
 
 
-def _digest_update(h, obj) -> None:
-    kind = type(obj)
-    if kind is np.ndarray:
-        h.update(_array_header(obj.dtype, obj.shape))
-        h.update(obj.tobytes())  # C order, also for non-contiguous views
-    elif kind is float:
-        h.update(b"f" + struct.pack("<d", obj))
-    elif kind is int:
-        h.update(b"i%d" % obj)
-    elif kind is dict:
-        h.update(b"d%d" % len(obj))
-        for key in sorted(obj):
-            _digest_update(h, key)
-            _digest_update(h, obj[key])
-    elif kind is str:
-        h.update(b"s" + obj.encode())
-    elif kind is list or kind is tuple:
-        h.update(b"l%d" % len(obj))
-        for item in obj:
-            _digest_update(h, item)
-    elif kind is bool:
-        h.update(b"b1" if obj else b"b0")
-    elif obj is None:
-        h.update(b"n")
-    # Subclasses and numpy scalars hash as the built-in type they extend.
-    elif isinstance(obj, np.ndarray):
-        _digest_update(h, obj.view(np.ndarray))
-    elif isinstance(obj, np.bool_):
-        _digest_update(h, bool(obj))
-    elif isinstance(obj, (int, np.integer)):
-        _digest_update(h, int(obj))
-    elif isinstance(obj, (float, np.floating)):
-        _digest_update(h, float(obj))
-    elif isinstance(obj, str):
-        _digest_update(h, str(obj))
-    elif isinstance(obj, (list, tuple)):
-        _digest_update(h, list(obj))
-    elif isinstance(obj, dict):
-        _digest_update(h, dict(obj))
-    elif dataclasses.is_dataclass(obj):
-        h.update(b"c" + type(obj).__name__.encode())
-        for f in dataclasses.fields(obj):
-            _digest_update(h, getattr(obj, f.name))
-    else:
-        h.update(b"r" + repr(obj).encode())
-
-
-def _array_header(dtype: np.dtype, shape: tuple) -> bytes:
-    return b"a" + dtype.str.encode() + struct.pack("<%dq" % len(shape), *shape)
-
-
 @functools.lru_cache(maxsize=256)
 def _header_hash(dtype: np.dtype, shape: tuple):
     """A digest already fed the array header; use copies, never update it.
 
     Keyed on the dtype object itself: equal dtypes share their ``str``.
     """
-    return hashlib.blake2b(_array_header(dtype, shape), digest_size=12)
+    header = b"a" + dtype.str.encode() + struct.pack("<%dq" % len(shape),
+                                                     *shape)
+    return hashlib.blake2b(header, digest_size=12)
 
 
-def stable_digest(obj) -> str:
-    """Deterministic short hex digest of nested state (arrays included).
+def stable_digest(row: np.ndarray) -> str:
+    """Deterministic short hex digest of an array, such as a payload row.
 
-    A plain ``np.ndarray``, such as a payload row, is hashed by a copy of
-    its cached header digest fed its bytes; the value is the one the general
-    walk gives.
+    A copy of the cached header digest of its dtype and shape, fed its
+    bytes in C order (also for a non-contiguous view). A subclass array
+    hashes as the plain array it views; anything else raises.
     """
-    if type(obj) is np.ndarray:
-        h = _header_hash(obj.dtype, obj.shape).copy()
-        h.update(obj.tobytes())
-        return h.hexdigest()
-    h = hashlib.blake2b(digest_size=12)
-    _digest_update(h, obj)
+    h = _header_hash(row.dtype, row.shape).copy()
+    h.update(np.ndarray.tobytes(row))
     return h.hexdigest()
 
 

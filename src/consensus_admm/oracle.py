@@ -13,6 +13,7 @@ import numpy as np
 
 from .consensus import RANK_TOL
 from .errors import MaxIterations
+from .objectives import soft_threshold
 
 
 @dataclass
@@ -67,10 +68,6 @@ def _logistic_value_grad(features: np.ndarray, labels: np.ndarray,
     return value, grad
 
 
-def _soft(a: np.ndarray, kappa) -> np.ndarray:
-    return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
-
-
 def centralized_l1_logistic(features, labels, mu: float, *,
                             intercept: bool = True, tol: float = 1e-8,
                             max_iter: int = 200_000) -> Reference:
@@ -97,7 +94,7 @@ def centralized_l1_logistic(features, labels, mu: float, *,
     x = np.zeros(p)
     value, grad = _logistic_value_grad(design, labels, x)
     for _ in range(max_iter):
-        candidate = _soft(x - step * grad, step * weight)
+        candidate = soft_threshold(x - step * grad, step * weight)
         map_norm = float(np.linalg.norm(candidate - x)) / step
         x = candidate
         value, grad = _logistic_value_grad(design, labels, x)

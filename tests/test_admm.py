@@ -259,18 +259,16 @@ def _detection_phase(n, width, seed):
 
 
 def test_exact_values_match_per_node_contiguous_calls_bitwise():
-    # Histories stay bitwise reproducible only while the node-major views
-    # exact_values hands fterc_final give the values of one fresh
-    # C-contiguous copy per node and per channel kind.
+    # Histories stay bitwise reproducible only while the whole trajectory
+    # exact_values hands fterc_final gives the values of one fresh
+    # C-contiguous copy of each node's own [x, y] rows.
     cases = 0
     for seed in range(12):
         for width in (1, 3, 5):
             phase = _detection_phase(3 + seed % 7, width, seed)
             betas, traj = phase.detector.beta, phase.traj
             per_node = np.stack([
-                fterc_final(np.ascontiguousarray(traj[:len(beta), i, 1:]),
-                            np.ascontiguousarray(traj[:len(beta), i, 0]),
-                            beta)
+                fterc_final(np.ascontiguousarray(traj[:len(beta), i]), beta)
                 for i, beta in enumerate(betas)])
             values = phase.exact_values(betas)
             assert values.shape == per_node.shape

@@ -12,7 +12,7 @@ import consensus_admm
 from consensus_admm import (CSV_COLUMNS, Comparison, ConfigError,
                             SchemaMismatch, compare_runs, parse_config,
                             read_csv, run_experiment, write_csv)
-from consensus_admm.cli import main
+from consensus_admm.cli import _SECTION_KEYS, main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_ls_dadmm.csv"
 
@@ -68,6 +68,41 @@ def test_parse_config_epsilon_rides_algorithm_section(tmp_path):
     assert config.algorithm == "epsilon_baseline"
     assert config.admm.epsilon == 0.05
 
+
+
+# every key a config may set, as written and as parsed
+EVERY_KEY = {
+    "problem": {"kind": ("l1_logistic", "l1_logistic"), "n": ("4", 4),
+                "p": ("3", 3), "q": ("6", 6), "m": ("40", 40),
+                "noise": ("0.5", 0.5), "data_seed": ("11", 11),
+                "mu_scale": ("0.2", 0.2)},
+    "graph": {"extra_edge_prob": ("0.3", 0.3), "seed": ("5", 5)},
+    "algorithm": {"name": ("epsilon_baseline", "epsilon_baseline"),
+                  "epsilon": ("0.05", 0.05)},
+    "admm": {"rho": ("2.0", 2.0), "k_max": ("7", 7), "eps_abs": ("1e-5", 1e-5),
+             "eps_rel": ("1e-3", 1e-3), "n_prime": ("6", 6),
+             "init": ("zero", "zero"), "seed": ("3", 3),
+             "stop_on_tolerance": ("false", False)},
+    "output": {"dir": ("elsewhere", "elsewhere")},
+}
+
+
+def test_parse_config_sets_every_accepted_key(tmp_path):
+    assert {s: set(keys) for s, keys in EVERY_KEY.items()} == {
+        s: set(keys) for s, keys in _SECTION_KEYS.items()}
+    text = "".join(f"[{section}]\n" + "".join(
+        f"{key} = {written}\n" for key, (written, _) in keys.items())
+        for section, keys in EVERY_KEY.items())
+    config = parse_config(_write(tmp_path, text))
+    fields = {"problem": vars(config.problem), "graph": vars(config.graph),
+              "algorithm": {"name": config.algorithm,
+                            "epsilon": config.admm.epsilon},
+              "admm": vars(config.admm), "output": {"dir": config.out_dir}}
+    for section, keys in EVERY_KEY.items():
+        for key, (_, parsed) in keys.items():
+            value = fields[section][key]
+            assert value == parsed and type(value) is type(parsed), (
+                section, key)
 
 @pytest.mark.parametrize("mutation, fragment", [
     (("[graph]", "[lattice]"), "unknown section"),

@@ -18,13 +18,32 @@ from consensus_admm import (HankelDetector, NonIntegerResult, RoundEngine,
                             random_strongly_connected, ratio_update,
                             ratio_weights)
 from consensus_admm import exact
-from consensus_admm.consensus import pad_kernels
+from consensus_admm.consensus import DENOM_TOL, pad_kernels
 from consensus_admm.exact import (_annihilates, _bareiss_echelon,
-                                  _detect_node, _differences, _exact_kernel,
-                                  _exact_trajectories, _hadamard_bits,
-                                  _HadamardBounds, _hankel_kernel)
+                                  _detect_nodes, _differences, _exact_kernel,
+                                  _exact_trajectories, _HadamardBounds,
+                                  _hankel_kernels)
 
 THREE_CYCLE = build_digraph(3, [(1, 0), (2, 1), (0, 2)])
+
+
+def _hankel_kernel(seq, top, rows=None):
+    """The one-sequence case of ``_hankel_kernels``: the first singular
+    Hankel size ``m <= top`` of ``seq`` and its primitive kernel, ``(m,
+    None)`` for a false alarm against the stacked ``rows``, or None."""
+    return _hankel_kernels(np.array([seq], dtype=object), top, [rows])[0]
+
+
+def _detect_node(ints):
+    """The one-node case of ``_detect_nodes``: exact defect index and
+    integer kernel from one node's difference channels."""
+    return _detect_nodes(np.array([ints], dtype=object))[0]
+
+
+def _hadamard_bits(seq, m):
+    """``_HadamardBounds`` of one row, spelled out: the reference bound."""
+    return 2 + sum(2 * max(abs(v).bit_length() for v in seq[i:i + m])
+                   + m.bit_length() for i in range(m))
 
 
 def _true_mean(values):
@@ -113,7 +132,7 @@ def test_detector_on_known_recurrence():
         assert fired == ([0] if t == 3 else [])
     assert not det.open[0]
     assert det.defect == [1]
-    combo = fterc_final(np.array(y_seq)[:, None], np.array(x_seq), det.beta[0])
+    combo = fterc_final(np.column_stack((x_seq, y_seq)), det.beta[0])
     assert np.isclose(combo[0], 3.0, atol=1e-12)
 
 
@@ -127,34 +146,103 @@ def test_stacked_fterc_final_equals_the_in_order_loop_bitwise():
     assert kernels.shape == (6, 7)
     rounds = rng.uniform(0.5, 2.0, size=(9, 6, 4)) * 10.0 ** rng.integers(
         -6, 7, size=(1, 6, 4))
-    for ys in (rounds[:, :, 1:], rounds[:, :, 1]):
-        stacked = fterc_final(ys, rounds[:, :, 0], kernels)
-        assert stacked.shape == ys.shape[1:]
+    for traj in (rounds, rounds[:, :, :2]):
+        stacked = fterc_final(traj, kernels)
+        assert stacked.shape == (6, traj.shape[2] - 1)
         for i, beta in enumerate(betas):
-            alone = fterc_final(ys[:, i], rounds[:, i, 0], beta)
-            num, den = beta[0] * ys[0, i], beta[0] * rounds[0, i, 0]
+            alone = fterc_final(traj[:, i], beta)
+            num, den = beta[0] * traj[0, i, 1:], beta[0] * traj[0, i, 0]
             for t in range(1, len(beta)):
-                num = num + beta[t] * ys[t, i]
-                den = den + beta[t] * rounds[t, i, 0]
-            assert np.shape(alone) == np.shape(num)
-            assert np.asarray(alone).tobytes() == stacked[i].tobytes() \
-                == np.asarray(num / den).tobytes()
+                num = num + beta[t] * traj[t, i, 1:]
+                den = den + beta[t] * traj[t, i, 0]
+            assert alone.shape == num.shape
+            assert alone.tobytes() == stacked[i].tobytes() \
+                == (num / den).tobytes()
 
 
 def test_stacked_fterc_final_refusals():
-    ones = np.ones((3, 3))
+    ones = np.ones((3, 3, 2))
     kernels = pad_kernels([np.array([1.0]), np.array([-1.0, 1.0]),
                            np.array([2.0, -1.0, -1.0])])
     # nodes 1 and 2 have zero denominator sums; the first is named
     with pytest.raises(NumericBreakdown, match="zero at node 1$"):
-        fterc_final(ones, ones, kernels)
+        fterc_final(ones, kernels)
     with pytest.raises(NumericBreakdown, match="zero at node 0$"):
-        fterc_final(ones[:, 0], ones[:, 0], [-1.0, 1.0])
+        fterc_final(ones[:, 0], [-1.0, 1.0])
     # a trajectory shorter than the longest kernel
     with pytest.raises(ValueError, match="shorter"):
-        fterc_final(ones[:2], ones[:2], kernels)
+        fterc_final(ones[:2], kernels)
     with pytest.raises(ValueError, match="shorter"):
-        fterc_final(ones[:3, 0], ones[:2, 0], [1.0, 0.0, 1.0])
+        fterc_final(ones[:2, 0], [1.0, 0.0, 1.0])
+    # a trajectory that does not fit the kernels, which numpy would
+    # otherwise broadcast into a wrong value
+    for traj, beta in ((ones, [1.0]), (ones[:, 0], kernels[:1]),
+                       (ones[:, :2], kernels), (ones[:, 0, 0], [1.0])):
+        with pytest.raises(ValueError, match="does not fit"):
+            fterc_final(traj, beta)
+
+
+def _interleaved_fterc_final(traj_y, traj_x, beta):
+    """``fterc_final`` as it took the numerator and denominator runs apart,
+    interleaving them into one C-order buffer of products: the reference."""
+    beta = np.asarray(beta, dtype=float)
+    length = beta.shape[-1]
+    if len(traj_y) < length or len(traj_x) < length:
+        raise ValueError("trajectory shorter than the coefficient vector")
+    kernels = beta.reshape(-1, length).T[:, :, None]
+    nodes = kernels.shape[1]
+    ys = traj_y[:length].reshape(length, nodes, -1)
+    terms = np.empty((length, nodes, 1 + ys.shape[2]))
+    np.multiply(kernels, traj_x[:length].reshape(length, nodes, 1),
+                out=terms[:, :, :1])
+    np.multiply(kernels, ys, out=terms[:, :, 1:])
+    sums = np.add.reduce(terms, axis=0)
+    small = np.abs(sums[:, 0]) <= DENOM_TOL
+    if small.any():
+        raise NumericBreakdown("ratio denominator is numerically zero at "
+                               f"node {np.argmax(small)}")
+    return (sums[:, 1:] / sums[:, :1]).reshape(traj_y.shape[1:])[()]
+
+
+def _outcome(call, *args):
+    """A call's value as bytes and shape, or its refusal as type and text."""
+    try:
+        value = call(*args)
+    except (ValueError, NumericBreakdown) as exc:
+        return type(exc), str(exc)
+    return value.shape, value.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 25), p=st.integers(1, 5), rounds=st.integers(1, 25),
+       data=st.data())
+def test_fterc_final_equals_the_interleaving_version_bitwise(n, p, rounds,
+                                                            data):
+    # The phase's own [x, y] rows, reduced as they are, give every node's
+    # value and every refusal of the version that split and re-interleaved
+    # them, to the last bit: for stacks of zero-padded kernels and for one
+    # node, on contiguous trajectories and on strided or transposed views.
+    lengths = data.draw(st.lists(st.integers(1, rounds), min_size=n,
+                                 max_size=n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    betas = [rng.standard_normal(k) * (rng.random(k) < 0.8) for k in lengths]
+    kernels = pad_kernels(betas)
+    whole = rng.uniform(0.5, 2.0, size=(2 * rounds, n + 1, p + 2)) * (
+        10.0 ** rng.integers(-6, 7, size=(1, n + 1, p + 2)))
+    layout = data.draw(st.sampled_from(["c", "strided", "reversed", "f"]))
+    traj = {"c": np.ascontiguousarray(whole[:rounds, :n, :p + 1]),
+            "strided": whole[::2, :n, :p + 1],
+            "reversed": whole[rounds - 1::-1, n - 1::-1, :p + 1],
+            "f": np.asfortranarray(whole[:rounds, :n, :p + 1])}[layout]
+    traj = traj[:data.draw(st.integers(0, rounds))]   # short ones refused
+    if data.draw(st.booleans()):                   # a zero denominator run
+        traj = traj.copy(order="K")                # the layout kept
+        traj[:, data.draw(st.integers(0, n - 1)), 0] = 0.0
+    assert _outcome(fterc_final, traj, kernels) == _outcome(
+        _interleaved_fterc_final, traj[..., 1:], traj[..., 0], kernels)
+    i = data.draw(st.integers(0, n - 1))
+    assert _outcome(fterc_final, traj[:, i], betas[i]) == _outcome(
+        _interleaved_fterc_final, traj[:, i, 1:], traj[:, i, 0], betas[i])
 
 
 def test_detector_rejects_collapsing_combination():
@@ -200,8 +288,7 @@ def test_detector_fires_at_each_nodes_minimal_polynomial(n, prob, width,
         found = det.defect[j]
         assert found in (d, d - 1), (j, d, found)
         assert fired_at[j] == 2 * found + 1 and det.beta[j][-1] == 1.0
-        mu = fterc_final(obs[:found + 1, j, 1:], obs[:found + 1, j, 0],
-                         det.beta[j])
+        mu = fterc_final(obs[:found + 1, j], det.beta[j])
         assert np.allclose(mu, truth, rtol=0.0, atol=1e-9)
 
 

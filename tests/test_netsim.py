@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from consensus_admm import (ProtocolViolation, RoundEngine, build_digraph,
                             phase_lengths, random_strongly_connected,
                             ratio_update, ratio_weights, stable_digest)
-from consensus_admm.netsim import (_digest_update, _header_hash, block_max,
-                                   block_min)
+from consensus_admm.netsim import _header_hash, block_max, block_min
 
 
 def _cycle(n):
@@ -354,13 +353,6 @@ def test_stable_digest_discriminates():
     assert stable_digest(a) != stable_digest(a.astype(int))
     assert stable_digest(a) != stable_digest(a.reshape(2, 2))
     assert stable_digest(a) != stable_digest(a + 1)
-    assert stable_digest({"x": 1, "y": 2}) == stable_digest({"y": 2, "x": 1})
-    assert stable_digest(1) != stable_digest(1.0)
-    assert stable_digest((1, 2)) == stable_digest([1, 2])
-    assert stable_digest(True) != stable_digest(1)
-    assert stable_digest(np.bool_(True)) == stable_digest(True)
-    assert stable_digest(np.float64(0.1)) == stable_digest(0.1)
-    assert stable_digest(np.int64(7)) == stable_digest(7)
     grid = np.arange(12.0).reshape(3, 4)
     view = grid[:, ::2]
     assert not view.flags.c_contiguous
@@ -368,12 +360,16 @@ def test_stable_digest_discriminates():
     assert stable_digest(view) != stable_digest(grid[:, :2])
     scalar = np.array(2.0)
     assert stable_digest(scalar) == stable_digest(scalar.copy())
-    assert stable_digest(scalar) != stable_digest(2.0)
     assert stable_digest(scalar) != stable_digest(np.array([2.0]))
     # byte order is part of the dtype, so equal values still differ
     big, little = a.astype(">f8"), a.astype("<f8")
     assert np.array_equal(big, little)
     assert stable_digest(big) != stable_digest(little)
+    # arrays only: numpy scalars, built-in values and containers raise
+    for other in (2.0, 7, True, None, "row", [1.0, 2.0], (1, 2), {"x": 1},
+                  np.float64(2.0), np.int64(7), np.bool_(True)):
+        with pytest.raises((AttributeError, TypeError)):
+            stable_digest(other)
 
 
 def _walked_digest(arr):
@@ -392,33 +388,33 @@ def test_stable_digest_fast_path_equals_the_general_walk():
              grid.astype("<i4")[0], np.array(2.5), np.array(7), np.empty(0),
              np.empty((0, 3)), grid[:, ::2], grid.T, grid[::-1, 1]]
     for arr in cases:
-        walk = hashlib.blake2b(digest_size=12)
-        _digest_update(walk, arr)
-        assert stable_digest(arr) == walk.hexdigest() == _walked_digest(arr)
+        assert stable_digest(arr) == _walked_digest(arr)
 
     class Tagged(np.ndarray):
         pass
 
+    # a subclass array hashes as the plain array it views, also where its
+    # own tobytes would give other bytes (a masked array fills its holes)
     tagged = grid.view(Tagged)
     assert stable_digest(tagged) == stable_digest(grid) == _walked_digest(grid)
     assert stable_digest(tagged[:, 1::2]) == _walked_digest(grid[:, 1::2])
+    masked = np.ma.masked_array(grid, mask=grid > 0)
+    assert masked.tobytes() != grid.tobytes()
+    assert stable_digest(masked) == _walked_digest(grid)
     # digest values are part of the log format: pinned
     assert stable_digest(np.arange(3.0)) == "268e43d0d3085f7ef59233c2"
     assert stable_digest(np.array([0.5, -1.25])) == "79f756b5ed2d77f466a3780e"
 
 
 def test_stable_digest_rows_of_every_dtype_equal_the_general_walk():
-    # The fast path looks its header digest up by the dtype object and the
+    # The digest looks its header digest up by the dtype object and the
     # shape. Rows of each dtype a log may hold, at each shape, and a
-    # non-contiguous row view all hash as the general walk does.
+    # non-contiguous row view all hash as the spelled-out walk does.
     base = np.arange(-3.0, 3.0).reshape(2, 3)
     for dtype in (np.float64, np.int64, ">f8", np.bool_):
         grid = base.astype(dtype)
         for arr in (grid[1], grid[1, :0], grid, grid.T[1]):
-            walk = hashlib.blake2b(digest_size=12)
-            _digest_update(walk, arr)
-            assert (stable_digest(arr) == walk.hexdigest()
-                    == _walked_digest(arr))
+            assert stable_digest(arr) == _walked_digest(arr)
         assert not grid.T[1].flags.c_contiguous
     # equal dtypes built apart share one header
     assert (stable_digest(np.zeros(3, dtype=np.dtype("<f8")))
