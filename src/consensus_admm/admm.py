@@ -183,13 +183,16 @@ class _Phase:
     The flags choose once, at construction, the steps every round runs and
     the columns every payload carries; a phase without a detector, counters
     or certification (the steady and max-consensus phases) only mixes the
-    ratio pair, reducing each round straight into its ``traj`` row. Such a
-    phase of fixed length can be restarted with new seeds (:meth:`restart`)
-    and rewrites every row of ``traj`` in its rounds. A payload is the
-    node's state divided by 1 + its out-degree, so receivers never learn
-    sender degrees, followed by the rider columns the flags ask for: the
-    counter pair ``(theta, c)``, the max-consensus value ``v``, and the
-    certification bounds ``hi`` and ``lo``. One detector reads ``traj`` for
+    ratio pair and records it in its ``traj`` row. Without riders too (the
+    steady phase), a round is one step that reduces the block straight into
+    that row. Such a phase of fixed length can be restarted with new seeds
+    (:meth:`restart`) and rewrites every row of ``traj`` in its rounds. A
+    payload is the node's state divided by 1 + its out-degree, so receivers
+    never learn sender degrees, followed by the rider columns the flags ask
+    for: the counter pair ``(theta, c)``, the max-consensus value ``v``, and
+    the certification bounds ``hi`` and ``lo``. Every payload is written in
+    place into one ``(n, columns)`` buffer the phase keeps, each send
+    rewriting its own columns. One detector reads ``traj`` for
     every node; a detecting phase writes rounds only while it is open and
     raises :class:`NumericBreakdown` when a node is still open at the end of
     ``traj``, its ``2n'`` horizon. One :class:`~.termination.Counters`
@@ -212,23 +215,24 @@ class _Phase:
         self.restart(engine, seeds)
         self.detector = self.counters = self.vmax = self.snap = None
         self.kernels = None   # (betas, their padded matrix)
-        steps, sends, width = [], [], 0   # sends make the payload columns
+        steps, sends, width = [], [], 0   # sends fill the payload columns
 
         def columns(count: int) -> slice:
             nonlocal width
             width += count
             return slice(width - count, width)
 
-        if flags.detect or not flags.terminate:
+        carries_ratio = flags.detect or not flags.terminate
+        if carries_ratio:
             self.ratio = columns(p + 1)
-            self.payload = np.empty((n, p + 1))
-            sends.append(lambda _: np.multiply(self.state, self.share,
-                                               out=self.payload))
+            sends.append(self._send_ratio)
         if flags.detect:
             self.detector = HankelDetector(n)
             steps += [self._mix, self._detect]
         elif flags.certify:
             steps.append(self._mix)
+        elif flags.piggyback:
+            steps += [self._mix, self._record]
         elif not flags.terminate:
             steps.append(self._mix_record)
         if flags.terminate:
@@ -238,20 +242,23 @@ class _Phase:
                 self.fire_round = 2 * np.asarray(defect_sizes) + 1
                 steps.append(self._fire_on_schedule)
             steps.append(self._count)
-            sends.append(lambda r: counter_message(self.counters, r))
+            sends.append(self._send_counters)
         if flags.piggyback:
             self.vmax = np.asarray(defect_sizes, dtype=float) + 1.0
             self.v_col = columns(1)
             steps.append(self._max_consensus)
-            sends.append(lambda _: self.vmax[:, None])
+            sends.append(self._send_vmax)
         if flags.certify:
             self.certified = np.zeros(n, dtype=bool)
             self.snap = self.state[:, 1:] / self.state[:, :1]
             self.hi, self.lo = self.snap.copy(), self.snap.copy()
             self.hi_cols, self.lo_cols = columns(p), columns(p)
             steps.append(self._certify)
-            sends += [lambda _: self.hi, lambda _: self.lo]
+            sends.append(self._send_bounds)
         self.steps, self.sends = tuple(steps), tuple(sends)
+        self.payload = np.empty((n, width))
+        if carries_ratio:
+            self.ratio_out = self.payload[:, self.ratio]
 
     def restart(self, engine: RoundEngine, seeds: np.ndarray) -> _Phase:
         """Start the phase afresh at the engine's tick from ``seeds``."""
@@ -261,10 +268,10 @@ class _Phase:
         return self
 
     def wave(self, next_round: int) -> np.ndarray:
-        if len(self.sends) == 1:
-            return self.sends[0](next_round)
-        return np.concatenate([send(next_round) for send in self.sends],
-                              axis=1)
+        """The payload buffer, each send's columns rewritten in place."""
+        for send in self.sends:
+            send(next_round)
+        return self.payload
 
     def update(self, block: np.ndarray, tick: int) -> np.ndarray:
         k = tick - self.t0   # phase-local round index, from 1
@@ -272,14 +279,32 @@ class _Phase:
             step(block, k)
         return self.wave(k + 1)
 
+    # -- payload columns ------------------------------------------------
+
+    def _send_ratio(self, r):
+        np.multiply(self.state, self.share, out=self.ratio_out)
+
+    def _send_counters(self, r):
+        self.payload[:, self.counter_cols] = counter_message(self.counters, r)
+
+    def _send_vmax(self, r):
+        self.payload[:, self.v_col] = self.vmax[:, None]
+
+    def _send_bounds(self, r):
+        self.payload[:, self.hi_cols] = self.hi
+        self.payload[:, self.lo_cols] = self.lo
+
     # -- round steps, in the order a round runs them --------------------
 
     def _mix(self, block, k):
         self.state = ratio_update(block[:, :, self.ratio], self.live)
 
     def _mix_record(self, block, k):
-        self.state = ratio_update(block[:, :, self.ratio], self.live,
-                                  out=self.traj[k])
+        # without riders a block holds the ratio columns alone
+        self.state = ratio_update(block, self.live, out=self.traj[k])
+
+    def _record(self, block, k):
+        self.traj[k] = self.state
 
     def _detect(self, block, k):
         detector = self.detector
@@ -594,6 +619,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     stopped_early = False
     steps = 0
     plan = None   # the fixed-length steady phase, restarted every step
+    reusable = steady == PhaseFlags()   # fixed length, no riders
 
     for k in range(1, config.k_max + 1):
         x_stack = stacks.x_update(z_stack, lam)
@@ -604,7 +630,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
                                  n_prime=n_prime, t_max=t_max,
                                  defect_sizes=defect, epsilon=config.epsilon,
                                  reuse=plan)
-        if flags == PhaseFlags():
+        if reusable and flags is steady:
             plan = phase
         rounds_k = engine.tick - tick_before
         if flags.detect:

@@ -104,8 +104,12 @@ def random_strongly_connected(n: int, extra_edge_prob: float = 0.0,
     """Random strongly connected digraph without rejection sampling.
 
     A random Hamiltonian cycle guarantees strong connectivity; every other
-    ordered pair is then added independently with ``extra_edge_prob``.
+    ordered pair is then added independently with ``extra_edge_prob``, a
+    probability in [0, 1].
     """
+    if not 0.0 <= extra_edge_prob <= 1.0:   # also refuses NaN
+        raise ValueError(f"extra_edge_prob must be finite and in [0, 1], "
+                         f"got {extra_edge_prob}")
     if isinstance(seed, Integral) and seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -173,9 +177,10 @@ def load_digraph(path) -> Digraph:
         tokens = fh.read().split()
     if len(tokens) < 2:
         raise InvalidEdge(f"{path}: missing 'n m' header")
-    n, m = int(tokens[0]), int(tokens[1])
-    flat = tokens[2:]
+    try:
+        n, m, *flat = map(int, tokens)
+    except ValueError as exc:
+        raise InvalidEdge(f"{path}: {exc}") from None
     if len(flat) != 2 * m:
         raise InvalidEdge(f"{path}: expected {m} edges, found {len(flat) // 2}")
-    edges = [(int(flat[2 * i]), int(flat[2 * i + 1])) for i in range(m)]
-    return build_digraph(n, edges)
+    return build_digraph(n, zip(flat[0::2], flat[1::2]))

@@ -15,7 +15,11 @@ A phase of ``R`` rounds is ``R`` exchanges. Seed payloads enter via
 :meth:`RoundEngine.prime`, which replaces the wave still undelivered from a
 previous phase (phase boundaries are barriers). The engine copies each wave
 into one ``(n + 1, w)`` buffer whose last row is the NaN pad, so a caller
-may reuse its array; the buffer is only reallocated when ``w`` changes.
+may reuse its array. Every round gathers the blocks into one ``(n, slots,
+w)`` buffer, rewritten in place, so a block is only valid during the update
+call that receives it: a caller that keeps one past that call copies it.
+Both buffers, and the row views of the wave that the digests read, are
+allocated together and only again when ``w`` changes.
 
 With ``audit`` on, each log entry holds one digest per node:
 :func:`stable_digest` of the payload row that node broadcast, so identical
@@ -38,6 +42,8 @@ import numpy as np
 from .errors import ProtocolViolation
 from .graph import Digraph
 
+# update(block, tick) -> next wave; ``block`` is the engine's gather buffer,
+# rewritten by the next round, so it is only valid during the call
 Update = Callable[[np.ndarray, int], np.ndarray]
 
 
@@ -73,7 +79,7 @@ def gather_rows(graph: Digraph) -> np.ndarray:
     return np.array([row + [graph.n] * (width - len(row)) for row in rows])
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     """One append-only log entry: a seed emission or a full exchange.
 
@@ -106,6 +112,8 @@ class RoundEngine:
     tick: int = 0
     log: list[RoundRecord] = field(default_factory=list)
     _wave: np.ndarray | None = None  # the wave buffer: payloads, pad row
+    _block: np.ndarray | None = None  # every node's block, gathered in place
+    _rows: tuple = ()                 # the wave buffer's payload rows
 
     def __post_init__(self):
         self.gather = gather_rows(self.graph)
@@ -122,8 +130,10 @@ class RoundEngine:
                              f"{wave.shape} for {self.graph.n} nodes")
         if self._wave is None or self._wave.shape[1] != wave.shape[1]:
             self._wave = np.full((self.graph.n + 1, wave.shape[1]), np.nan)
+            self._block = np.empty(self.gather.shape + wave.shape[1:])
+            self._rows = tuple(self._wave[:-1])
         self._wave[:-1] = wave
-        digests = tuple(map(stable_digest, wave)) if self.audit else ()
+        digests = tuple(map(stable_digest, self._rows)) if self.audit else ()
         record = RoundRecord(self.tick, phase, kind, self.graph.edge_count,
                              digests)
         self.log.append(record)
@@ -143,15 +153,19 @@ class RoundEngine:
 
         ``update(block, tick)`` receives the ``(n, slots, w)`` array of every
         node's block, built from the previous wave only, and returns the next
-        wave. Raises :class:`ProtocolViolation` before the first
-        :meth:`prime`, when there is no wave to deliver.
+        wave. The block is the engine's own buffer, rewritten every round:
+        it is only valid during the call. Raises :class:`ProtocolViolation`
+        before the first :meth:`prime`, when there is no wave to deliver.
         """
         if self._wave is None:
             raise ProtocolViolation("run_round before prime: no seed wave "
                                     "to deliver")
         self.tick += 1
-        return self._broadcast(update(self._wave[self.gather], self.tick),
-                               phase, "exchange")
+        # gather indices are in range by construction; "clip" lets numpy
+        # write straight into out= instead of through a temporary
+        block = self._wave.take(self.gather, axis=0, out=self._block,
+                                mode="clip")
+        return self._broadcast(update(block, self.tick), phase, "exchange")
 
     def run_phase(self, update: Update, rounds: int, phase: str = "") -> None:
         """Execute exactly ``rounds`` exchanges under one phase label."""

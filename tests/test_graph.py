@@ -59,6 +59,18 @@ def test_random_digraph_refuses_negative_seed():
         random_strongly_connected(4, 0.3, seed=-1)
 
 
+@pytest.mark.parametrize("prob", [float("nan"), -0.1, 1.5, float("inf")])
+def test_random_digraph_refuses_a_bad_edge_probability(prob):
+    with pytest.raises(ValueError, match="extra_edge_prob"):
+        random_strongly_connected(4, prob, seed=1)
+
+
+def test_random_digraph_edge_probability_bounds():
+    n = 5
+    assert random_strongly_connected(n, 0.0, seed=2).edge_count == n
+    assert random_strongly_connected(n, 1.0, seed=2).edge_count == n * (n - 1)
+
+
 def test_random_digraph_zero_extra_is_a_cycle():
     for n in (2, 5, 13):
         g = random_strongly_connected(n, extra_edge_prob=0.0, seed=3)
@@ -127,4 +139,12 @@ def test_load_rejects_malformed(tmp_path):
         load_digraph(path)
     path.write_text("3 2\n0 1\n")
     with pytest.raises(InvalidEdge):
+        load_digraph(path)
+
+
+@pytest.mark.parametrize("text", ["3 x\n", "3 1\n0 1.5\n", "n 1\n0 1\n"])
+def test_load_rejects_non_integer_tokens(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidEdge, match="bad.txt"):
         load_digraph(path)

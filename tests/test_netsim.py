@@ -36,10 +36,11 @@ def _flood(engine, waves=None):
 
 
 def _recording(blocks):
-    """An update that keeps each block and re-broadcasts the own rows."""
+    """An update that keeps a copy of each block (the engine rewrites its
+    block buffer every round) and re-broadcasts the own rows."""
 
     def update(block, tick):
-        blocks.append(block)
+        blocks.append(block.copy())
         return block[:, 0]
 
     return update
@@ -133,6 +134,40 @@ def test_wave_buffer_keeps_pads_nan_and_drops_earlier_phases():
         np.testing.assert_array_equal(second, _delivered(engine, seed))
         assert np.isnan(first[~engine.live]).all()
         assert not np.isnan(first[engine.live]).any()
+
+
+def test_engine_buffers_are_allocated_per_width():
+    # One wave buffer, one block buffer and the wave's row views, allocated
+    # together when the width changes and rewritten in place otherwise.
+    g = build_digraph(3, [(2, 0), (2, 1), (0, 2), (1, 2)])
+    engine = RoundEngine(g)
+    rng = np.random.default_rng(5)
+    old_wave = None
+    for width in (4, 2, 4):
+        sent = [rng.uniform(-5, 5, size=(3, width))]
+        rec = engine.prime(sent[0])
+        assert rec.digests == tuple(map(stable_digest, sent[0]))
+        wave, rows = engine._wave, engine._rows
+        assert wave.shape == (4, width) and len(rows) == 3
+        assert all(np.shares_memory(row, wave[i])
+                   for i, row in enumerate(rows))
+        if old_wave is not None:         # rebuilt with the new buffer
+            assert not any(np.shares_memory(row, old_wave) for row in rows)
+        old_wave = wave
+        blocks = []
+
+        def update(block, tick):
+            np.testing.assert_array_equal(block, _delivered(engine, sent[-1]))
+            assert np.isnan(block[~engine.live]).all()
+            blocks.append(block)
+            sent.append(rng.uniform(-5, 5, size=(3, width)))
+            return sent[-1]
+
+        for _ in range(3):
+            rec = engine.run_round(update)
+            assert rec.digests == tuple(map(stable_digest, sent[-1]))
+        assert all(block is blocks[0] for block in blocks)
+        assert engine._wave is wave and engine._rows is rows
 
 
 def test_caller_may_reuse_its_wave_arrays():
