@@ -183,26 +183,25 @@ class _Phase:
     The flags choose once, at construction, the steps every round runs and
     the columns every payload carries; a phase without a detector, counters
     or certification (the steady and max-consensus phases) only mixes the
-    ratio pair and records it in its ``traj`` row. Without riders too (the
-    steady phase), a round is one step that reduces the block straight into
-    that row. Such a phase of fixed length can be restarted with new seeds
-    (:meth:`restart`) and rewrites every row of ``traj`` in its rounds. A
-    payload is the node's state divided by 1 + its out-degree, so receivers
-    never learn sender degrees, followed by the rider columns the flags ask
-    for: the counter pair ``(theta, c)``, the max-consensus value ``v``, and
-    the certification bounds ``hi`` and ``lo``. Every payload is written in
-    place into one ``(n, columns)`` buffer the phase keeps, each send
-    rewriting its own columns. One detector reads ``traj`` for
-    every node; a detecting phase writes rounds only while it is open and
-    raises :class:`NumericBreakdown` when a node is still open at the end of
-    ``traj``, its ``2n'`` horizon. One :class:`~.termination.Counters`
-    record holds every node's stopping counter, which freezes the round the
-    node's detector fires. A terminated node keeps mixing its ratio pair
-    and relaying counters, so its neighbours' detectors keep observing the
-    ratio-consensus sequence. A phase that stops on its counters but does
-    not detect (the exact lane, whose values come from rational arithmetic)
-    carries the counter pair alone, and node ``i``'s counter freezes at
-    round ``2 * defect_sizes[i] + 1``, when a detector would have fired.
+    ratio pair, reducing each round straight into its ``traj`` row. Such a
+    phase of fixed length can be restarted with new seeds (:meth:`restart`)
+    and rewrites every row of ``traj`` in its rounds. A payload is the
+    node's state divided by 1 + its out-degree, so receivers never learn
+    sender degrees, followed by the rider columns the flags ask for: the
+    counter pair ``(theta, c)``, the max-consensus value ``v``, and the
+    certification bounds ``hi`` and ``lo``; each send rewrites its own
+    columns of one ``(n, columns)`` payload buffer the phase keeps. One
+    detector reads ``traj`` for every node; a detecting phase writes rounds
+    only while it is open and raises :class:`NumericBreakdown` when a node
+    is still open at the end of ``traj``, its ``2n'`` horizon. One
+    :class:`~.termination.Counters` record holds every node's stopping
+    counter, which freezes the round the node's detector fires. A terminated
+    node keeps mixing its ratio pair and relaying counters, so its
+    neighbours' detectors keep observing the ratio-consensus sequence. A
+    phase that stops on its counters but does not detect (the exact lane,
+    whose values come from rational arithmetic) carries the counter pair
+    alone, and node ``i``'s counter freezes at round
+    ``2 * defect_sizes[i] + 1``, when a detector would have fired.
     """
 
     def __init__(self, engine: RoundEngine, seeds: np.ndarray,
@@ -231,8 +230,6 @@ class _Phase:
             steps += [self._mix, self._detect]
         elif flags.certify:
             steps.append(self._mix)
-        elif flags.piggyback:
-            steps += [self._mix, self._record]
         elif not flags.terminate:
             steps.append(self._mix_record)
         if flags.terminate:
@@ -300,11 +297,8 @@ class _Phase:
         self.state = ratio_update(block[:, :, self.ratio], self.live)
 
     def _mix_record(self, block, k):
-        # without riders a block holds the ratio columns alone
-        self.state = ratio_update(block, self.live, out=self.traj[k])
-
-    def _record(self, block, k):
-        self.traj[k] = self.state
+        self.state = ratio_update(block[:, :, self.ratio], self.live,
+                                  out=self.traj[k])
 
     def _detect(self, block, k):
         detector = self.detector

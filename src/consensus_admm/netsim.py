@@ -131,6 +131,7 @@ class RoundEngine:
         if self._wave is None or self._wave.shape[1] != wave.shape[1]:
             self._wave = np.full((self.graph.n + 1, wave.shape[1]), np.nan)
             self._block = np.empty(self.gather.shape + wave.shape[1:])
+            # making n row views every round costs about two digests
             self._rows = tuple(self._wave[:-1])
         self._wave[:-1] = wave
         digests = tuple(map(stable_digest, self._rows)) if self.audit else ()
