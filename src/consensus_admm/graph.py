@@ -56,13 +56,15 @@ def build_digraph(n: int, edges) -> Digraph:
     Parameters
     ----------
     n : int
-        Node count; nodes are ``0..n-1``.
+        Node count, an integer >= 1 and not a bool; nodes are ``0..n-1``.
     edges : iterable of (int, int)
-        Directed links as (receiver, sender). Self-loops, duplicates and
-        out-of-range endpoints raise :class:`InvalidEdge`.
+        Directed links as (receiver, sender).
+
+    Any other ``n``, self-loops, duplicates and out-of-range endpoints raise
+    :class:`InvalidEdge`.
     """
-    if n < 1:
-        raise InvalidEdge(f"node count must be positive, got {n}")
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise InvalidEdge(f"node count must be an integer >= 1, got {n!r}")
     outs: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for receiver, sender in edges:

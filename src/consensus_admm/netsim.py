@@ -18,14 +18,15 @@ into one ``(n + 1, w)`` buffer whose last row is the NaN pad, so a caller
 may reuse its array. Every round gathers the blocks into one ``(n, slots,
 w)`` buffer, rewritten in place, so a block is only valid during the update
 call that receives it: a caller that keeps one past that call copies it.
-Both buffers, and the row views of the wave that the digests read, are
-allocated together and only again when ``w`` changes.
+Both buffers are allocated together and only again when ``w`` changes.
 
-With ``audit`` on, each log entry holds one digest per node:
-:func:`stable_digest` of the payload row that node broadcast, so identical
-runs give identical logs. It hashes arrays only: a row's digest starts from
-a copy of a header digest cached by dtype and shape, so what it costs
-beyond a fixed call is the width of the row.
+With ``audit`` on, each log entry holds one digest of the whole wave:
+:func:`stable_digest` of the ``(n, w)`` payload block in node order, so
+identical runs give identical logs. It hashes arrays only: a digest starts
+from a copy of a header digest cached by dtype and shape, so what it costs
+beyond a fixed call is the size of the wave. A replay that differs shows
+the first entry that differs; which node diverged is read by comparing the
+two runs' waves at that round.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _header_hash(dtype: np.dtype, shape: tuple):
 
 
 def stable_digest(row: np.ndarray) -> str:
-    """Deterministic short hex digest of an array, such as a payload row.
+    """Deterministic short hex digest of an array, such as a payload wave.
 
     A copy of the cached header digest of its dtype and shape, fed its
     bytes in C order (also for a non-contiguous view). A subclass array
@@ -85,15 +86,16 @@ class RoundRecord:
 
     Each node broadcasts one payload per entry, delivered along every one of
     its out-edges, so ``message_count`` is the graph's edge count.
-    ``digests[i]`` is :func:`stable_digest` of node ``i``'s payload row, or
-    ``digests`` is empty when the engine does not audit.
+    ``digest`` is :func:`stable_digest` of the ``(n, w)`` wave broadcast,
+    one payload row per node in node order, or ``None`` when the engine does
+    not audit.
     """
 
     tick: int
     phase: str
     kind: str  # "seed" or "exchange"
     message_count: int
-    digests: tuple[str, ...]
+    digest: str | None
 
 
 @dataclass
@@ -113,7 +115,6 @@ class RoundEngine:
     log: list[RoundRecord] = field(default_factory=list)
     _wave: np.ndarray | None = None  # the wave buffer: payloads, pad row
     _block: np.ndarray | None = None  # every node's block, gathered in place
-    _rows: tuple = ()                 # the wave buffer's payload rows
 
     def __post_init__(self):
         self.gather = gather_rows(self.graph)
@@ -131,12 +132,10 @@ class RoundEngine:
         if self._wave is None or self._wave.shape[1] != wave.shape[1]:
             self._wave = np.full((self.graph.n + 1, wave.shape[1]), np.nan)
             self._block = np.empty(self.gather.shape + wave.shape[1:])
-            # making n row views every round costs about two digests
-            self._rows = tuple(self._wave[:-1])
-        self._wave[:-1] = wave
-        digests = tuple(map(stable_digest, self._rows)) if self.audit else ()
+        payloads = self._wave[:-1]
+        payloads[...] = wave
         record = RoundRecord(self.tick, phase, kind, self.graph.edge_count,
-                             digests)
+                             stable_digest(payloads) if self.audit else None)
         self.log.append(record)
         return record
 
@@ -182,7 +181,7 @@ class RoundEngine:
                     "phase": rec.phase,
                     "kind": rec.kind,
                     "message_count": rec.message_count,
-                    "digests": list(rec.digests),
+                    "digest": rec.digest,
                 }
                 fh.write(json.dumps(row) + "\n")
 

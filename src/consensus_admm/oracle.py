@@ -8,6 +8,7 @@ first-order optimality before they are handed out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -123,10 +124,14 @@ def minimal_poly_oracle(weights: np.ndarray, node: int,
 
     This is the degree of the minimal polynomial of the pair (W, e_j); it is
     at most n by Cayley-Hamilton, and the finite-time consensus detector's
-    defect index plus one must match it on generic inputs.
+    defect index plus one must match it on generic inputs. A ``node`` that
+    is not an integer in ``0..n-1`` raises ``ValueError``.
     """
     weights = np.asarray(weights, dtype=float)
     n = weights.shape[0]
+    if isinstance(node, bool) or not isinstance(node, Integral) \
+            or not 0 <= node < n:
+        raise ValueError(f"node {node!r} out of range for n={n}")
     row = np.zeros(n)
     row[node] = 1.0
     rows = [row]

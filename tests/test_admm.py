@@ -128,14 +128,13 @@ def test_round_digests_replay(solver):
         record = solver(objectives, graph,
                         AdmmConfig(k_max=3, stop_on_tolerance=False,
                                    seed=seed))
-        return [rec.digests for rec in record.log]
+        return [rec.digest for rec in record.log]
 
     first = digests(0)
-    assert len(first) > 3 and all(len(d) == graph.n for d in first)
+    assert len(first) > 3 and all(isinstance(d, str) for d in first)
     assert digests(0) == first
     # log[0] is step 1's seed wave, which carries x0 + lam0 / rho
-    other = digests(1)
-    assert all(a != b for a, b in zip(other[0], first[0]))
+    assert digests(1)[0] != first[0]
 
 
 def test_ergodic_averages_cumsum_oracle():

@@ -38,6 +38,14 @@ def test_build_digraph_rejects_out_of_range():
         build_digraph(0, [])
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, 3.5, "3", None, -1])
+def test_build_digraph_rejects_a_node_count_that_is_not_a_positive_int(n):
+    # True once built a 1-node graph, and 2.0 escaped as a raw TypeError
+    with pytest.raises(InvalidEdge, match="node count must be an integer"):
+        build_digraph(n, [])
+    assert build_digraph(np.int64(2), [(1, 0), (0, 1)]).n == 2
+
+
 def test_strong_connectivity():
     cycle = build_digraph(4, [(1, 0), (2, 1), (3, 2), (0, 3)])
     assert is_strongly_connected(cycle)

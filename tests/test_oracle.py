@@ -47,6 +47,16 @@ def test_minimal_poly_degree_at_the_default_tolerance():
     assert [minimal_poly_oracle(dense, j) for j in range(10)] == [10] * 10
 
 
+@pytest.mark.parametrize("node", [-1, 3, 4, True, 1.5])
+def test_minimal_poly_oracle_refuses_a_node_out_of_range(node):
+    # -1 once answered for node n-1, True for a row of all ones, and n
+    # escaped as an IndexError
+    w = ratio_weights(build_digraph(3, [(1, 0), (2, 1), (0, 2)]))
+    with pytest.raises(ValueError, match=f"node {node} out of range for n=3"):
+        minimal_poly_oracle(w, node)
+    assert minimal_poly_oracle(w, np.int64(2)) == 3
+
+
 def test_detector_matches_minimal_poly_degree():
     for seed in range(10):
         n = 3 + (seed % 6)

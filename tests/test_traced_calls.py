@@ -47,8 +47,8 @@ def test_every_layer_call_goes_through_the_module_global(calls, solver):
     assert len(record.log) == steps + exchanges    # one seed wave per phase
     exact = solver is not run_epsilon_baseline
     assert calls == {
-        # every logged wave digests one payload row per node
-        "stable_digest": n * len(record.log),
+        # every logged wave is digested once, as one (n, w) block
+        "stable_digest": len(record.log),
         # every exchange of every solver mixes the ratio pair once
         "ratio_update": exchanges,
         # an exact solver evaluates each step's phase in one call
