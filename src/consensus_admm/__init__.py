@@ -32,13 +32,11 @@ from .graph import (Digraph, build_digraph, diameter, is_strongly_connected,
 from .netsim import RoundEngine, RoundRecord, phase_lengths, stable_digest
 from .objectives import (L1Regularizer, LeastSquaresObjective,
                          LocalObjective, LogisticObjective, compute_mu_max,
-                         l1_z_update, load_dataset, ls_x_update,
-                         logistic_x_update, make_least_squares_instance,
-                         make_logistic_instance, save_dataset,
-                         soft_threshold, split_rows)
+                         l1_z_update, load_dataset,
+                         make_least_squares_instance, make_logistic_instance,
+                         save_dataset, soft_threshold, split_rows)
 from .oracle import (Reference, centralized_l1_logistic,
-                     centralized_least_squares, exact_average,
-                     minimal_poly_oracle)
+                     centralized_least_squares, minimal_poly_oracle)
 from .termination import (Counters, counter_message, derive_max_defect,
                           freeze_counter, ftdt_step)
 

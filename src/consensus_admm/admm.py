@@ -23,10 +23,10 @@ round as one array step; one detector checks every open node's Hankel
 matrices at once from that trajectory, and one record of integer arrays
 steps every node's stopping counter. One ``fterc_final`` call evaluates
 every node's limit from its kernel, the kernels zero-padded into one matrix
-that the phase holds. Every step after the warm-up runs the same
+once, where they are detected. Every step after the warm-up runs the same
 fixed-length steady phase, so a run builds it once and restarts it with
-each step's seeds: its trajectory, payload buffer, round step and kernel
-matrix are reused, and each round reduces straight into its trajectory row.
+each step's seeds: its trajectory, payload buffer and round step are
+reused, and each round reduces straight into its trajectory row.
 The solvers exchange messages only through :class:`~.netsim.RoundEngine`,
 so round logs, schedules, and determinism checks all observe real traffic.
 """
@@ -213,7 +213,6 @@ class _Phase:
         self.traj = np.empty((1 if rounds is None else rounds + 1, n, p + 1))
         self.restart(engine, seeds)
         self.detector = self.counters = self.vmax = self.snap = None
-        self.kernels = None   # (betas, their padded matrix)
         steps, sends, width = [], [], 0   # sends fill the payload columns
 
         def columns(count: int) -> slice:
@@ -345,17 +344,6 @@ class _Phase:
             self.snap[fresh] = state[fresh, 1:] / state[fresh, :1]
             self.hi[fresh] = self.lo[fresh] = self.snap[fresh]
 
-    def exact_values(self, betas) -> np.ndarray:
-        """Each node's exact average from its trajectory prefix, one row each.
-
-        One ``fterc_final`` call evaluates every node. The first call pads
-        ``betas`` into one kernel matrix, which the phase keeps for later
-        calls, across restarts, that pass the same list.
-        """
-        if self.kernels is None or self.kernels[0] is not betas:
-            self.kernels = betas, pad_kernels(betas)
-        return fterc_final(self.traj, self.kernels[1])
-
 
 def _agree_int(values, what: str) -> int:
     distinct = {int(v) for v in values}
@@ -387,7 +375,7 @@ def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
     detector fired within ``2n'`` rounds, also when its counters run on.
 
     The trajectory holds what its readers need: the detector's ``2n'``
-    horizon, which ``exact_values`` never reads past, or the rounds of a
+    horizon, which ``fterc_final`` never reads past, or the rounds of a
     phase of fixed length; a terminating phase without a detector and a
     certification phase keep round 0 only.
 
@@ -440,10 +428,10 @@ def fterc_run(graph: Digraph, y0) -> list[ConsensusResult]:
                                  PhaseFlags(detect=True), "detect",
                                  n_prime=graph.n)
         det = phase.detector
+        values = fterc_final(phase.traj, pad_kernels(det.beta))
         return [ConsensusResult(mu[0] if seeds.ndim == 1 else mu,
                                 d, beta.copy(), 2 * d + 1)
-                for d, beta, mu in zip(det.defect, det.beta,
-                                       phase.exact_values(det.beta))]
+                for d, beta, mu in zip(det.defect, det.beta, values)]
 
     try:
         return once(mat)
@@ -496,7 +484,7 @@ def ftdt_run(graph: Digraph, seeds, *,
     else:
         betas, defect = phase.detector.beta, phase.detector.defect
         max_defect = _agreed_max_defect(t_terms, defect)
-        values = phase.exact_values(betas)
+        values = fterc_final(phase.traj, pad_kernels(betas))
         if seeds.ndim == 1:
             values = values[:, 0]
     return TerminationRunResult(
@@ -538,7 +526,6 @@ class RunRecord:
     log: list
     objectives: list
     regularizer: L1Regularizer | None
-    penalized: np.ndarray | None
     bound_lhs: np.ndarray | None = None
     bound_rhs: np.ndarray | None = None
 
@@ -550,18 +537,15 @@ class RunRecord:
     def final_objective(self) -> float:
         """Composite objective evaluated at the final consensus point."""
         return composite_objective(self.objectives, self.z_final,
-                                   self.regularizer, self.penalized)
+                                   self.regularizer)
 
 
-def composite_objective(objectives, point, regularizer=None,
-                        penalized=None) -> float:
+def composite_objective(objectives, point, regularizer=None) -> float:
     """Sum of local objectives plus the l1 penalty at one shared point."""
     point = np.asarray(point, dtype=float)
     total = float(sum(obj.evaluate(point) for obj in objectives))
     if regularizer is not None:
-        mask = penalized
-        if mask is None:
-            mask = regularizer.penalized_mask(point.size)
+        mask = regularizer.penalized_mask(point.size)
         total += regularizer.mu * float(np.sum(np.abs(point[mask])))
     return total
 
@@ -577,7 +561,7 @@ def _initialize(n: int, p: int, config: AdmmConfig):
 
 
 def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
-         regularizer, penalized, reference) -> RunRecord:
+         regularizer, reference) -> RunRecord:
     if algorithm not in _SCHEDULES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     warmup, steady = _SCHEDULES[algorithm]
@@ -590,10 +574,9 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     n_prime = config.validate(n)
     rho = config.rho
 
-    mask = penalized
-    if regularizer is not None and mask is None:
+    if regularizer is not None:
         mask = regularizer.penalized_mask(p)
-    kappa = regularizer.kappa(n, rho) if regularizer is not None else None
+        kappa = regularizer.kappa(n, rho)
 
     x0, lam0, z0 = _initialize(n, p, config)
     lam = lam0.copy()
@@ -601,7 +584,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     stacks = ObjectiveStacks(objectives, rho)
 
     engine = RoundEngine(graph)
-    betas: list = [None] * n
+    kernels = None   # the detected kernels, zero-padded once
     defect: list = [None] * n
     t_max: int | None = None
     t1: int | None = None
@@ -628,7 +611,8 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
             plan = phase
         rounds_k = engine.tick - tick_before
         if flags.detect:
-            betas, defect = phase.detector.beta, phase.detector.defect
+            defect = phase.detector.defect
+            kernels = pad_kernels(phase.detector.beta)
         if flags.piggyback:
             t_max = _agree_int(phase.vmax, "the phase length")
             max_defect = t_max - 1
@@ -637,8 +621,9 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
             max_defect = _agreed_max_defect(phase.counters.t_term.tolist(),
                                             defect)
             t_max = max_defect + 1
-        z_new = phase.snap if flags.certify else phase.exact_values(betas)
-        if kappa is not None:
+        z_new = (phase.snap if flags.certify
+                 else fterc_final(phase.traj, kernels))
+        if regularizer is not None:
             z_new = l1_z_update(z_new, kappa, mask)
         lam = lam + rho * (x_stack - z_new)
         report = stopping_criterion(x_stack, z_new, z_stack, lam, rho,
@@ -680,7 +665,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
         defect_indices=list(defect), t_max=t_max, t1=t1, max_defect=max_defect,
         schedule=phase_lengths(engine.log), stopped_early=stopped_early,
         log=engine.log, objectives=list(objectives),
-        regularizer=regularizer, penalized=mask)
+        regularizer=regularizer)
     if reference is not None and regularizer is None:
         check_o1k_bound(record, reference)
     return record
@@ -688,7 +673,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
 
 def run_dadmm_fterc(objectives, graph: Digraph,
                     config: AdmmConfig | None = None, *, regularizer=None,
-                    penalized=None, reference=None) -> RunRecord:
+                    reference=None) -> RunRecord:
     """Consensus ADMM with finite-time exact averaging on a warm-up schedule.
 
     Step 1 runs a long detection phase, step 2 spreads the largest defect
@@ -696,12 +681,12 @@ def run_dadmm_fterc(objectives, graph: Digraph,
     detected coefficients for the minimal number of exchanges.
     """
     return _run("dadmm_fterc", objectives, graph, config or AdmmConfig(),
-                regularizer, penalized, reference)
+                regularizer, reference)
 
 
 def run_fdadmm_ftdt(objectives, graph: Digraph,
                     config: AdmmConfig | None = None, *, regularizer=None,
-                    penalized=None, reference=None) -> RunRecord:
+                    reference=None) -> RunRecord:
     """Fully distributed variant: nodes detect, stop, and re-size on their own.
 
     The first phase carries distributed stopping counters; once every node
@@ -709,13 +694,12 @@ def run_fdadmm_ftdt(objectives, graph: Digraph,
     steps from its own stopping round — with zero coordinator input.
     """
     return _run("fdadmm_ftdt", objectives, graph, config or AdmmConfig(),
-                regularizer, penalized, reference)
+                regularizer, reference)
 
 
 def run_epsilon_baseline(objectives, graph: Digraph,
                          config: AdmmConfig | None = None, *,
-                         regularizer=None, penalized=None,
-                         reference=None) -> RunRecord:
+                         regularizer=None, reference=None) -> RunRecord:
     """Inexact-averaging baseline with windowed spread certification.
 
     Nodes snapshot their running ratio every ``n'`` exchanges and spend the
@@ -723,7 +707,7 @@ def run_epsilon_baseline(objectives, graph: Digraph,
     window whose spread is within ``epsilon`` ends the phase everywhere.
     """
     return _run("epsilon_baseline", objectives, graph, config or AdmmConfig(),
-                regularizer, penalized, reference)
+                regularizer, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -789,13 +773,16 @@ class ProbeReport:
     log10_errors: np.ndarray
 
 
-def rlinear_probe(record, x_star=None, *, floor: float = 1e-12,
-                  min_points: int = 10) -> ProbeReport:
+_PROBE_FLOOR = 1e-12    # errors at or below this are numerical noise
+_PROBE_MIN_POINTS = 10
+
+
+def rlinear_probe(record, x_star=None) -> ProbeReport:
     """Fit the decay rate of ``log10 ||X^k - X*||`` over the tail half.
 
     Accepts a :class:`RunRecord` plus the optimizer, or a precomputed 1-D
-    error sequence. Points at or below ``floor`` are discarded as numerical
-    noise; fewer than ``min_points`` usable points raises
+    error sequence. Points at or below 1e-12 are discarded as numerical
+    noise; fewer than 10 usable points raises
     :class:`InsufficientData`. A geometric sequence q^k yields slope
     ``log10 q`` exactly.
     """
@@ -807,10 +794,10 @@ def rlinear_probe(record, x_star=None, *, floor: float = 1e-12,
     else:
         errors = np.asarray(record, dtype=float).ravel()
     k = np.arange(1, errors.size + 1, dtype=float)
-    usable = errors > floor
-    if int(usable.sum()) < min_points:
+    usable = errors > _PROBE_FLOOR
+    if int(usable.sum()) < _PROBE_MIN_POINTS:
         raise InsufficientData(
-            f"only {int(usable.sum())} usable points above {floor}")
+            f"only {int(usable.sum())} usable points above {_PROBE_FLOOR}")
     k_use = k[usable]
     log_err = np.log10(errors[usable])
     tail = slice(k_use.size // 2, None)

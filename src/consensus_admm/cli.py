@@ -1,8 +1,9 @@
 """Config-driven experiment runner and CSV comparison tool.
 
 Experiments are described by a small INI-style file (``[section]`` headers,
-``key = value`` lines, ``#``/``;`` comments). A run produces one CSV with a
-fixed schema; ``compare`` lines up two or more such CSVs step by step.
+``key = value`` lines, ``#``/``;`` comments, also after whitespace at the end
+of a line). A run produces one CSV with a fixed schema; ``compare`` lines up
+two or more such CSVs step by step.
 
 Example config::
 
@@ -32,6 +33,7 @@ import argparse
 import csv
 import dataclasses
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +57,10 @@ _RUNNERS = {
     "fdadmm_ftdt": run_fdadmm_ftdt,
     "epsilon_baseline": run_epsilon_baseline,
 }
+
+# a comment starts at "#" or ";" at the start of a line or after whitespace,
+# as configparser's inline_comment_prefixes read it
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
 
 # section -> {key: type}: the keys a config may set, and how each parses
 _SECTION_KEYS = {
@@ -110,8 +116,8 @@ def _parse_sections(path: str | Path):
     current: str | None = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith(("#", ";")):
+            line = _COMMENT.split(raw, maxsplit=1)[0].strip()
+            if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 name = line[1:-1].strip()

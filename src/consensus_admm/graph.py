@@ -50,6 +50,11 @@ class Digraph:
         ]
 
 
+def _check_node_count(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise InvalidEdge(f"node count must be an integer >= 1, got {n!r}")
+
+
 def build_digraph(n: int, edges) -> Digraph:
     """Build a digraph from (receiver, sender) pairs.
 
@@ -63,8 +68,7 @@ def build_digraph(n: int, edges) -> Digraph:
     Any other ``n``, self-loops, duplicates and out-of-range endpoints raise
     :class:`InvalidEdge`.
     """
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
-        raise InvalidEdge(f"node count must be an integer >= 1, got {n!r}")
+    _check_node_count(n)
     outs: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for receiver, sender in edges:
@@ -107,8 +111,10 @@ def random_strongly_connected(n: int, extra_edge_prob: float = 0.0,
 
     A random Hamiltonian cycle guarantees strong connectivity; every other
     ordered pair is then added independently with ``extra_edge_prob``, a
-    probability in [0, 1].
+    probability in [0, 1]. A node count that :func:`build_digraph` would
+    refuse raises its :class:`InvalidEdge` before anything is drawn.
     """
+    _check_node_count(n)
     if not 0.0 <= extra_edge_prob <= 1.0:   # also refuses NaN
         raise ValueError(f"extra_edge_prob must be finite and in [0, 1], "
                          f"got {extra_edge_prob}")

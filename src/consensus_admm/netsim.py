@@ -111,10 +111,11 @@ class RoundEngine:
 
     graph: Digraph
     audit: bool = True
-    tick: int = 0
-    log: list[RoundRecord] = field(default_factory=list)
-    _wave: np.ndarray | None = None  # the wave buffer: payloads, pad row
-    _block: np.ndarray | None = None  # every node's block, gathered in place
+    tick: int = field(default=0, init=False)
+    log: list[RoundRecord] = field(default_factory=list, init=False)
+    # the wave buffer (payloads, pad row) and every node's gathered block
+    _wave: np.ndarray | None = field(default=None, init=False)
+    _block: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.gather = gather_rows(self.graph)

@@ -86,19 +86,6 @@ def _ls_solve(lhs, atb, z, lam, rho):
     return np.linalg.solve(lhs, (atb - lam + rho * z)[..., None])[..., 0]
 
 
-def ls_x_update(mat, rhs, z, lam, rho, *, gram=None, atb=None) -> np.ndarray:
-    """Closed-form solve of (A^T A + rho I) x = A^T b - lam + rho z."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    p = mat.shape[1]
-    if gram is None:
-        gram = mat.T @ mat
-    if atb is None:
-        atb = mat.T @ np.atleast_1d(np.asarray(rhs, dtype=float))
-    return _ls_solve(gram + rho * np.eye(p), atb,
-                     np.asarray(z, dtype=float), np.asarray(lam, dtype=float),
-                     rho)
-
-
 class LogisticObjective(LocalObjective):
     """f(x) = sum_k log(1 + exp(-b_k * (a_k^T w + v))) over this node's rows.
 
@@ -106,13 +93,10 @@ class LogisticObjective(LocalObjective):
     design matrix silently gains a column of ones.
     """
 
-    def __init__(self, features, labels, intercept: bool = True):
+    def __init__(self, features, labels):
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        if intercept:
-            features = np.hstack([features, np.ones((features.shape[0], 1))])
-        self.design = features
+        self.design = np.hstack([features, np.ones((features.shape[0], 1))])
         self.labels = np.atleast_1d(np.asarray(labels, dtype=float))
-        self.intercept = intercept
 
     @property
     def dim(self) -> int:
@@ -133,7 +117,22 @@ class LogisticObjective(LocalObjective):
         return _logistic_hessian(self.design, sig)
 
     def solve_x_update(self, z, lam, rho) -> np.ndarray:
-        return logistic_x_update(self, z, lam, rho)
+        """Damped Newton solve of the x-update to gradient norm <= 1e-6.
+
+        That tolerance sits above the float64 noise floor of the composite
+        value (roughly 1e-8 gradient norm at a few hundred samples), where
+        the line search can no longer resolve a decrease. If that floor is
+        hit anyway while the gradient is within 1e3 times the tolerance, the
+        iterate is returned as converged-to-precision. Raises
+        :class:`SolverFailure` once the iteration budget is exhausted.
+        """
+        x, failures = _logistic_newton(
+            self.design[None], self.labels[None],
+            np.asarray(z, dtype=float)[None],
+            np.asarray(lam, dtype=float)[None], rho)
+        if failures:
+            raise failures[0]
+        return x[0]
 
 
 # Logistic pieces over a stack of terms (or a single term): design
@@ -186,29 +185,12 @@ def _composite_value(margins, z, lam, rho, x):
             + 0.5 * rho * np.vecdot(d, d))
 
 
-def logistic_x_update(objective: LogisticObjective, z, lam, rho, *,
-                      tol: float = 1e-6, max_iter: int = 200) -> np.ndarray:
-    """Damped Newton solve of the logistic x-update to gradient norm <= tol.
-
-    The default tol sits above the float64 noise floor of the composite
-    value (roughly 1e-8 gradient norm at a few hundred samples), where the
-    line search can no longer resolve a decrease. If that floor is hit
-    anyway while the gradient is within 1e3*tol, the iterate is returned as
-    converged-to-precision. Raises :class:`SolverFailure` once the
-    iteration budget is exhausted.
-    """
-    x, failures = _logistic_newton(
-        objective.design[None], objective.labels[None],
-        np.asarray(z, dtype=float)[None], np.asarray(lam, dtype=float)[None],
-        rho, tol=tol, max_iter=max_iter)
-    if failures:
-        raise failures[0]
-    return x[0]
+_NEWTON_TOL = 1e-6       # gradient norm at which a logistic solve stops
+_NEWTON_MAX_ITER = 200
 
 
-def _logistic_newton(design, labels, z, lam, rho, *, tol: float = 1e-6,
-                     max_iter: int = 200):
-    """The damped Newton solve of :func:`logistic_x_update` on a stack.
+def _logistic_newton(design, labels, z, lam, rho):
+    """The Newton solve of :meth:`LogisticObjective.solve_x_update`, stacked.
 
     Every term keeps its own iterate, convergence test and Armijo halving,
     and each stack operation acts term by term, so a term's iterate is the
@@ -223,16 +205,16 @@ def _logistic_newton(design, labels, z, lam, rho, *, tol: float = 1e-6,
     d, lab, zo, lo, xo = design, labels, z, lam, x
     margins = _margins(d, lab, xo)
     value = None   # taken at the entry point of the terms that step
-    for it in range(max_iter + 1):
+    for it in range(_NEWTON_MAX_ITER + 1):
         sig = _sigmoid(margins)
         grad = _logistic_gradient(d, lab, sig) + lo + rho * (xo - zo)
         grad_norm = np.sqrt(np.vecdot(grad, grad))
-        going = ~(grad_norm <= tol)
+        going = ~(grad_norm <= _NEWTON_TOL)
         if not going.any():
             break
-        if it == max_iter:
+        if it == _NEWTON_MAX_ITER:
             failures.update((int(t), SolverFailure(
-                f"Newton stalled after {max_iter} iterations "
+                f"Newton stalled after {_NEWTON_MAX_ITER} iterations "
                 f"(|grad| = {g:.3e})"))
                 for t, g in zip(open_[going], grad_norm[going]))
             break
@@ -268,7 +250,7 @@ def _logistic_newton(design, labels, z, lam, rho, *, tol: float = 1e-6,
                     failures[int(open_[pos])] = singular[pos]
                 # a descent direction, but float64 is flat here: converged
                 # to precision unless the gradient is still large
-                elif not grad_norm[pos] <= 1e3 * tol:
+                elif not grad_norm[pos] <= 1e3 * _NEWTON_TOL:
                     failures[int(open_[pos])] = SolverFailure(
                         f"no representable decrease at "
                         f"|grad| = {grad_norm[pos]:.3e}")
@@ -404,10 +386,9 @@ class L1Regularizer:
         # the z-update solves argmin mu*||z||_1 + (n*rho/2)*||z - mean||^2
         return self.mu / (n * rho)
 
-    def penalized_mask(self, dim: int, intercept: bool = True) -> np.ndarray:
+    def penalized_mask(self, dim: int) -> np.ndarray:
         mask = np.ones(dim, dtype=bool)
-        if intercept:
-            mask[-1] = False
+        mask[-1] = False
         return mask
 
 

@@ -28,11 +28,6 @@ class Reference:
     residual: float
 
 
-def exact_average(values) -> np.ndarray:
-    """Arithmetic mean per coordinate of a stack of vectors (or scalars)."""
-    return np.mean(np.asarray(values, dtype=float), axis=0)
-
-
 def centralized_least_squares(mats, rhss) -> Reference:
     """Solve min_x sum_i 0.5*||A_i x - b_i||^2 by the normal equations.
 
@@ -69,40 +64,41 @@ def _logistic_value_grad(features: np.ndarray, labels: np.ndarray,
     return value, grad
 
 
-def centralized_l1_logistic(features, labels, mu: float, *,
-                            intercept: bool = True, tol: float = 1e-8,
-                            max_iter: int = 200_000) -> Reference:
+_PROX_TOL = 1e-8
+_PROX_MAX_ITER = 200_000
+
+
+def centralized_l1_logistic(features, labels, mu: float) -> Reference:
     """Proximal gradient for l1-penalized logistic loss, exact Lipschitz step.
 
     The logistic loss gradient is Lipschitz with constant ``||A||_2^2 / 4``,
     so the fixed inverse step descends monotonically — no line search that
     could stall in float noise near the optimum. The intercept rides as an
     appended, unpenalized coordinate. Iterates stop once both the composite
-    gradient map norm and the direct subgradient residual are at most
-    ``tol``.
+    gradient map norm and the direct subgradient residual are at most 1e-8.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    design = np.hstack([features, np.ones((features.shape[0], 1))]) if intercept \
-        else features
+    design = np.hstack([features, np.ones((features.shape[0], 1))])
     p = design.shape[1]
     weight = np.full(p, mu)
-    if intercept:
-        weight[-1] = 0.0
+    weight[-1] = 0.0
 
     lipschitz = 0.25 * np.linalg.norm(design, 2) ** 2
     step = 1.0 / max(lipschitz, 1e-12)
     x = np.zeros(p)
     value, grad = _logistic_value_grad(design, labels, x)
-    for _ in range(max_iter):
+    for _ in range(_PROX_MAX_ITER):
         candidate = soft_threshold(x - step * grad, step * weight)
         map_norm = float(np.linalg.norm(candidate - x)) / step
         x = candidate
         value, grad = _logistic_value_grad(design, labels, x)
-        if map_norm <= tol and _l1_subgradient_residual(grad, x, weight) <= tol:
+        if (map_norm <= _PROX_TOL
+                and _l1_subgradient_residual(grad, x, weight) <= _PROX_TOL):
             break
     else:
-        raise MaxIterations(f"no convergence in {max_iter} proximal steps")
+        raise MaxIterations(
+            f"no convergence in {_PROX_MAX_ITER} proximal steps")
 
     residual = _l1_subgradient_residual(grad, x, weight)
     f_star = value + float(weight @ np.abs(x))

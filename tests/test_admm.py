@@ -17,6 +17,7 @@ from consensus_admm import (AdmmConfig, InsufficientData, L1Regularizer,
                             split_rows, stopping_criterion)
 from consensus_admm import admm
 from consensus_admm.admm import _consensus_phase, _Phase
+from consensus_admm.consensus import pad_kernels
 
 
 def _instance(n=4, p=2, q=5, seed=3, graph_seed=1, extra=0.4):
@@ -53,9 +54,8 @@ def test_composite_objective():
     point = np.array([0.4, -1.2])
     plain = composite_objective(objectives, point)
     assert plain == pytest.approx(sum(o.evaluate(point) for o in objectives))
-    reg = L1Regularizer(mu=2.0)
-    mask = np.array([True, False])
-    with_penalty = composite_objective(objectives, point, reg, mask)
+    reg = L1Regularizer(mu=2.0)           # the last coordinate is free
+    with_penalty = composite_objective(objectives, point, reg)
     assert with_penalty == pytest.approx(plain + 2.0 * 0.4)
 
 
@@ -259,7 +259,7 @@ def _detection_phase(n, width, seed):
 
 def test_exact_values_match_per_node_contiguous_calls_bitwise():
     # Histories stay bitwise reproducible only while the whole trajectory
-    # exact_values hands fterc_final gives the values of one fresh
+    # a phase hands fterc_final gives the values of one fresh
     # C-contiguous copy of each node's own [x, y] rows.
     cases = 0
     for seed in range(12):
@@ -269,7 +269,7 @@ def test_exact_values_match_per_node_contiguous_calls_bitwise():
             per_node = np.stack([
                 fterc_final(np.ascontiguousarray(traj[:len(beta), i]), beta)
                 for i, beta in enumerate(betas)])
-            values = phase.exact_values(betas)
+            values = fterc_final(traj, pad_kernels(betas))
             assert values.shape == per_node.shape
             assert values.tobytes() == per_node.tobytes()
             cases += len({len(beta) for beta in betas}) > 1
@@ -402,7 +402,7 @@ def test_steady_restart_equals_a_rebuilt_phase(monkeypatch, solver, problem,
 
 
 def test_exact_values_read_only_written_rows(monkeypatch):
-    # Trajectories come from np.empty, and exact_values reads every row
+    # Trajectories come from np.empty, and fterc_final reads every row
     # below the longest kernel: each of those rows must have been written
     # (the last node fires at round 2 d_max + 1 >= d_max). Filling every
     # new float array with NaN shows any row that was not.
@@ -425,7 +425,7 @@ def test_exact_values_read_only_written_rows(monkeypatch):
             phase = _detection_phase(*case)
             betas = phase.detector.beta
             assert np.isfinite(phase.traj[:max(map(len, betas))]).all()
-            yield phase.exact_values(betas).tobytes()
+            yield fterc_final(phase.traj, pad_kernels(betas)).tobytes()
         for solver in solvers:
             yield solver(objectives, graph, config).z_hist.tobytes()
 

@@ -15,6 +15,7 @@ from consensus_admm import (CSV_COLUMNS, Comparison, ConfigError,
 from consensus_admm.cli import _SECTION_KEYS, main
 
 GOLDEN = Path(__file__).parent / "data" / "golden_ls_dadmm.csv"
+README = Path(__file__).parents[1] / "README.md"
 
 SMALL_LS = """\
 # four nodes, tiny horizon
@@ -134,6 +135,76 @@ def test_parse_config_missing_algorithm_name(tmp_path):
 def test_parse_config_key_before_section(tmp_path):
     with pytest.raises(ConfigError, match="before any"):
         parse_config(_write(tmp_path, "n = 3\n" + SMALL_LS))
+
+
+def _readme_config() -> str:
+    """The example ``ini`` block under "Experiment files" in the README."""
+    section = README.read_text(encoding="utf-8").split(
+        "### Experiment files")[1]
+    return section.split("```ini\n")[1].split("```")[0]
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    # its values carry inline comments, which once became part of the value
+    text = _readme_config()
+    assert "n = 6                  # nodes" in text
+    path = _write(tmp_path, text)
+    config = parse_config(path)
+    assert (config.problem.n, config.algorithm) == (6, "dadmm_fterc")
+    assert config.admm.stop_on_tolerance is True
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "dadmm_fterc-least_squares-s0.csv").exists()
+
+    bad = _write(tmp_path, text.replace("n = 6 ", "n = x "), "bad.ini")
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 1
+    assert f"{bad}:3: n expects a int, got 'x'\n" in capsys.readouterr().err
+
+
+L1_LOGISTIC = """\
+[problem]
+kind = l1_logistic
+n = 4
+p = 3
+m = 40
+data_seed = 2
+
+[graph]
+extra_edge_prob = 0.3
+seed = 1
+
+[algorithm]
+name = fdadmm_ftdt
+
+[admm]
+k_max = 8
+stop_on_tolerance = false
+"""
+
+
+def test_main_runs_an_l1_logistic_config(tmp_path):
+    path = _write(tmp_path, L1_LOGISTIC)
+    for out in ("a", "b"):
+        assert main(["run", str(path), "--out", str(tmp_path / out)]) == 0
+    name = "fdadmm_ftdt-l1_logistic-s0.csv"
+    table = read_csv(tmp_path / "a" / name)
+    assert np.array_equal(table["k"], np.arange(1, 9))
+    # no centralized reference for l1 problems: the bound columns are nan
+    assert np.all(np.isnan(table["bound_lhs"]))
+    assert np.all(np.isnan(table["bound_rhs"]))
+    assert ((tmp_path / "a" / name).read_bytes()
+            == (tmp_path / "b" / name).read_bytes())
+
+
+def test_main_seed_overrides_the_solver_seed(tmp_path):
+    path = _write(tmp_path, SMALL_LS.replace("init = zero", "init = random"))
+    assert main(["run", str(path), "--out", str(tmp_path / "s0")]) == 0
+    assert main(["run", str(path), "--seed", "5",
+                 "--out", str(tmp_path / "s5")]) == 0
+    assert [p.name for p in (tmp_path / "s5").iterdir()] == [
+        "dadmm_fterc-least_squares-s5.csv"]
+    assert ((tmp_path / "s0" / "dadmm_fterc-least_squares-s0.csv").read_bytes()
+            != (tmp_path / "s5" / "dadmm_fterc-least_squares-s5.csv")
+            .read_bytes())
 
 
 def test_run_experiment_writes_schema_and_reruns_identically(tmp_path):
@@ -287,7 +358,10 @@ def test_main_error_exit_codes(tmp_path, capsys):
             ("extra_edge_prob = 0.4", "extra_edge_prob = 1.5", 10,
              "extra_edge_prob must be in [0, 1]"),
             ("extra_edge_prob = 0.4", "extra_edge_prob = -0.5", 10,
-             "extra_edge_prob must be in [0, 1]")):
+             "extra_edge_prob must be in [0, 1]"),
+            ("[admm]", "[graph]", 16, "duplicate section [graph]"),
+            ("k_max = 12", "k_max 12", 17,
+             "expected '[section]' or 'key = value'")):
         odd = _write(tmp_path, SMALL_LS.replace(old, value))
         assert main(["run", str(odd)]) == 1
         assert f"{odd}:{line}: {message}" in capsys.readouterr().err

@@ -62,6 +62,13 @@ def test_random_digraph_is_deterministic():
     assert a.out_neighbors != c.out_neighbors
 
 
+@pytest.mark.parametrize("n", [2.0, 2.5, "3", 0, -1, True])
+def test_random_digraph_refuses_a_node_count_before_drawing(n):
+    # 2.0, 2.5 and "3" escaped as numpy's AxisError from rng.permutation
+    with pytest.raises(InvalidEdge, match="node count must be an integer"):
+        random_strongly_connected(n, 0.3, seed=1)
+
+
 def test_random_digraph_refuses_negative_seed():
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         random_strongly_connected(4, 0.3, seed=-1)

@@ -9,7 +9,6 @@ from consensus_admm import (AdmmConfig, L1Regularizer, LeastSquaresObjective,
                             LogisticObjective, SolverFailure,
                             centralized_l1_logistic,
                             compute_mu_max, l1_z_update, load_dataset,
-                            logistic_x_update, ls_x_update,
                             make_least_squares_instance,
                             make_logistic_instance, random_strongly_connected,
                             run_dadmm_fterc, save_dataset, soft_threshold,
@@ -46,17 +45,13 @@ def test_ls_x_update_solves_normal_system():
     z = rng.standard_normal(4)
     lam = rng.standard_normal(4)
     rho = 1.7
-    x = ls_x_update(mat, rhs, z, lam, rho)
+    x = LeastSquaresObjective(mat, rhs).solve_x_update(z, lam, rho)
     expected = np.linalg.solve(mat.T @ mat + rho * np.eye(4),
                                mat.T @ rhs - lam + rho * z)
     assert np.allclose(x, expected, atol=1e-12)
     # stationarity of the augmented local problem
     grad = mat.T @ (mat @ x - rhs) + lam + rho * (x - z)
     assert np.linalg.norm(grad) < 1e-10
-    # precomputed factors give the same answer
-    cached = ls_x_update(mat, rhs, z, lam, rho,
-                         gram=mat.T @ mat, atb=mat.T @ rhs)
-    assert np.array_equal(x, cached)
 
 
 def test_ls_solve_x_update_keeps_its_matrix_per_rho():
@@ -66,8 +61,9 @@ def test_ls_solve_x_update_keeps_its_matrix_per_rho():
     obj = LeastSquaresObjective(mat, rhs)
     for rho in (1.7, 1.7, 0.4, 1.7):       # a hit, then a changed rho
         z, lam = rng.standard_normal((2, 4))
+        fresh = LeastSquaresObjective(mat, rhs)
         assert np.array_equal(obj.solve_x_update(z, lam, rho),
-                              ls_x_update(mat, rhs, z, lam, rho))
+                              fresh.solve_x_update(z, lam, rho))
 
 
 def test_logistic_value_gradient_hessian():
@@ -92,7 +88,7 @@ def test_logistic_x_update_reaches_stationarity():
     z = rng.standard_normal(5)
     lam = rng.standard_normal(5)
     rho = 0.8
-    x = logistic_x_update(obj, z, lam, rho)
+    x = obj.solve_x_update(z, lam, rho)
     grad = obj.gradient(x) + lam + rho * (x - z)
     assert np.linalg.norm(grad) <= 1e-6
 
@@ -328,7 +324,6 @@ def test_l1_regularizer_accessors():
     assert reg.kappa(n=3, rho=2.0) == pytest.approx(0.1)
     mask = reg.penalized_mask(5)
     assert mask.tolist() == [True, True, True, True, False]
-    assert reg.penalized_mask(5, intercept=False).all()
 
 
 def test_compute_mu_max_kills_all_features():

@@ -8,16 +8,9 @@ import pytest
 
 from consensus_admm import (LogisticObjective, build_digraph,
                             centralized_l1_logistic,
-                            centralized_least_squares, exact_average,
-                            fterc_run, make_logistic_instance,
-                            minimal_poly_oracle, random_strongly_connected,
-                            ratio_weights)
-
-
-def test_exact_average_pins():
-    assert exact_average([1.0, 2.0, 6.0]) == pytest.approx(3.0)
-    stacked = np.array([[1.0, 4.0], [3.0, 0.0]])
-    assert np.allclose(exact_average(stacked), [2.0, 2.0])
+                            centralized_least_squares, fterc_run,
+                            make_logistic_instance, minimal_poly_oracle,
+                            random_strongly_connected, ratio_weights)
 
 
 def test_minimal_poly_degree_on_ring():
