@@ -44,7 +44,7 @@ from .consensus import (ConsensusResult, HankelDetector, check_seeds,
 from .errors import InsufficientData, NonIntegerResult, NumericBreakdown
 from .exact import exact_consensus_run
 from .graph import Digraph
-from .netsim import RoundEngine, block_max, block_min, phase_lengths
+from .netsim import RoundEngine, phase_lengths
 from .objectives import L1Regularizer, ObjectiveStacks, l1_z_update
 from .oracle import Reference
 from .termination import (Counters, counter_message, derive_max_defect,
@@ -190,7 +190,11 @@ class _Phase:
     sender degrees, followed by the rider columns the flags ask for: the
     counter pair ``(theta, c)``, the max-consensus value ``v``, and the
     certification bounds ``hi`` and ``lo``; each send rewrites its own
-    columns of one ``(n, columns)`` payload buffer the phase keeps. One
+    columns of one ``(n, columns)`` payload buffer the phase keeps. ``pad``
+    holds the identity of each column's reduction, which the engine copies
+    into every block row past a node's in-degree: ``-0.0`` under the ratio
+    pair, ``-inf`` under the counters, ``v`` and ``hi``, ``+inf`` under
+    ``lo``. So every reduction over a block is one plain pass. One
     detector reads ``traj`` for every node; a detecting phase writes rounds
     only while it is open and raises :class:`NumericBreakdown` when a node
     is still open at the end of ``traj``, its ``2n'`` horizon. One
@@ -208,21 +212,20 @@ class _Phase:
                  flags: PhaseFlags, *, rounds, defect_sizes, window,
                  spread_eps):
         n, p = seeds.shape
-        self.live, self.share = engine.live, engine.share
+        self.share = engine.share
         self.window, self.spread_eps = window, spread_eps
         self.traj = np.empty((1 if rounds is None else rounds + 1, n, p + 1))
         self.restart(engine, seeds)
         self.detector = self.counters = self.vmax = self.snap = None
-        steps, sends, width = [], [], 0   # sends fill the payload columns
+        steps, sends, pads = [], [], []   # sends fill the payload columns
 
-        def columns(count: int) -> slice:
-            nonlocal width
-            width += count
-            return slice(width - count, width)
+        def columns(count: int, pad: float) -> slice:
+            pads.extend([pad] * count)
+            return slice(len(pads) - count, len(pads))
 
         carries_ratio = flags.detect or not flags.terminate
         if carries_ratio:
-            self.ratio = columns(p + 1)
+            self.ratio = columns(p + 1, -0.0)
             sends.append(self._send_ratio)
         if flags.detect:
             self.detector = HankelDetector(n)
@@ -233,7 +236,7 @@ class _Phase:
             steps.append(self._mix_record)
         if flags.terminate:
             self.counters = Counters(n)
-            self.counter_cols = columns(2)
+            self.counter_cols = columns(2, -np.inf)
             if not flags.detect:
                 self.fire_round = 2 * np.asarray(defect_sizes) + 1
                 steps.append(self._fire_on_schedule)
@@ -241,18 +244,20 @@ class _Phase:
             sends.append(self._send_counters)
         if flags.piggyback:
             self.vmax = np.asarray(defect_sizes, dtype=float) + 1.0
-            self.v_col = columns(1)
+            self.v_col = columns(1, -np.inf)
             steps.append(self._max_consensus)
             sends.append(self._send_vmax)
         if flags.certify:
             self.certified = np.zeros(n, dtype=bool)
             self.snap = self.state[:, 1:] / self.state[:, :1]
             self.hi, self.lo = self.snap.copy(), self.snap.copy()
-            self.hi_cols, self.lo_cols = columns(p), columns(p)
+            self.hi_cols = columns(p, -np.inf)
+            self.lo_cols = columns(p, np.inf)
             steps.append(self._certify)
             sends.append(self._send_bounds)
         self.steps, self.sends = tuple(steps), tuple(sends)
-        self.payload = np.empty((n, width))
+        self.pad = np.array(pads)
+        self.payload = np.empty((n, self.pad.size))
         if carries_ratio:
             self.ratio_out = self.payload[:, self.ratio]
 
@@ -293,11 +298,10 @@ class _Phase:
     # -- round steps, in the order a round runs them --------------------
 
     def _mix(self, block, k):
-        self.state = ratio_update(block[:, :, self.ratio], self.live)
+        self.state = ratio_update(block[:, :, self.ratio])
 
     def _mix_record(self, block, k):
-        self.state = ratio_update(block[:, :, self.ratio], self.live,
-                                  out=self.traj[k])
+        self.state = ratio_update(block[:, :, self.ratio], out=self.traj[k])
 
     def _detect(self, block, k):
         detector = self.detector
@@ -323,15 +327,15 @@ class _Phase:
         # ftdt_step keeps only the largest counter value a node hears;
         # counters are nonnegative, so 0 stands in for an empty inbox
         heard = np.max(block[:, 1:, self.counter_cols], axis=(1, 2),
-                       where=self.live[:, 1:, None], initial=0)
+                       initial=0)
         ftdt_step(self.counters, k, heard.astype(np.int64))
 
     def _max_consensus(self, block, k):
-        self.vmax = block_max(block[:, :, self.v_col], self.live)[:, 0]
+        self.vmax = np.max(block[:, :, self.v_col], axis=1)[:, 0]
 
     def _certify(self, block, k):
-        self.hi = block_max(block[:, :, self.hi_cols], self.live)
-        self.lo = block_min(block[:, :, self.lo_cols], self.live)
+        self.hi = np.max(block[:, :, self.hi_cols], axis=1)
+        self.lo = np.min(block[:, :, self.lo_cols], axis=1)
         if k % self.window == 0:
             open_ = ~self.certified
             # a snapshot whose spread is within epsilon a window later
@@ -392,7 +396,7 @@ def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
              else _Phase(engine, seeds, flags, rounds=kept,
                          defect_sizes=defect_sizes, window=n_prime,
                          spread_eps=epsilon))
-    engine.prime(phase.wave(1), label)
+    engine.prime(phase.wave(1), label, pad=phase.pad)
     if flags.terminate:
         while not phase.counters.t_term.all():
             if engine.tick - phase.t0 >= rounds:

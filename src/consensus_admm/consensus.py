@@ -12,10 +12,10 @@ denominator first, so :func:`fterc_final` reduces them as they are.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericBreakdown
 
@@ -44,27 +44,39 @@ def check_seeds(y0, n: int) -> np.ndarray:
     return seeds
 
 
-def ratio_update(block: np.ndarray, live: np.ndarray,
+def ratio_update(block: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
     """One receiver-side ratio update for every node at once.
 
     ``block[i]`` holds node i's own ratio row, then its in-neighbours' rows
-    in sender order, each already divided by 1 + its sender's out-degree;
-    ``live`` marks those rows, and pad rows are never read. One masked
-    reduction sums the rows slot by slot in that order, so each node's sum
-    is the one a sequential loop over its inbox gives, to the last bit: it
-    starts from ``-0.0``, which leaves every first row as it is (``+0.0``
-    would turn a ``-0.0`` row into ``+0.0``). A ratio row holds the
-    denominator and at least one numerator; a block of one column is
-    refused, since numpy would sum its slots pairwise, out of that order.
-    Given ``out``, an ``(n, columns)`` array, the sums are written there and
-    ``out`` is returned.
+    in sender order, each already divided by 1 + its sender's out-degree,
+    then pad rows of ``-0.0``, which leave any sum as it is, to the last bit.
+    One plain reduction sums the rows slot by slot in that order, so each
+    node's sum is the one a sequential loop over its inbox gives: it starts
+    from ``-0.0`` too (``+0.0`` would turn a ``-0.0`` row into ``+0.0``).
+    That holds for the engine's slot-major blocks and for C-contiguous ones
+    alike, as long as a row has more than one column; a block of one column
+    is refused, since numpy would sum a contiguous slot axis pairwise, out
+    of that order. A ratio row holds the denominator and at least one
+    numerator. Given ``out``, an ``(n, columns)`` array, the sums are
+    written there and ``out`` is returned.
     """
     if block.shape[2] < 2:
         raise ValueError("a ratio row has at least two columns, got "
                          f"{block.shape[2]}")
-    return np.add.reduce(block, axis=1, where=live[:, :, None], initial=-0.0,
-                         out=out)
+    return np.add.reduce(block, axis=1, initial=-0.0, out=out)
+
+
+@functools.lru_cache(maxsize=64)
+def _hankel_index(m: int) -> np.ndarray:
+    """The ``(m, m)`` index ``i + j`` of a square Hankel matrix's entries.
+
+    Read-only, since every detector shares it. A detector checks each size
+    once per phase, so the cache serves later phases; it keeps 64 sizes.
+    """
+    index = np.add.outer(np.arange(m), np.arange(m))
+    index.flags.writeable = False
+    return index
 
 
 class HankelDetector:
@@ -106,9 +118,11 @@ class HankelDetector:
                 self._fire(i, np.ones(1), 0)
         rows = np.flatnonzero(self.open[checked])
         if rows.size:
-            # row c*m + i, column j of a node's matrix is diffs[i + j, node, c]
-            stacked = sliding_window_view(diffs[:, rows], m, axis=0).transpose(
-                1, 2, 0, 3).reshape(rows.size, -1, m)
+            # row c*m + i, column j of a node's matrix is diffs[i + j, node, c];
+            # each node's channels are gathered from contiguous series
+            series = diffs[:, rows].transpose(1, 2, 0).copy()
+            stacked = series.take(_hankel_index(m), axis=2).reshape(
+                rows.size, -1, m)
             sigma = np.linalg.svd(stacked, compute_uv=False)
             deficient = ~(sigma[:, -1] > RANK_TOL * sigma[:, 0])
             if deficient.any():

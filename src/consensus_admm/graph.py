@@ -105,6 +105,9 @@ def is_strongly_connected(g: Digraph) -> bool:
     return all(d >= 0 for d in forward) and all(d >= 0 for d in backward)
 
 
+_DRAW_CHUNK = 1 << 20   # random_strongly_connected draws this many at once
+
+
 def random_strongly_connected(n: int, extra_edge_prob: float = 0.0,
                               seed: int | None = None) -> Digraph:
     """Random strongly connected digraph without rejection sampling.
@@ -122,23 +125,25 @@ def random_strongly_connected(n: int, extra_edge_prob: float = 0.0,
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    edge_set: set[tuple[int, int]] = set()
-    if n > 1:
-        for i in range(n):
-            sender = int(order[i])
-            receiver = int(order[(i + 1) % n])
-            edge_set.add((receiver, sender))
-    if extra_edge_prob > 0.0 and n > 1:
-        draws = rng.random((n, n))
-        for sender in range(n):
-            for receiver in range(n):
-                if receiver == sender or (receiver, sender) in edge_set:
-                    continue
-                if draws[sender, receiver] < extra_edge_prob:
-                    edge_set.add((receiver, sender))
-    # sender-major, receiver-minor order keeps construction deterministic
-    edges = sorted(edge_set, key=lambda e: (e[1], e[0]))
-    return build_digraph(n, edges)
+    # successor[s] is the receiver of sender s's cycle edge
+    successor = np.empty(n, dtype=np.int64)
+    successor[order] = np.roll(order, -1)
+    if extra_edge_prob == 0.0 or n == 1:
+        return Digraph(n, tuple(() if n == 1 else (int(r),)
+                                for r in successor))
+    outs = []
+    # the (n, n) draws row by row, ``draws[sender, receiver]``, in chunks of
+    # rows that read the same stream as one draw of the whole matrix
+    chunk = max(1, _DRAW_CHUNK // n)
+    for first in range(0, n, chunk):
+        senders = np.arange(first, min(first + chunk, n))
+        rows = np.arange(senders.size)
+        adjacent = rng.random((senders.size, n)) < extra_edge_prob
+        adjacent[rows, senders] = False
+        adjacent[rows, successor[senders]] = True
+        # sender-major, receiver-minor order keeps construction deterministic
+        outs += [tuple(np.flatnonzero(row).tolist()) for row in adjacent]
+    return Digraph(n, tuple(outs))
 
 
 def ratio_weights(g: Digraph) -> np.ndarray:

@@ -6,27 +6,31 @@ node's out-edges at the next round: node ``i`` receives a *block* of rows
 whose first row is its own payload and whose next rows are the payloads of
 ``in_neighbors[i]``, in sender order. A node cannot reach a non-neighbour or
 skip one of its out-edges, because it never names a receiver. Rows past a
-node's in-degree are pads (NaN); ``RoundEngine.live`` marks the rows that
-hold payloads, and every reduction over a block reads only those. The
-engine is a simulator, not a network stack: what it guarantees are round
-counts, values, and replayable logs.
+node's in-degree are copies of the pad row that the phase chose when it
+primed: with the identity of each column's reduction there (``-0.0`` under
+a sum, ``-inf`` under a maximum, ``+inf`` under a minimum), every block
+reduction is one plain pass that reads the pads and is not moved by them.
+The engine is a simulator, not a network stack: what it guarantees are
+round counts, values, and replayable logs.
 
 A phase of ``R`` rounds is ``R`` exchanges. Seed payloads enter via
 :meth:`RoundEngine.prime`, which replaces the wave still undelivered from a
 previous phase (phase boundaries are barriers). The engine copies each wave
-into one ``(n + 1, w)`` buffer whose last row is the NaN pad, so a caller
-may reuse its array. Every round gathers the blocks into one ``(n, slots,
-w)`` buffer, rewritten in place, so a block is only valid during the update
-call that receives it: a caller that keeps one past that call copies it.
-Both buffers are allocated together and only again when ``w`` changes.
+into one ``(n + 1, w)`` buffer whose last row is the pad row, so a caller
+may reuse its array. Every round gathers the blocks slot by slot into one
+``(slots, n, w)`` buffer, rewritten in place, and hands the update its
+``(n, slots, w)`` transposed view: a reduction over the slots then adds
+whole ``(n, w)`` slabs in slot order. A block is only valid during the
+update call that receives it: a caller that keeps one past that call copies
+it. Both buffers are allocated together and only again when ``w`` changes.
 
 With ``audit`` on, each log entry holds one digest of the whole wave:
 :func:`stable_digest` of the ``(n, w)`` payload block in node order, so
-identical runs give identical logs. It hashes arrays only: a digest starts
-from a copy of a header digest cached by dtype and shape, so what it costs
-beyond a fixed call is the size of the wave. A replay that differs shows
-the first entry that differs; which node diverged is read by comparing the
-two runs' waves at that round.
+identical runs give identical logs; the pad row is never hashed. It hashes
+arrays only: a digest starts from a copy of a header digest cached by dtype
+and shape, so what it costs beyond a fixed call is the size of the wave. A
+replay that differs shows the first entry that differs; which node diverged
+is read by comparing the two runs' waves at that round.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ import numpy as np
 from .errors import ProtocolViolation
 from .graph import Digraph
 
-# update(block, tick) -> next wave; ``block`` is the engine's gather buffer,
-# rewritten by the next round, so it is only valid during the call
+# update(block, tick) -> next wave; ``block`` is a view of the engine's
+# gather buffer, rewritten by the next round, so it is only valid during
+# the call
 Update = Callable[[np.ndarray, int], np.ndarray]
 
 
@@ -103,23 +108,25 @@ class RoundEngine:
     """Runs whole-network rounds over a fixed digraph, one array step each.
 
     ``gather[i]`` lists the wave rows of node ``i``'s block: ``i`` itself,
-    then ``in_neighbors[i]``, then the pad row ``n``; ``live`` is True where
-    a block row holds a payload. ``share[i, 0]`` is ``1 / (1 + out-degree)``
-    of node ``i``: the part of its mass that each copy of its payload
-    carries under ratio consensus.
+    then ``in_neighbors[i]``, then the pad row ``n``. ``share[i, 0]`` is
+    ``1 / (1 + out-degree)`` of node ``i``: the part of its mass that each
+    copy of its payload carries under ratio consensus.
     """
 
     graph: Digraph
     audit: bool = True
     tick: int = field(default=0, init=False)
     log: list[RoundRecord] = field(default_factory=list, init=False)
-    # the wave buffer (payloads, pad row) and every node's gathered block
+    # the wave buffer (payloads, pad row), every node's gathered block in
+    # slot-major order (_slabs[s, i] is row s of node i's block), and the
+    # (n, slots, w) view of it that updates receive
     _wave: np.ndarray | None = field(default=None, init=False)
+    _slabs: np.ndarray | None = field(default=None, init=False)
     _block: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.gather = gather_rows(self.graph)
-        self.live = self.gather != self.graph.n
+        self._slot_rows = np.ascontiguousarray(self.gather.T)
         self.share = 1.0 / (1.0 + np.array([[self.graph.out_degree(i)]
                                             for i in range(self.graph.n)],
                                            dtype=float))
@@ -132,7 +139,8 @@ class RoundEngine:
                              f"{wave.shape} for {self.graph.n} nodes")
         if self._wave is None or self._wave.shape[1] != wave.shape[1]:
             self._wave = np.full((self.graph.n + 1, wave.shape[1]), np.nan)
-            self._block = np.empty(self.gather.shape + wave.shape[1:])
+            self._slabs = np.empty(self._slot_rows.shape + wave.shape[1:])
+            self._block = self._slabs.transpose(1, 0, 2)
         payloads = self._wave[:-1]
         payloads[...] = wave
         record = RoundRecord(self.tick, phase, kind, self.graph.edge_count,
@@ -142,20 +150,28 @@ class RoundEngine:
 
     # -- public API ------------------------------------------------------
 
-    def prime(self, wave, phase: str = "") -> RoundRecord:
+    def prime(self, wave, phase: str = "", pad=np.nan) -> RoundRecord:
         """Start a phase: drop the undelivered wave, broadcast ``wave``.
 
         ``wave`` is an ``(n, w)`` float array, row ``i`` node i's payload.
+        ``pad`` fills the block rows past each node's in-degree until the
+        next ``prime``: a scalar or one value per column, such as the
+        identity of the reduction each column goes through. It is not part
+        of the wave, so it is never hashed.
         """
-        return self._broadcast(wave, phase, "seed")
+        record = self._broadcast(wave, phase, "seed")
+        self._wave[-1] = pad
+        return record
 
     def run_round(self, update: Update, phase: str = "") -> RoundRecord:
         """Deliver the last wave, update every node, broadcast the next one.
 
         ``update(block, tick)`` receives the ``(n, slots, w)`` array of every
         node's block, built from the previous wave only, and returns the next
-        wave. The block is the engine's own buffer, rewritten every round:
-        it is only valid during the call. Raises :class:`ProtocolViolation`
+        wave. The block is the transposed view of the engine's own
+        ``(slots, n, w)`` buffer, rewritten every round: it is only valid
+        during the call, and a reduction over its slots adds one ``(n, w)``
+        slab per slot, in slot order. Raises :class:`ProtocolViolation`
         before the first :meth:`prime`, when there is no wave to deliver.
         """
         if self._wave is None:
@@ -164,9 +180,9 @@ class RoundEngine:
         self.tick += 1
         # gather indices are in range by construction; "clip" lets numpy
         # write straight into out= instead of through a temporary
-        block = self._wave.take(self.gather, axis=0, out=self._block,
-                                mode="clip")
-        return self._broadcast(update(block, self.tick), phase, "exchange")
+        self._wave.take(self._slot_rows, axis=0, out=self._slabs, mode="clip")
+        return self._broadcast(update(self._block, self.tick), phase,
+                               "exchange")
 
     def run_phase(self, update: Update, rounds: int, phase: str = "") -> None:
         """Execute exactly ``rounds`` exchanges under one phase label."""
@@ -185,16 +201,6 @@ class RoundEngine:
                     "digest": rec.digest,
                 }
                 fh.write(json.dumps(row) + "\n")
-
-
-def block_max(block: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Each node's column-wise maximum over the live rows of its block."""
-    return np.max(block, axis=1, where=live[:, :, None], initial=-np.inf)
-
-
-def block_min(block: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Each node's column-wise minimum over the live rows of its block."""
-    return np.min(block, axis=1, where=live[:, :, None], initial=np.inf)
 
 
 def phase_lengths(log: list[RoundRecord]) -> list[tuple[str, int]]:

@@ -18,6 +18,7 @@ methods. Stacked results equal node-by-node ones to the last bit.
 from __future__ import annotations
 
 import csv
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from numbers import Integral
@@ -46,12 +47,22 @@ class LocalObjective(ABC):
         """argmin_x f(x) + lam^T x + (rho/2) ||x - z||^2."""
 
 
+def _check_rows(mat: np.ndarray, vec: np.ndarray, mat_name: str,
+                vec_name: str) -> None:
+    """ValueError naming both counts unless ``vec`` has one row per row of
+    ``mat``."""
+    if len(vec) != len(mat):
+        raise ValueError(f"{mat_name} has {len(mat)} rows but {vec_name} "
+                         f"has {len(vec)}")
+
+
 class LeastSquaresObjective(LocalObjective):
     """f(x) = 0.5 ||A x - b||^2; the x-update keeps A^T A + rho I per rho."""
 
     def __init__(self, mat, rhs):
         self.mat = np.atleast_2d(np.asarray(mat, dtype=float))
         self.rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        _check_rows(self.mat, self.rhs, "the matrix", "the right-hand side")
         self._gram = self.mat.T @ self.mat
         self._atb = self.mat.T @ self.rhs
         self._lhs_rho, self._lhs = None, None
@@ -97,6 +108,7 @@ class LogisticObjective(LocalObjective):
         features = np.atleast_2d(np.asarray(features, dtype=float))
         self.design = np.hstack([features, np.ones((features.shape[0], 1))])
         self.labels = np.atleast_1d(np.asarray(labels, dtype=float))
+        _check_rows(features, self.labels, "features", "labels")
 
     @property
     def dim(self) -> int:
@@ -378,9 +390,17 @@ def l1_z_update(average_seed, kappa: float, penalized=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class L1Regularizer:
-    """Weight mu on ||w||_1; the intercept coordinate stays unpenalized."""
+    """Weight mu on ||w||_1; the intercept coordinate stays unpenalized.
+
+    ``mu`` must be finite and nonnegative; anything else raises ValueError.
+    """
 
     mu: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.mu < math.inf:     # also refuses NaN
+            raise ValueError(f"mu must be finite and nonnegative, "
+                             f"got {self.mu!r}")
 
     def kappa(self, n: int, rho: float) -> float:
         # the z-update solves argmin mu*||z||_1 + (n*rho/2)*||z - mean||^2

@@ -282,7 +282,7 @@ def test_phase_that_outruns_its_trajectory_raises():
     seeds = np.random.default_rng(1).uniform(-5, 5, size=(4, 2))
     phase = _Phase(engine, seeds, PhaseFlags(), rounds=2, defect_sizes=None,
                    window=4, spread_eps=None)
-    engine.prime(phase.wave(1))
+    engine.prime(phase.wave(1), pad=phase.pad)
     engine.run_phase(phase.update, 2)
     with pytest.raises(IndexError):
         engine.run_round(phase.update)

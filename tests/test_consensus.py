@@ -65,12 +65,12 @@ def test_ratio_update_matches_weight_matrix():
     share = 1.0 / (1.0 + np.array([g.out_degree(i) for i in range(3)]))
     wave = np.column_stack((y, x)) * share[:, None]
     engine = RoundEngine(g)
-    engine.prime(wave)
+    engine.prime(wave, pad=-0.0)
     blocks = []
     engine.run_round(lambda block, tick: blocks.append(block) or wave)
     # node 2 hears nodes 0 and 1
     assert np.array_equal(blocks[0][2], wave[[2, 0, 1]])
-    mixed = ratio_update(blocks[0], engine.live)
+    mixed = ratio_update(blocks[0])
     assert np.allclose(mixed[:, :2], w @ y)
     assert np.allclose(mixed[:, 2], w @ x)
 

@@ -9,6 +9,7 @@ from consensus_admm import (Disconnected, InvalidEdge, build_digraph,
                             diameter, is_strongly_connected, load_digraph,
                             random_strongly_connected, ratio_weights,
                             save_digraph)
+from consensus_admm import graph
 
 
 def test_build_digraph_adjacency():
@@ -84,6 +85,39 @@ def test_random_digraph_edge_probability_bounds():
     n = 5
     assert random_strongly_connected(n, 0.0, seed=2).edge_count == n
     assert random_strongly_connected(n, 1.0, seed=2).edge_count == n * (n - 1)
+
+
+def _double_loop_digraph(n, extra_edge_prob, seed):
+    """Reference builder: the cycle, then every ordered pair in turn."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    edge_set = set()
+    if n > 1:
+        for i in range(n):
+            edge_set.add((int(order[(i + 1) % n]), int(order[i])))
+    if extra_edge_prob > 0.0 and n > 1:
+        draws = rng.random((n, n))
+        for sender in range(n):
+            for receiver in range(n):
+                if receiver == sender or (receiver, sender) in edge_set:
+                    continue
+                if draws[sender, receiver] < extra_edge_prob:
+                    edge_set.add((receiver, sender))
+    return build_digraph(n, sorted(edge_set, key=lambda e: (e[1], e[0])))
+
+
+@pytest.mark.parametrize("draw_chunk", [None, 50])
+def test_random_digraph_equals_the_double_loop(monkeypatch, draw_chunk):
+    # with draw_chunk=50 the draws come one or two rows at a time
+    if draw_chunk is not None:
+        monkeypatch.setattr(graph, "_DRAW_CHUNK", draw_chunk)
+    for n in (1, 2, 3, 5, 17, 64, 300):
+        for prob in (0.0, 0.05, 0.3, 1.0):
+            for seed in (0, 1, 7):
+                g = random_strongly_connected(n, prob, seed=seed)
+                ref = _double_loop_digraph(n, prob, seed)
+                assert g.edges() == ref.edges(), (n, prob, seed)
+                assert g == ref
 
 
 def test_random_digraph_zero_extra_is_a_cycle():

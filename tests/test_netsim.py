@@ -1,5 +1,6 @@
 """Round-engine semantics: array waves, blocks, logging, determinism."""
 
+import functools
 import hashlib
 import json
 import struct
@@ -12,7 +13,22 @@ from hypothesis import strategies as st
 from consensus_admm import (ProtocolViolation, RoundEngine, build_digraph,
                             phase_lengths, random_strongly_connected,
                             ratio_update, ratio_weights, stable_digest)
-from consensus_admm.netsim import _header_hash, block_max, block_min
+from consensus_admm.netsim import _header_hash
+
+
+def _live(engine):
+    """True where a block row holds a payload rather than the pad."""
+    return engine.gather != engine.graph.n
+
+
+def block_max(block, live):
+    """Reference: each node's column-wise maximum over its live rows."""
+    return np.max(block, axis=1, where=live[:, :, None], initial=-np.inf)
+
+
+def block_min(block, live):
+    """Reference: each node's column-wise minimum over its live rows."""
+    return np.min(block, axis=1, where=live[:, :, None], initial=np.inf)
 
 
 def _cycle(n):
@@ -27,7 +43,7 @@ def _flood(engine, waves=None):
     """Max-flood update; appends every wave it returns to ``waves``."""
 
     def update(block, tick):
-        wave = block_max(block, engine.live)
+        wave = block_max(block, _live(engine))
         if waves is not None:
             waves.append(wave)
         return wave
@@ -84,7 +100,7 @@ def test_broadcast_reaches_exactly_the_in_neighbours():
     assert engine.run_round(_recording(blocks)).message_count \
         == g.edge_count == 6
     for i in range(g.n):
-        senders = blocks[0][i, 1:][engine.live[i, 1:]]
+        senders = blocks[0][i, 1:][_live(engine)[i, 1:]]
         assert senders[:, 0].tolist() == list(g.in_neighbors[i])
         assert blocks[0][i, 0, 0] == i
 
@@ -121,7 +137,8 @@ def test_wave_buffer_keeps_pads_nan_and_drops_earlier_phases():
     # Nodes 0 and 1 hear only node 2, so their blocks end in a pad row.
     g = build_digraph(3, [(2, 0), (2, 1), (0, 2), (1, 2)])
     engine = RoundEngine(g)
-    assert (~engine.live).any()
+    live = _live(engine)
+    assert (~live).any()
     blocks = []
     rng = np.random.default_rng(0)
     for width in (3, 1, 3, 3, 2):          # wide, narrow, wide, same, narrow
@@ -132,8 +149,8 @@ def test_wave_buffer_keeps_pads_nan_and_drops_earlier_phases():
         # only this phase's seed reaches the first block, then its echo
         np.testing.assert_array_equal(first, _delivered(engine, seed))
         np.testing.assert_array_equal(second, _delivered(engine, seed))
-        assert np.isnan(first[~engine.live]).all()
-        assert not np.isnan(first[engine.live]).any()
+        assert np.isnan(first[~live]).all()
+        assert not np.isnan(first[live]).any()
 
 
 def test_engine_buffers_are_allocated_per_width():
@@ -156,7 +173,7 @@ def test_engine_buffers_are_allocated_per_width():
 
         def update(block, tick):
             np.testing.assert_array_equal(block, _delivered(engine, sent[-1]))
-            assert np.isnan(block[~engine.live]).all()
+            assert np.isnan(block[~_live(engine)]).all()
             blocks.append(block)
             sent.append(rng.uniform(-5, 5, size=(3, width)))
             return sent[-1]
@@ -310,62 +327,97 @@ def _digraphs(draw):
                              if r != s and keep[r * n + s]])
 
 
-@given(g=_digraphs(), seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 8))
+@given(g=_digraphs(), seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 8),
+       width=st.integers(1, 3))
 @settings(max_examples=80, deadline=None)
-def test_blocks_and_reductions_match_brute_force(g, seed, rounds):
+def test_blocks_and_reductions_match_brute_force(g, seed, rounds, width):
+    # one more node, which hears nobody and is heard by node 0
+    g = build_digraph(g.n + 1, [*g.edges(), (0, g.n)])
+    rng = np.random.default_rng(seed)
+    # a phase's layout: the ratio columns, rider columns hi and lo of
+    # ``width`` each, with signed zeros, and the counter pair (theta, c)
+    ratio = -rng.uniform(0.5, 2.0, size=(g.n, 3))
+    riders = rng.choice([-0.0, 0.0, -1.5, 2.5], size=(g.n, 2 * width))
+    counters = rng.integers(0, 9, size=(g.n, 2)).astype(float)
+    values = np.hstack((ratio, riders, counters))
+    hi = slice(3, 3 + width)
+    lo = slice(3 + width, 3 + 2 * width)
+    pad = np.r_[[-0.0] * 3, [-np.inf] * width, [np.inf] * width,
+                [-np.inf] * 2]
     engine = RoundEngine(g)
-    values = -np.random.default_rng(seed).uniform(0.5, 2.0, size=(g.n, 3))
-    engine.prime(values)
+    engine.prime(values)                   # the default pad is NaN
     blocks = []
     engine.run_round(_recording(blocks))
-    block, live = blocks[0], engine.live
-    summed = ratio_update(block, live)
+    engine.prime(values, pad=pad)
+    engine.run_round(_recording(blocks))
+    (block, padded), live = blocks, _live(engine)
+    summed = ratio_update(padded[:, :, :3])
+    top = np.max(padded[:, :, hi], axis=1)
+    bottom = np.min(padded[:, :, lo], axis=1)
+    heard = np.max(padded[:, 1:, -2:], axis=(1, 2), initial=0)
     for i, senders in enumerate(g.in_neighbors):
         # the sequential loop over an inbox is the bitwise reference
-        inbox_sum = values[i]
+        inbox_sum = ratio[i]
         for j in senders:
-            inbox_sum = inbox_sum + values[j]
-        assert np.array_equal(summed[i], inbox_sum)
+            inbox_sum = inbox_sum + ratio[j]
+        assert summed[i].tobytes() == inbox_sum.tobytes()
         closed = [i, *senders]
+        rows = values[closed]
         # own row first, then the in-neighbours in sender order, then pads
-        assert np.array_equal(block[i, :len(closed)], values[closed])
+        assert np.array_equal(block[i, :len(closed)], rows)
         assert live[i].tolist() == [slot < len(closed)
                                     for slot in range(live.shape[1])]
         assert np.isnan(block[i, len(closed):]).all()
-        # all-negative values: a reduction that read a pad would show it
-        assert np.array_equal(block_max(block, live)[i],
-                              values[closed].max(axis=0))
-        assert np.array_equal(block_min(block, live)[i],
-                              values[closed].min(axis=0))
+        assert np.array_equal(padded[i, :len(closed)], rows)
+        assert (padded[i, len(closed):] == pad).all()
+        # all-negative ratio values: a reduction that read a pad would
+        # show it; the masked references agree with the plain passes
+        assert np.array_equal(block_max(block, live)[i], rows.max(axis=0))
+        assert np.array_equal(block_min(block, live)[i], rows.min(axis=0))
+        assert top[i].tobytes() == functools.reduce(
+            np.maximum, rows[:, hi]).tobytes()
+        assert top[i].tobytes() == block_max(block, live)[i, hi].tobytes()
+        assert bottom[i].tobytes() == functools.reduce(
+            np.minimum, rows[:, lo]).tobytes()
+        assert bottom[i].tobytes() == block_min(block, live)[i, lo].tobytes()
+        # the largest counter value heard from in-neighbours, 0 for none
+        assert heard[i] == (values[list(senders), -2:].max() if senders
+                            else 0)
+    assert heard[g.n - 1] == 0
 
     share = 1.0 / (1.0 + np.array([g.out_degree(i) for i in range(g.n)]))
-    states = [values]
+    states = [ratio]
 
     def mix(block, tick):
-        states.append(ratio_update(block, engine.live))
+        states.append(ratio_update(block))
         return states[-1] * share[:, None]
 
-    engine.prime(values * share[:, None])
+    engine.prime(ratio * share[:, None], pad=-0.0)
     engine.run_phase(mix, rounds)
-    expected = np.linalg.matrix_power(ratio_weights(g), rounds) @ values
+    expected = np.linalg.matrix_power(ratio_weights(g), rounds) @ ratio
     assert np.allclose(states[-1], expected, rtol=0.0, atol=1e-12)
 
 
 def _delivered_block(g, values):
-    """The block every node receives after ``values`` is broadcast."""
+    """The block every node receives after ``values`` is broadcast with
+    ``-0.0`` pads, and its live rows."""
     engine = RoundEngine(g)
-    engine.prime(values)
+    engine.prime(values, pad=-0.0)
     blocks = []
-    engine.run_round(_recording(blocks))
-    return blocks[0], engine.live
+    # order="K" keeps the engine's slot-major memory layout in the copy
+    engine.run_round(lambda block, tick: blocks.append(block.copy(order="K"))
+                     or block[:, 0])
+    return blocks[0], _live(engine)
 
 
 def test_ratio_update_equals_the_inbox_loop_bitwise():
-    # One masked reduction from -0.0 must give every node the sum of a
-    # sequential loop over its inbox, bit for bit (tobytes tells -0.0 from
-    # +0.0): at 12 live slots, past the 8 where numpy sums an inner-axis
-    # run pairwise; at width 2, the ratio pair of scalar seeds; on -0.0
-    # rows; and on the ratio columns of payloads that also carry riders.
+    # One plain reduction from -0.0 over -0.0 pads must give every node the
+    # sum of a sequential loop over its inbox, bit for bit (tobytes tells
+    # -0.0 from +0.0): at 12 live slots, past the 8 where numpy sums an
+    # inner-axis run pairwise; at width 2, the ratio pair of scalar seeds;
+    # on -0.0 rows; on the ratio columns of payloads that also carry
+    # riders; and on the engine's slot-major blocks as well as C-contiguous
+    # copies of them.
     rng = np.random.default_rng(11)
     complete = build_digraph(12, [(r, s) for r in range(12)
                                   for s in range(12) if r != s])
@@ -382,22 +434,24 @@ def test_ratio_update_equals_the_inbox_loop_bitwise():
               rng.standard_normal((9, 5)), 3)]
     for g, values, width in cases:
         block, live = _delivered_block(g, values)
-        ratio = block[:, :, :width]
-        assert ratio.flags.c_contiguous == (width == values.shape[1])
-        summed = ratio_update(ratio, live)
-        out = np.empty_like(summed)    # a phase reduces into its traj row
-        assert ratio_update(ratio, live, out=out) is out
-        assert out.tobytes() == summed.tobytes()
-        for i, senders in enumerate(g.in_neighbors):
-            inbox_sum = values[i, :width]
-            for j in senders:
-                inbox_sum = inbox_sum + values[j, :width]
-            assert summed[i].tobytes() == inbox_sum.tobytes()
+        engine_view = block[:, :, :width]
+        assert not engine_view.flags.c_contiguous
+        copy = np.ascontiguousarray(engine_view)
+        for ratio in (engine_view, copy):
+            summed = ratio_update(ratio)
+            out = np.empty_like(summed)  # a phase reduces into its traj row
+            assert ratio_update(ratio, out=out) is out
+            assert out.tobytes() == summed.tobytes()
+            for i, senders in enumerate(g.in_neighbors):
+                inbox_sum = values[i, :width]
+                for j in senders:
+                    inbox_sum = inbox_sum + values[j, :width]
+                assert summed[i].tobytes() == inbox_sum.tobytes()
     assert _delivered_block(complete, np.ones((12, 2)))[1].all()  # 12 slots
     block, live = _delivered_block(sparse, signed)
-    assert np.signbit(ratio_update(block, live)[:2]).all()
+    assert np.signbit(ratio_update(block)[:2]).all()
     with pytest.raises(ValueError, match="at least two columns"):
-        ratio_update(block[:, :, :1], live)
+        ratio_update(block[:, :, :1])
 
 
 def test_stable_digest_discriminates():

@@ -326,6 +326,27 @@ def test_l1_regularizer_accessors():
     assert mask.tolist() == [True, True, True, True, False]
 
 
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf"),
+                                -1.0, -1e-300])
+def test_l1_regularizer_refuses_a_bad_mu(mu):
+    with pytest.raises(ValueError, match="mu must be finite and nonnegative"):
+        L1Regularizer(mu)
+
+
+def test_l1_regularizer_accepts_a_zero_mu():
+    assert L1Regularizer(0.0).kappa(n=3, rho=2.0) == 0.0
+
+
+@pytest.mark.parametrize("make, names", [
+    (LeastSquaresObjective, "the matrix has 5 rows but the right-hand side "
+                            "has 3"),
+    (LogisticObjective, "features has 5 rows but labels has 3")])
+def test_objectives_refuse_data_whose_row_counts_differ(make, names):
+    with pytest.raises(ValueError, match=names):
+        make(np.zeros((5, 2)), np.ones(3))
+    make(np.zeros((5, 2)), np.ones(5))
+
+
 def test_compute_mu_max_kills_all_features():
     features, labels = make_logistic_instance(80, 4, seed=3)
     mu_max = compute_mu_max(features, labels)

@@ -327,7 +327,7 @@ def test_exact_lane_replays_the_counter_pair_alone(monkeypatch):
             widths.append(np.shape(wave)[1])
             return super()._broadcast(wave, phase, kind)
 
-    def no_ratio_update(block, live):
+    def no_ratio_update(block, out=None):
         raise AssertionError("the exact lane ran a ratio update")
 
     monkeypatch.setattr(admm, "RoundEngine", Recording)
