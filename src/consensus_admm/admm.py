@@ -7,7 +7,7 @@ iterate ``z``:
 * ``run_dadmm_fterc`` — a fixed warm-up schedule: one long detection phase
   that identifies per-node kernel coefficients, one phase that also spreads
   the largest defect index by max-consensus, then minimal-length phases that
-  reuse the coefficients.
+  apply the same coefficients.
 * ``run_fdadmm_ftdt`` — the fully distributed variant: the first phase runs
   until every node's stopping counter fires, after which each node derives
   the network-wide phase length on its own. No global coordinator input.
@@ -15,18 +15,20 @@ iterate ``z``:
   certification windows; each node outputs its last certified snapshot.
 
 Each solver is a phase schedule: the :class:`PhaseFlags` of its warm-up
-steps, then those of its steady step. The flags fix both what a phase
-carries and when it stops, so one runner executes every phase, including
-the standalone :func:`fterc_run` and :func:`ftdt_run`. A phase holds every
-node's ratio pair, trajectory and rider values as arrays and runs each
-round as one array step; one detector checks every open node's Hankel
-matrices at once from that trajectory, and one record of integer arrays
-steps every node's stopping counter. One ``fterc_final`` call evaluates
-every node's limit from its kernel, the kernels zero-padded into one matrix
-once, where they are detected. Every step after the warm-up runs the same
-fixed-length steady phase, so a run builds it once and restarts it with
-each step's seeds: its trajectory, payload buffer and round step are
-reused, and each round reduces straight into its trajectory row.
+steps, then those of its steady step. The flags fix what a phase carries,
+how many exchanges it makes and when it stops; one phase object reads them
+once, when it is built, and then runs itself, also in the standalone
+:func:`fterc_run` and :func:`ftdt_run`. A phase holds every node's ratio
+pair, trajectory and rider values as arrays and runs each round as one
+array step; one detector checks every open node's Hankel matrices at once
+from that trajectory, and one record of integer arrays steps every node's
+stopping counter. One ``fterc_final`` call evaluates every node's limit
+from its kernel, the kernels zero-padded into one matrix once, where they
+are detected. A run builds a phase only when its schedule entry changes,
+so every step after the warm-up reruns one steady phase, the epsilon
+baseline's certification phase included, with that step's seeds: its
+trajectory, payload buffer and round steps are kept, and a fixed-length
+phase reduces each round straight into its trajectory row.
 The solvers exchange messages only through :class:`~.netsim.RoundEngine`,
 so round logs, schedules, and determinism checks all observe real traffic.
 """
@@ -173,51 +175,78 @@ ALGORITHMS = tuple(_SCHEDULES)
 class _Phase:
     """One consensus phase held as arrays, row ``i`` belonging to node ``i``.
 
+    The flags decide everything once, at construction: the steps every
+    round runs, the columns every payload carries, how many exchanges the
+    phase makes and how much trajectory it keeps. :meth:`run` restarts the
+    phase at the engine's tick from new seeds and runs it under one of three
+    stop rules:
+
+    * ``terminate``: until every node's stopping counter fires, refused
+      with :class:`NumericBreakdown` past the guard of ``4(n' + 2)`` rounds;
+    * ``certify``: windows of ``n'`` exchanges until every node is
+      certified;
+    * otherwise a fixed count: ``2n'`` exchanges with ``detect``, ``n'``
+      with ``piggyback``, else ``t_max``.
+
     ``state`` is the ratio pair ``[x, y]``, denominator first, so a row is
     also the node's detector observation: the detector needs one kernel
     across every channel. ``traj`` is one ``(rounds + 1, n, p + 1)`` array,
-    sized by what reads it; round ``k`` writes the state to ``traj[k]``, and
-    a phase of fixed length that outruns it raises ``IndexError`` rather
-    than drop rows. With ``rounds=None`` a phase keeps only round 0.
+    sized by what reads it: the detector's ``2n'`` horizon, which
+    ``fterc_final`` never reads past, or the rounds of a phase of fixed
+    length; a terminating phase without a detector and a certification
+    phase keep round 0 only. Round ``k`` writes the state to ``traj[k]``,
+    and a phase of fixed length that outruns it raises ``IndexError``
+    rather than drop rows. A phase without a detector, counters or
+    certification (the steady and max-consensus phases) only mixes the
+    ratio pair, reducing each round straight into its ``traj`` row.
 
-    The flags choose once, at construction, the steps every round runs and
-    the columns every payload carries; a phase without a detector, counters
-    or certification (the steady and max-consensus phases) only mixes the
-    ratio pair, reducing each round straight into its ``traj`` row. Such a
-    phase of fixed length can be restarted with new seeds (:meth:`restart`)
-    and rewrites every row of ``traj`` in its rounds. A payload is the
-    node's state divided by 1 + its out-degree, so receivers never learn
-    sender degrees, followed by the rider columns the flags ask for: the
-    counter pair ``(theta, c)``, the max-consensus value ``v``, and the
-    certification bounds ``hi`` and ``lo``; each send rewrites its own
-    columns of one ``(n, columns)`` payload buffer the phase keeps. ``pad``
-    holds the identity of each column's reduction, which the engine copies
-    into every block row past a node's in-degree: ``-0.0`` under the ratio
-    pair, ``-inf`` under the counters, ``v`` and ``hi``, ``+inf`` under
-    ``lo``. So every reduction over a block is one plain pass. One
-    detector reads ``traj`` for every node; a detecting phase writes rounds
-    only while it is open and raises :class:`NumericBreakdown` when a node
-    is still open at the end of ``traj``, its ``2n'`` horizon. One
-    :class:`~.termination.Counters` record holds every node's stopping
-    counter, which freezes the round the node's detector fires. A terminated
-    node keeps mixing its ratio pair and relaying counters, so its
-    neighbours' detectors keep observing the ratio-consensus sequence. A
-    phase that stops on its counters but does not detect (the exact lane,
-    whose values come from rational arithmetic) carries the counter pair
-    alone, and node ``i``'s counter freezes at round
-    ``2 * defect_sizes[i] + 1``, when a detector would have fired.
+    A payload is the node's state divided by 1 + its out-degree, so
+    receivers never learn sender degrees, followed by the rider columns the
+    flags ask for: the counter pair ``(theta, c)``, the max-consensus value
+    ``v``, and the certification bounds ``hi`` and ``lo``. The phase keeps
+    one ``(n, columns)`` payload buffer: the ratio and counter columns are
+    rewritten in place before each send, and ``v``, ``hi`` and ``lo`` are
+    views of their columns that the rounds reduce into. ``pad`` holds the
+    identity of each column's reduction, which the engine copies into every
+    block row past a node's in-degree: ``-0.0`` under the ratio pair,
+    ``-inf`` under the counters, ``v`` and ``hi``, ``+inf`` under ``lo``.
+    So every reduction over a block is one plain pass.
+
+    One detector reads ``traj`` for every node; a detecting phase writes
+    rounds only while it is open and raises :class:`NumericBreakdown` when
+    a node is still open at the end of ``traj``, its ``2n'`` horizon, also
+    when its counters could run on. One :class:`~.termination.Counters`
+    record holds every node's stopping counter, which freezes the round the
+    node's detector fires. A terminated node keeps mixing its ratio pair and
+    relaying counters, so its neighbours' detectors keep observing the
+    ratio-consensus sequence. A phase that stops on its counters but does
+    not detect (the exact lane, whose values come from rational arithmetic)
+    carries the counter pair alone, its counters frozen from the start at
+    ``defect_sizes``: a counter reads ``min(k, 2(d + 1))``, which is ``k``
+    through round ``2d + 1``, when a detector would have fired, so every
+    message and stopping round is the one a detector gives. Each run makes
+    a fresh detector, counter record and certification state.
     """
 
-    def __init__(self, engine: RoundEngine, seeds: np.ndarray,
-                 flags: PhaseFlags, *, rounds, defect_sizes, window,
-                 spread_eps):
-        n, p = seeds.shape
-        self.share = engine.share
-        self.window, self.spread_eps = window, spread_eps
-        self.traj = np.empty((1 if rounds is None else rounds + 1, n, p + 1))
-        self.restart(engine, seeds)
-        self.detector = self.counters = self.vmax = self.snap = None
+    def __init__(self, engine: RoundEngine, flags: PhaseFlags, width: int, *,
+                 n_prime: int, t_max: int | None = None, defect_sizes=None,
+                 epsilon: float | None = None):
+        n = engine.graph.n
+        self.engine, self.flags, self.share = engine, flags, engine.share
+        self.defect_sizes, self.epsilon = defect_sizes, epsilon
+        # exchanges per run, or per certification window; rows kept
+        self.rounds = (4 * (n_prime + 2) if flags.terminate   # the guard
+                       else n_prime if flags.certify
+                       else 2 * n_prime if flags.detect
+                       else n_prime if flags.piggyback else t_max)
+        kept = (2 * n_prime if flags.detect
+                else 0 if flags.terminate or flags.certify else self.rounds)
+        self.traj = np.empty((kept + 1, n, width + 1))
+        self.detector = self.counters = None
+        # unbound, so a phase holds no reference cycle and is freed, with
+        # the engine it keeps, as soon as its last user drops it
         steps, sends, pads = [], [], []   # sends fill the payload columns
+        cls = type(self)
 
         def columns(count: int, pad: float) -> slice:
             pads.extend([pad] * count)
@@ -225,59 +254,83 @@ class _Phase:
 
         carries_ratio = flags.detect or not flags.terminate
         if carries_ratio:
-            self.ratio = columns(p + 1, -0.0)
-            sends.append(self._send_ratio)
+            self.ratio = columns(width + 1, -0.0)
+            sends.append(cls._send_ratio)
         if flags.detect:
-            self.detector = HankelDetector(n)
-            steps += [self._mix, self._detect]
+            steps += [cls._mix, cls._detect]
         elif flags.certify:
-            steps.append(self._mix)
+            steps.append(cls._mix)
         elif not flags.terminate:
-            steps.append(self._mix_record)
+            steps.append(cls._mix_record)
         if flags.terminate:
-            self.counters = Counters(n)
             self.counter_cols = columns(2, -np.inf)
-            if not flags.detect:
-                self.fire_round = 2 * np.asarray(defect_sizes) + 1
-                steps.append(self._fire_on_schedule)
-            steps.append(self._count)
-            sends.append(self._send_counters)
+            steps.append(cls._count)
+            sends.append(cls._send_counters)
         if flags.piggyback:
-            self.vmax = np.asarray(defect_sizes, dtype=float) + 1.0
             self.v_col = columns(1, -np.inf)
-            steps.append(self._max_consensus)
-            sends.append(self._send_vmax)
+            steps.append(cls._max_consensus)
         if flags.certify:
-            self.certified = np.zeros(n, dtype=bool)
-            self.snap = self.state[:, 1:] / self.state[:, :1]
-            self.hi, self.lo = self.snap.copy(), self.snap.copy()
-            self.hi_cols = columns(p, -np.inf)
-            self.lo_cols = columns(p, np.inf)
-            steps.append(self._certify)
-            sends.append(self._send_bounds)
+            self.hi_cols = columns(width, -np.inf)
+            self.lo_cols = columns(width, np.inf)
+            steps.append(cls._certify)
         self.steps, self.sends = tuple(steps), tuple(sends)
         self.pad = np.array(pads)
         self.payload = np.empty((n, self.pad.size))
         if carries_ratio:
             self.ratio_out = self.payload[:, self.ratio]
+        if flags.piggyback:
+            self.v = self.payload[:, self.v_col]
+        if flags.certify:
+            self.hi = self.payload[:, self.hi_cols]
+            self.lo = self.payload[:, self.lo_cols]
 
-    def restart(self, engine: RoundEngine, seeds: np.ndarray) -> _Phase:
-        """Start the phase afresh at the engine's tick from ``seeds``."""
+    def run(self, label: str, seeds: np.ndarray) -> _Phase:
+        """Restart the phase at the engine's tick from ``seeds``; run it out."""
+        engine, flags, n = self.engine, self.flags, len(seeds)
         self.t0 = engine.tick
         self.state = self.traj[0]
         self.state[:, 0], self.state[:, 1:] = 1.0, seeds
+        if flags.detect:
+            self.detector = HankelDetector(n)
+        if flags.terminate:
+            self.counters = Counters(n)
+            if not flags.detect:
+                freeze_counter(self.counters, range(n), self.defect_sizes)
+        if flags.piggyback:
+            self.v[:, 0] = np.asarray(self.defect_sizes, dtype=float) + 1.0
+        if flags.certify:
+            self.certified = np.zeros(n, dtype=bool)
+            self.snap = self.state[:, 1:] / self.state[:, :1]
+            self.hi[...] = self.lo[...] = self.snap
+        engine.prime(self.wave(1), label, pad=self.pad)
+        if flags.terminate:
+            while not self.counters.t_term.all():
+                if engine.tick - self.t0 >= self.rounds:
+                    raise NumericBreakdown(f"stopping counters still open "
+                                           f"after {self.rounds} rounds")
+                engine.run_round(self.update, label)
+        elif flags.certify:
+            windows = 0
+            while not self.certified.all():
+                if windows >= 10_000:
+                    raise NumericBreakdown(
+                        "certification made no progress in 10000 windows")
+                engine.run_phase(self.update, self.rounds, label)
+                windows += 1
+        else:
+            engine.run_phase(self.update, self.rounds, label)
         return self
 
     def wave(self, next_round: int) -> np.ndarray:
         """The payload buffer, each send's columns rewritten in place."""
         for send in self.sends:
-            send(next_round)
+            send(self, next_round)
         return self.payload
 
     def update(self, block: np.ndarray, tick: int) -> np.ndarray:
         k = tick - self.t0   # phase-local round index, from 1
         for step in self.steps:
-            step(block, k)
+            step(self, block, k)
         return self.wave(k + 1)
 
     # -- payload columns ------------------------------------------------
@@ -287,13 +340,6 @@ class _Phase:
 
     def _send_counters(self, r):
         self.payload[:, self.counter_cols] = counter_message(self.counters, r)
-
-    def _send_vmax(self, r):
-        self.payload[:, self.v_col] = self.vmax[:, None]
-
-    def _send_bounds(self, r):
-        self.payload[:, self.hi_cols] = self.hi
-        self.payload[:, self.lo_cols] = self.lo
 
     # -- round steps, in the order a round runs them --------------------
 
@@ -317,12 +363,6 @@ class _Phase:
             raise NumericBreakdown(f"node {np.argmax(detector.open)} found "
                                    f"no defect within {k} rounds")
 
-    def _fire_on_schedule(self, block, k):
-        fired = np.flatnonzero(self.fire_round == k)
-        if fired.size:
-            freeze_counter(self.counters, fired,
-                           (self.fire_round[fired] - 1) // 2)
-
     def _count(self, block, k):
         # ftdt_step keeps only the largest counter value a node hears;
         # counters are nonnegative, so 0 stands in for an empty inbox
@@ -331,17 +371,17 @@ class _Phase:
         ftdt_step(self.counters, k, heard.astype(np.int64))
 
     def _max_consensus(self, block, k):
-        self.vmax = np.max(block[:, :, self.v_col], axis=1)[:, 0]
+        np.max(block[:, :, self.v_col], axis=1, out=self.v)
 
     def _certify(self, block, k):
-        self.hi = np.max(block[:, :, self.hi_cols], axis=1)
-        self.lo = np.min(block[:, :, self.lo_cols], axis=1)
-        if k % self.window == 0:
+        np.max(block[:, :, self.hi_cols], axis=1, out=self.hi)
+        np.min(block[:, :, self.lo_cols], axis=1, out=self.lo)
+        if k % self.rounds == 0:
             open_ = ~self.certified
             # a snapshot whose spread is within epsilon a window later
             # is globally certified; the others are taken afresh
             done = open_ & (np.max(self.hi - self.lo, axis=1)
-                            <= self.spread_eps)
+                            <= self.epsilon)
             self.certified |= done
             fresh = open_ & ~done
             state = self.state
@@ -363,85 +403,23 @@ def _agreed_max_defect(t_terms, defects) -> int:
                       "the largest defect index")
 
 
-def _consensus_phase(engine: RoundEngine, seeds: np.ndarray,
-                     flags: PhaseFlags, label: str, *, n_prime: int,
-                     t_max: int | None = None, defect_sizes=None,
-                     epsilon: float | None = None,
-                     reuse: _Phase | None = None) -> _Phase:
-    """Open one consensus phase and run it under the stop rule its flags imply.
-
-    * ``terminate``: until every node's stopping counter fires;
-    * ``certify``: windows of ``n'`` exchanges until every node is certified;
-    * ``detect`` alone: ``2n'`` exchanges; ``piggyback``: ``n'`` exchanges;
-    * neither: ``t_max`` exchanges.
-
-    A detecting phase raises :class:`NumericBreakdown` unless every node's
-    detector fired within ``2n'`` rounds, also when its counters run on.
-
-    The trajectory holds what its readers need: the detector's ``2n'``
-    horizon, which ``fterc_final`` never reads past, or the rounds of a
-    phase of fixed length; a terminating phase without a detector and a
-    certification phase keep round 0 only.
-
-    Given ``reuse``, a phase that ran before under the same flags and
-    lengths, that phase is restarted from ``seeds`` in place of a new one.
-    """
-    rounds = (4 * (n_prime + 2) if flags.terminate     # the guard
-              else None if flags.certify
-              else 2 * n_prime if flags.detect
-              else n_prime if flags.piggyback else t_max)
-    kept = (2 * n_prime if flags.detect
-            else None if flags.terminate else rounds)
-    phase = (reuse.restart(engine, seeds) if reuse is not None
-             else _Phase(engine, seeds, flags, rounds=kept,
-                         defect_sizes=defect_sizes, window=n_prime,
-                         spread_eps=epsilon))
-    engine.prime(phase.wave(1), label, pad=phase.pad)
-    if flags.terminate:
-        while not phase.counters.t_term.all():
-            if engine.tick - phase.t0 >= rounds:
-                raise NumericBreakdown(
-                    f"stopping counters still open after {rounds} rounds")
-            engine.run_round(phase.update, label)
-    elif flags.certify:
-        windows = 0
-        while not phase.certified.all():
-            if windows >= 10_000:
-                raise NumericBreakdown(
-                    "certification made no progress in 10000 windows")
-            engine.run_phase(phase.update, n_prime, label)
-            windows += 1
-    else:
-        engine.run_phase(phase.update, rounds, label)
-    return phase
-
-
 def fterc_run(graph: Digraph, y0) -> list[ConsensusResult]:
     """Run finite-time exact ratio consensus to completion at every node.
 
     One detection phase of ``2n`` exchanges on the round engine; a node with
-    defect index d fires at round ``2d + 1``. On :class:`NumericBreakdown`
-    the run restarts once with a deterministic 1e-9 perturbation of the
-    numerator seeds (denominator seeds untouched).
+    defect index d fires at round ``2d + 1``. A node still open at the
+    horizon, or a numerically zero denominator sum, raises
+    :class:`NumericBreakdown`.
     """
     seeds = check_seeds(y0, graph.n)
     mat = seeds.reshape(graph.n, -1)
-
-    def once(mat):
-        phase = _consensus_phase(RoundEngine(graph, audit=False), mat,
-                                 PhaseFlags(detect=True), "detect",
-                                 n_prime=graph.n)
-        det = phase.detector
-        values = fterc_final(phase.traj, pad_kernels(det.beta))
-        return [ConsensusResult(mu[0] if seeds.ndim == 1 else mu,
-                                d, beta.copy(), 2 * d + 1)
-                for d, beta, mu in zip(det.defect, det.beta, values)]
-
-    try:
-        return once(mat)
-    except NumericBreakdown:
-        return once(mat + 1e-9 * np.linspace(1.0, 2.0, mat.size)
-                    .reshape(mat.shape))
+    phase = _Phase(RoundEngine(graph, audit=False), PhaseFlags(detect=True),
+                   mat.shape[1], n_prime=graph.n).run("detect", mat)
+    det = phase.detector
+    values = fterc_final(phase.traj, pad_kernels(det.beta))
+    return [ConsensusResult(mu[0] if seeds.ndim == 1 else mu,
+                            d, beta.copy(), 2 * d + 1)
+            for d, beta, mu in zip(det.defect, det.beta, values)]
 
 
 @dataclass
@@ -467,27 +445,30 @@ def ftdt_run(graph: Digraph, seeds, *,
     round, and all derivations must agree.
 
     With ``exact=True`` detection and evaluation run in rational arithmetic
-    (see :mod:`.exact`), and the phase runs the stopping counters alone, each
-    freezing the round its node's exact defect fires; use this outside the
-    float64 detection envelope.
+    (see :mod:`.exact`), and the phase runs the stopping counters alone,
+    frozen from the start at each node's exact defect; use this outside the
+    float64 detection envelope. Disagreeing nodes raise
+    :class:`NonIntegerResult` before the float lane evaluates any value.
     """
     seeds = check_seeds(seeds, graph.n)
+    mat = seeds.reshape(graph.n, -1)
     defect = None
     if exact:
         detections = exact_consensus_run(graph, seeds)
         defect = [res.defect for res in detections]
     engine = RoundEngine(graph, audit=False)
-    phase = _consensus_phase(engine, seeds.reshape(graph.n, -1),
-                             PhaseFlags(detect=not exact, terminate=True),
-                             "terminate", n_prime=graph.n, defect_sizes=defect)
+    phase = _Phase(engine, PhaseFlags(detect=not exact, terminate=True),
+                   mat.shape[1], n_prime=graph.n,
+                   defect_sizes=defect).run("terminate", mat)
     t_terms = phase.counters.t_term.tolist()
+    if not exact:
+        defect = phase.detector.defect
+    max_defect = _agreed_max_defect(t_terms, defect)
     if exact:
-        max_defect = _agreed_max_defect(t_terms, defect)
         betas = [res.beta for res in detections]
         values = np.array([res.mu for res in detections])
     else:
-        betas, defect = phase.detector.beta, phase.detector.defect
-        max_defect = _agreed_max_defect(t_terms, defect)
+        betas = phase.detector.beta
         values = fterc_final(phase.traj, pad_kernels(betas))
         if seeds.ndim == 1:
             values = values[:, 0]
@@ -599,26 +580,23 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
                               "eps_dual", "rounds", "x", "z", "lam")}
     stopped_early = False
     steps = 0
-    plan = None   # the fixed-length steady phase, restarted every step
-    reusable = steady == PhaseFlags()   # fixed length, no riders
+    phase = None   # built when the schedule entry changes, then rerun
 
     for k in range(1, config.k_max + 1):
         x_stack = stacks.x_update(z_stack, lam)
         seeds = x_stack + lam / rho
         flags = warmup[k - 1] if k <= len(warmup) else steady
+        if phase is None or phase.flags is not flags:
+            phase = _Phase(engine, flags, p, n_prime=n_prime, t_max=t_max,
+                           defect_sizes=defect, epsilon=config.epsilon)
         tick_before = engine.tick
-        phase = _consensus_phase(engine, seeds, flags, f"step-{k}",
-                                 n_prime=n_prime, t_max=t_max,
-                                 defect_sizes=defect, epsilon=config.epsilon,
-                                 reuse=plan)
-        if reusable and flags is steady:
-            plan = phase
+        phase.run(f"step-{k}", seeds)
         rounds_k = engine.tick - tick_before
         if flags.detect:
             defect = phase.detector.defect
             kernels = pad_kernels(phase.detector.beta)
         if flags.piggyback:
-            t_max = _agree_int(phase.vmax, "the phase length")
+            t_max = _agree_int(phase.v[:, 0], "the phase length")
             max_defect = t_max - 1
         if flags.terminate:
             t1 = rounds_k
@@ -681,7 +659,7 @@ def run_dadmm_fterc(objectives, graph: Digraph,
     """Consensus ADMM with finite-time exact averaging on a warm-up schedule.
 
     Step 1 runs a long detection phase, step 2 spreads the largest defect
-    index with a piggybacked max-consensus, and every later step reuses the
+    index with a piggybacked max-consensus, and every later step applies the
     detected coefficients for the minimal number of exchanges.
     """
     return _run("dadmm_fterc", objectives, graph, config or AdmmConfig(),
@@ -781,22 +759,15 @@ _PROBE_FLOOR = 1e-12    # errors at or below this are numerical noise
 _PROBE_MIN_POINTS = 10
 
 
-def rlinear_probe(record, x_star=None) -> ProbeReport:
-    """Fit the decay rate of ``log10 ||X^k - X*||`` over the tail half.
+def rlinear_probe(errors) -> ProbeReport:
+    """Fit the decay rate of a 1-D error sequence over the tail half.
 
-    Accepts a :class:`RunRecord` plus the optimizer, or a precomputed 1-D
-    error sequence. Points at or below 1e-12 are discarded as numerical
-    noise; fewer than 10 usable points raises
-    :class:`InsufficientData`. A geometric sequence q^k yields slope
-    ``log10 q`` exactly.
+    ``errors[k - 1]`` is the error at step k, such as ``||X^k - X*||``.
+    Points at or below 1e-12 are discarded as numerical noise; fewer than 10
+    usable points raises :class:`InsufficientData`. A geometric sequence q^k
+    yields slope ``log10 q`` exactly.
     """
-    if isinstance(record, RunRecord):
-        if x_star is None:
-            raise ValueError("x_star required with a run record")
-        diff = record.x_hist - np.asarray(x_star, dtype=float)[None, None, :]
-        errors = np.linalg.norm(diff.reshape(record.steps, -1), axis=1)
-    else:
-        errors = np.asarray(record, dtype=float).ravel()
+    errors = np.asarray(errors, dtype=float).ravel()
     k = np.arange(1, errors.size + 1, dtype=float)
     usable = errors > _PROBE_FLOOR
     if int(usable.sum()) < _PROBE_MIN_POINTS:

@@ -17,7 +17,7 @@ A phase of ``R`` rounds is ``R`` exchanges. Seed payloads enter via
 :meth:`RoundEngine.prime`, which replaces the wave still undelivered from a
 previous phase (phase boundaries are barriers). The engine copies each wave
 into one ``(n + 1, w)`` buffer whose last row is the pad row, so a caller
-may reuse its array. Every round gathers the blocks slot by slot into one
+may rewrite its array. Every round gathers the blocks slot by slot into one
 ``(slots, n, w)`` buffer, rewritten in place, and hands the update its
 ``(n, slots, w)`` transposed view: a reduction over the slots then adds
 whole ``(n, w)`` slabs in slot order. A block is only valid during the

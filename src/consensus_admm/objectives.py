@@ -374,16 +374,15 @@ def soft_threshold(values, kappa: float) -> np.ndarray:
     return np.sign(values) * np.maximum(np.abs(values) - kappa, 0.0)
 
 
-def l1_z_update(average_seed, kappa: float, penalized=None) -> np.ndarray:
+def l1_z_update(average_seed, kappa: float, penalized) -> np.ndarray:
     """Shared z-update for the l1-penalized problem.
 
-    Applies shrinkage to the penalized coordinates of the seed average and
-    passes the rest (the intercept) through unchanged. Every node computes
-    this from the same average, so the results are identical across nodes.
+    Applies shrinkage to the coordinates the boolean mask ``penalized``
+    marks and passes the rest (the intercept) through unchanged. Every node
+    computes this from the same average, so the results are identical
+    across nodes.
     """
     average_seed = np.asarray(average_seed, dtype=float)
-    if penalized is None:
-        return soft_threshold(average_seed, kappa)
     shrunk = soft_threshold(average_seed, kappa)
     return np.where(np.asarray(penalized, dtype=bool), shrunk, average_seed)
 

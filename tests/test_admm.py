@@ -1,5 +1,8 @@
 """Solver runs: schedules, equivalence, stopping, and analysis helpers."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,8 +18,7 @@ from consensus_admm import (AdmmConfig, InsufficientData, L1Regularizer,
                             rlinear_probe, run_dadmm_fterc,
                             run_epsilon_baseline, run_fdadmm_ftdt,
                             split_rows, stopping_criterion)
-from consensus_admm import admm
-from consensus_admm.admm import _consensus_phase, _Phase
+from consensus_admm.admm import _Phase
 from consensus_admm.consensus import pad_kernels
 
 
@@ -177,10 +179,10 @@ def test_rlinear_probe_on_run():
                                           [o.rhs for o in objectives])
     record = run_dadmm_fterc(objectives, graph,
                              AdmmConfig(k_max=80, stop_on_tolerance=False))
-    report = rlinear_probe(record, reference.x_star)
+    diff = record.x_hist - reference.x_star[None, None, :]
+    errors = np.linalg.norm(diff.reshape(record.steps, -1), axis=1)
+    report = rlinear_probe(errors)
     assert report.slope < 0
-    with pytest.raises(ValueError):
-        rlinear_probe(record)
 
 
 def test_single_node_network_end_to_end():
@@ -253,8 +255,8 @@ def test_config_validation_errors():
 def _detection_phase(n, width, seed):
     g = random_strongly_connected(n, extra_edge_prob=0.3, seed=seed)
     seeds = np.random.default_rng(seed).uniform(-5, 5, size=(n, width))
-    return _consensus_phase(RoundEngine(g, audit=False), seeds,
-                            PhaseFlags(detect=True), "detect", n_prime=n)
+    return _Phase(RoundEngine(g, audit=False), PhaseFlags(detect=True), width,
+                  n_prime=n).run("detect", seeds)
 
 
 def test_exact_values_match_per_node_contiguous_calls_bitwise():
@@ -280,10 +282,8 @@ def test_phase_that_outruns_its_trajectory_raises():
     g = random_strongly_connected(4, extra_edge_prob=0.3, seed=1)
     engine = RoundEngine(g, audit=False)
     seeds = np.random.default_rng(1).uniform(-5, 5, size=(4, 2))
-    phase = _Phase(engine, seeds, PhaseFlags(), rounds=2, defect_sizes=None,
-                   window=4, spread_eps=None)
-    engine.prime(phase.wave(1), pad=phase.pad)
-    engine.run_phase(phase.update, 2)
+    phase = _Phase(engine, PhaseFlags(), 2, n_prime=4, t_max=2).run("p", seeds)
+    assert engine.tick == 2
     with pytest.raises(IndexError):
         engine.run_round(phase.update)
     assert phase.traj.shape == (3, 4, 3)
@@ -295,8 +295,8 @@ def test_phase_trajectories_are_sized_by_their_readers():
     seeds = np.random.default_rng(2).uniform(-5, 5, size=(n, 2))
 
     def phase(flags, **kw):
-        return _consensus_phase(RoundEngine(g, audit=False), seeds, flags,
-                                "p", n_prime=n, **kw)
+        return _Phase(RoundEngine(g, audit=False), flags, 2, n_prime=n,
+                      **kw).run("p", seeds)
 
     # a detecting phase keeps the detector's 2n' horizon, also when its
     # counters run on past it
@@ -315,6 +315,18 @@ def test_phase_trajectories_are_sized_by_their_readers():
     piggy = phase(PhaseFlags(piggyback=True), defect_sizes=[3] * n)
     assert piggy.traj.shape == (n + 1, n, 3)
     assert phase(PhaseFlags(), t_max=4).traj.shape == (5, n, 3)
+    # a run restarts the phase whatever it carries: fresh detector,
+    # counters and certification state, the same rounds and values
+    t_term = stopping.counters.t_term.tolist()
+    for first in (stopping, exact, certify):
+        tick = first.engine.tick
+        first.run("again", seeds)
+        assert first.engine.tick == 2 * tick
+        if first.counters is not None:
+            assert first.counters.t_term.tolist() == t_term
+    assert stopping.detector.defect == detect.detector.defect
+    assert certify.snap.tobytes() == phase(
+        PhaseFlags(certify=True), epsilon=1e-3).snap.tobytes()
 
 
 def test_tied_ring_fires_inside_the_terminating_phase():
@@ -325,11 +337,10 @@ def test_tied_ring_fires_inside_the_terminating_phase():
     g = random_strongly_connected(6, extra_edge_prob=0.0, seed=5)
     seeds = np.array([[0.0], [0.0], [-2.0], [-2.0], [-2.0], [-2.0]])
     engine = RoundEngine(g, audit=False)
-    phase = _consensus_phase(engine, seeds,
-                             PhaseFlags(detect=True, terminate=True), "t",
-                             n_prime=6)
-    alone = _consensus_phase(RoundEngine(g, audit=False), seeds,
-                             PhaseFlags(detect=True), "d", n_prime=6)
+    phase = _Phase(engine, PhaseFlags(detect=True, terminate=True), 1,
+                   n_prime=6).run("t", seeds)
+    alone = _Phase(RoundEngine(g, audit=False), PhaseFlags(detect=True), 1,
+                   n_prime=6).run("d", seeds)
     assert phase.detector.defect == alone.detector.defect == [1, 0, 0, 0, 4, 0]
     assert phase.counters.t_term.tolist() == [7, 5, 11, 3, 19, 3]
     assert engine.tick == 19
@@ -348,7 +359,7 @@ def test_detector_open_at_its_horizon_is_a_breakdown(flags):
     engine = RoundEngine(g, audit=False)
     with pytest.raises(NumericBreakdown,
                        match="node 0 found no defect within 4 rounds"):
-        _consensus_phase(engine, seeds, flags, "t", n_prime=2)
+        _Phase(engine, flags, 2, n_prime=2).run("t", seeds)
     assert engine.tick == 4
 
 
@@ -367,30 +378,38 @@ def _l1_logistic_problem():
                                     run_epsilon_baseline])
 def test_steady_restart_equals_a_rebuilt_phase(monkeypatch, solver, problem,
                                                stop_on_tolerance):
-    # A run restarts one steady phase at every step after its warm-up; it
-    # must leave nothing behind that a freshly built phase would not.
+    # A run builds a phase only when its schedule entry changes and reruns
+    # the steady one at every later step; a rerun must leave nothing behind
+    # that a freshly built phase would not.
     if problem == "least_squares":
         (objectives, graph), regularizer = _instance(n=6, p=3), None
     else:
         objectives, graph, regularizer = _l1_logistic_problem()
     config = AdmmConfig(k_max=40, stop_on_tolerance=stop_on_tolerance)
     built = []
-    init = _Phase.__init__
+    init, run = _Phase.__init__, _Phase.run
 
     def counted(self, *args, **kwargs):
         built.append(self)
+        self.built_with = args, kwargs
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(_Phase, "__init__", counted)
     reused = solver(objectives, graph, config, regularizer=regularizer)
     reused_phases = len(built)
-    run_phase = admm._consensus_phase
-    monkeypatch.setattr(admm, "_consensus_phase",
-                        lambda *args, reuse=None, **kw: run_phase(*args, **kw))
+
+    def rebuilt_run(self, label, seeds):
+        if hasattr(self, "t0"):     # ran before: rebuild it from nothing
+            args, kwargs = self.built_with
+            self.__dict__.clear()
+            counted(self, *args, **kwargs)
+        return run(self, label, seeds)
+
+    monkeypatch.setattr(_Phase, "run", rebuilt_run)
     rebuilt = solver(objectives, graph, config, regularizer=regularizer)
     assert len(built) - reused_phases == rebuilt.steps
-    warmup = {"run_dadmm_fterc": 2, "run_fdadmm_ftdt": 1}.get(
-        solver.__name__, rebuilt.steps - 1)
+    warmup = {"run_dadmm_fterc": 2, "run_fdadmm_ftdt": 1,
+              "run_epsilon_baseline": 0}[solver.__name__]
     assert reused_phases == min(warmup + 1, rebuilt.steps)
     assert reused.steps == rebuilt.steps > 3
     for name in ("objective", "primal_res", "dual_res", "eps_pri", "eps_dual",
@@ -399,6 +418,33 @@ def test_steady_restart_equals_a_rebuilt_phase(monkeypatch, solver, problem,
             getattr(rebuilt, name).tobytes(), name
     assert reused.schedule == rebuilt.schedule
     assert reused.log == rebuilt.log          # every entry, digests included
+
+
+def test_a_finished_run_frees_its_phases(monkeypatch):
+    # A phase keeps its engine, and through it the round log: it must hold
+    # no reference cycle, so a dropped run frees both at once instead of at
+    # the next full collection.
+    refs = []
+    init = _Phase.__init__
+
+    def tracked(self, *args, **kwargs):
+        refs.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Phase, "__init__", tracked)
+    objectives, graph = _instance()
+    config = AdmmConfig(k_max=3, stop_on_tolerance=False)
+    seeds = np.random.default_rng(1).uniform(-5, 5, size=graph.n)
+    gc.disable()
+    try:
+        for solver in (run_dadmm_fterc, run_fdadmm_ftdt,
+                       run_epsilon_baseline):
+            solver(objectives, graph, config)
+        for exact in (False, True):
+            ftdt_run(graph, seeds, exact=exact)
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_exact_values_read_only_written_rows(monkeypatch):

@@ -441,6 +441,17 @@ def test_float_lane_never_silently_wrong_on_stacked_ring():
         assert np.allclose(r.mu, truth, atol=1e-8)
 
 
+def test_float_lane_breakdown_is_raised_not_retried():
+    # The detection phase breaks down here: a node is still open at its 2n'
+    # horizon. The error reaches the caller; a rerun on nudged seeds
+    # returned a mean 1.8e-7 away from the exact one without raising.
+    g = random_strongly_connected(30, 0.05, seed=4)
+    y0 = np.random.default_rng(4).uniform(-5, 5, size=(30, 3))
+    with pytest.raises(NumericBreakdown,
+                       match="node 3 found no defect within 60 rounds"):
+        fterc_run(g, y0)
+
+
 def test_exact_lane_validates_seed_count():
     with pytest.raises(ValueError):
         exact_consensus_run(THREE_CYCLE, np.ones((4, 2)))

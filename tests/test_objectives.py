@@ -316,7 +316,8 @@ def test_l1_z_update_spares_intercept():
     mask = np.array([True, True, True, False])
     out = l1_z_update(seed, 1.0, mask)
     assert np.allclose(out, [0.0, 0.0, 1.0, 0.3])
-    assert np.allclose(l1_z_update(seed, 1.0), [0.0, 0.0, 1.0, 0.0])
+    assert np.allclose(l1_z_update(seed, 1.0, np.ones(4, dtype=bool)),
+                       [0.0, 0.0, 1.0, 0.0])
 
 
 def test_l1_regularizer_accessors():
@@ -407,6 +408,7 @@ def test_make_logistic_instance_refuses_negative_seed():
 def test_l1_z_update_on_a_stack_equals_row_by_row_bitwise():
     # The solvers shrink every node's row in one call.
     values = np.random.default_rng(5).uniform(-3.0, 3.0, size=(6, 5))
-    for mask in (np.array([True, True, False, True, False]), None):
+    for mask in (np.array([True, True, False, True, False]),
+                 np.ones(5, dtype=bool)):
         rows = np.stack([l1_z_update(v, 0.7, mask) for v in values])
         assert l1_z_update(values, 0.7, mask).tobytes() == rows.tobytes()
