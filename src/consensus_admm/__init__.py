@@ -26,15 +26,15 @@ from .errors import (AlreadyFrozen, ConfigError, ConsensusAdmmError,
                      MaxIterations, NonIntegerResult, NumericBreakdown,
                      ProtocolViolation, SchemaMismatch, SolverFailure)
 from .exact import exact_consensus_run
-from .graph import (Digraph, build_digraph, diameter, is_strongly_connected,
-                    load_digraph, random_strongly_connected, ratio_weights,
-                    save_digraph)
+from .graph import (Digraph, build_digraph, check_strongly_connected,
+                    diameter, is_strongly_connected, load_digraph,
+                    random_strongly_connected, ratio_weights, save_digraph)
 from .netsim import RoundEngine, RoundRecord, phase_lengths, stable_digest
 from .objectives import (L1Regularizer, LeastSquaresObjective,
                          LocalObjective, LogisticObjective, compute_mu_max,
                          l1_z_update, load_dataset,
                          make_least_squares_instance, make_logistic_instance,
-                         save_dataset, soft_threshold, split_rows)
+                         read_table, save_dataset, soft_threshold, split_rows)
 from .oracle import (Reference, centralized_l1_logistic,
                      centralized_least_squares, minimal_poly_oracle)
 from .termination import (Counters, counter_message, derive_max_defect,

@@ -18,19 +18,16 @@ Each solver is a phase schedule: the :class:`PhaseFlags` of its warm-up
 steps, then those of its steady step. The flags fix what a phase carries,
 how many exchanges it makes and when it stops; one phase object reads them
 once, when it is built, and then runs itself, also in the standalone
-:func:`fterc_run` and :func:`ftdt_run`. A phase holds every node's ratio
-pair, trajectory and rider values as arrays and runs each round as one
-array step; one detector checks every open node's Hankel matrices at once
-from that trajectory, and one record of integer arrays steps every node's
-stopping counter. One ``fterc_final`` call evaluates every node's limit
-from its kernel, the kernels zero-padded into one matrix once, where they
-are detected. A run builds a phase only when its schedule entry changes,
-so every step after the warm-up reruns one steady phase, the epsilon
-baseline's certification phase included, with that step's seeds: its
-trajectory, payload buffer and round steps are kept, and a fixed-length
-phase reduces each round straight into its trajectory row.
+:func:`fterc_run` and :func:`ftdt_run`. A run returns every node's values,
+and the phase keeps what it found: the detected kernels, zero-padded into
+one matrix once, and the largest defect index, by which the next phase,
+copying both, sizes itself. A run builds a phase only when its schedule
+entry changes, so every step after the warm-up reruns one steady phase, the
+epsilon baseline's certification phase included, with that step's seeds.
 The solvers exchange messages only through :class:`~.netsim.RoundEngine`,
 so round logs, schedules, and determinism checks all observe real traffic.
+Every entry point refuses a digraph that is not strongly connected, raising
+:class:`~.errors.Disconnected` before any round.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from .consensus import (ConsensusResult, HankelDetector, check_seeds,
                         fterc_final, pad_kernels, ratio_update)
 from .errors import InsufficientData, NonIntegerResult, NumericBreakdown
 from .exact import exact_consensus_run
-from .graph import Digraph
+from .graph import Digraph, check_strongly_connected
 from .netsim import RoundEngine, phase_lengths
 from .objectives import L1Regularizer, ObjectiveStacks, l1_z_update
 from .oracle import Reference
@@ -178,15 +175,21 @@ class _Phase:
     The flags decide everything once, at construction: the steps every
     round runs, the columns every payload carries, how many exchanges the
     phase makes and how much trajectory it keeps. :meth:`run` restarts the
-    phase at the engine's tick from new seeds and runs it under one of three
-    stop rules:
+    phase at the engine's tick from new seeds, with a fresh detector,
+    counters and certification state, and runs it to one of three stops:
 
     * ``terminate``: until every node's stopping counter fires, refused
       with :class:`NumericBreakdown` past the guard of ``4(n' + 2)`` rounds;
-    * ``certify``: windows of ``n'`` exchanges until every node is
-      certified;
+    * ``certify``: windows of ``n'`` exchanges until every node is certified;
     * otherwise a fixed count: ``2n'`` exchanges with ``detect``, ``n'``
-      with ``piggyback``, else ``t_max``.
+      with ``piggyback``, else ``max_defect + 1``.
+
+    It keeps what it found, ``defect_sizes`` and padded ``kernels`` from
+    detection and ``max_defect``, agreed by every node, from max-consensus
+    or the counters, and returns every node's values: ``fterc_final`` of
+    ``traj``, the certified ``snap``, or ``None`` on the exact lane.
+    ``after=`` copies the findings of the phase before, keeping no
+    reference to it, so that it is freed.
 
     ``state`` is the ratio pair ``[x, y]``, denominator first, so a row is
     also the node's detector observation: the detector needs one kernel
@@ -224,21 +227,24 @@ class _Phase:
     carries the counter pair alone, its counters frozen from the start at
     ``defect_sizes``: a counter reads ``min(k, 2(d + 1))``, which is ``k``
     through round ``2d + 1``, when a detector would have fired, so every
-    message and stopping round is the one a detector gives. Each run makes
-    a fresh detector, counter record and certification state.
+    message and stopping round is the one a detector gives.
     """
 
     def __init__(self, engine: RoundEngine, flags: PhaseFlags, width: int, *,
-                 n_prime: int, t_max: int | None = None, defect_sizes=None,
+                 n_prime: int, after: _Phase | None = None, defect_sizes=None,
                  epsilon: float | None = None):
         n = engine.graph.n
         self.engine, self.flags, self.share = engine, flags, engine.share
-        self.defect_sizes, self.epsilon = defect_sizes, epsilon
+        self.epsilon = epsilon
+        self.defect_sizes, self.kernels, self.max_defect = (
+            (after.defect_sizes, after.kernels, after.max_defect)
+            if after is not None else (defect_sizes, None, None))
         # exchanges per run, or per certification window; rows kept
         self.rounds = (4 * (n_prime + 2) if flags.terminate   # the guard
                        else n_prime if flags.certify
                        else 2 * n_prime if flags.detect
-                       else n_prime if flags.piggyback else t_max)
+                       else n_prime if flags.piggyback
+                       else self.max_defect + 1)
         kept = (2 * n_prime if flags.detect
                 else 0 if flags.terminate or flags.certify else self.rounds)
         self.traj = np.empty((kept + 1, n, width + 1))
@@ -284,7 +290,7 @@ class _Phase:
             self.hi = self.payload[:, self.hi_cols]
             self.lo = self.payload[:, self.lo_cols]
 
-    def run(self, label: str, seeds: np.ndarray) -> _Phase:
+    def run(self, label: str, seeds: np.ndarray) -> np.ndarray | None:
         """Restart the phase at the engine's tick from ``seeds``; run it out."""
         engine, flags, n = self.engine, self.flags, len(seeds)
         self.t0 = engine.tick
@@ -308,18 +314,29 @@ class _Phase:
                 if engine.tick - self.t0 >= self.rounds:
                     raise NumericBreakdown(f"stopping counters still open "
                                            f"after {self.rounds} rounds")
-                engine.run_round(self.update, label)
+                engine.run_round(self.update)
         elif flags.certify:
             windows = 0
             while not self.certified.all():
                 if windows >= 10_000:
                     raise NumericBreakdown(
                         "certification made no progress in 10000 windows")
-                engine.run_phase(self.update, self.rounds, label)
+                engine.run_phase(self.update, self.rounds)
                 windows += 1
         else:
-            engine.run_phase(self.update, self.rounds, label)
-        return self
+            engine.run_phase(self.update, self.rounds)
+        if flags.detect:
+            self.defect_sizes = self.detector.defect
+            self.kernels = pad_kernels(self.detector.beta)
+        if flags.piggyback:
+            self.max_defect = _agree_int(self.v[:, 0], "the phase length") - 1
+        if flags.terminate:   # each node derives it from its stopping round
+            self.max_defect = _agree_int(
+                map(derive_max_defect, self.counters.t_term.tolist(),
+                    self.defect_sizes), "the largest defect index")
+        if self.kernels is None:   # certification, or the exact lane
+            return self.snap if flags.certify else None
+        return fterc_final(self.traj, self.kernels)
 
     def wave(self, next_round: int) -> np.ndarray:
         """The payload buffer, each send's columns rewritten in place."""
@@ -396,13 +413,6 @@ def _agree_int(values, what: str) -> int:
     return distinct.pop()
 
 
-def _agreed_max_defect(t_terms, defects) -> int:
-    """Each node's own derivation of the largest defect index; all agree."""
-    return _agree_int((derive_max_defect(t_term, d)
-                       for t_term, d in zip(t_terms, defects)),
-                      "the largest defect index")
-
-
 def fterc_run(graph: Digraph, y0) -> list[ConsensusResult]:
     """Run finite-time exact ratio consensus to completion at every node.
 
@@ -411,15 +421,15 @@ def fterc_run(graph: Digraph, y0) -> list[ConsensusResult]:
     horizon, or a numerically zero denominator sum, raises
     :class:`NumericBreakdown`.
     """
+    check_strongly_connected(graph)
     seeds = check_seeds(y0, graph.n)
     mat = seeds.reshape(graph.n, -1)
     phase = _Phase(RoundEngine(graph, audit=False), PhaseFlags(detect=True),
-                   mat.shape[1], n_prime=graph.n).run("detect", mat)
-    det = phase.detector
-    values = fterc_final(phase.traj, pad_kernels(det.beta))
+                   mat.shape[1], n_prime=graph.n)
+    values = phase.run("detect", mat)
     return [ConsensusResult(mu[0] if seeds.ndim == 1 else mu,
-                            d, beta.copy(), 2 * d + 1)
-            for d, beta, mu in zip(det.defect, det.beta, values)]
+                            d, beta.copy(), 2 * d + 1) for d, beta, mu
+            in zip(phase.defect_sizes, phase.detector.beta, values)]
 
 
 @dataclass
@@ -450,6 +460,7 @@ def ftdt_run(graph: Digraph, seeds, *,
     float64 detection envelope. Disagreeing nodes raise
     :class:`NonIntegerResult` before the float lane evaluates any value.
     """
+    check_strongly_connected(graph)
     seeds = check_seeds(seeds, graph.n)
     mat = seeds.reshape(graph.n, -1)
     defect = None
@@ -458,24 +469,19 @@ def ftdt_run(graph: Digraph, seeds, *,
         defect = [res.defect for res in detections]
     engine = RoundEngine(graph, audit=False)
     phase = _Phase(engine, PhaseFlags(detect=not exact, terminate=True),
-                   mat.shape[1], n_prime=graph.n,
-                   defect_sizes=defect).run("terminate", mat)
-    t_terms = phase.counters.t_term.tolist()
-    if not exact:
-        defect = phase.detector.defect
-    max_defect = _agreed_max_defect(t_terms, defect)
+                   mat.shape[1], n_prime=graph.n, defect_sizes=defect)
+    values = phase.run("terminate", mat)
     if exact:
         betas = [res.beta for res in detections]
         values = np.array([res.mu for res in detections])
     else:
         betas = phase.detector.beta
-        values = fterc_final(phase.traj, pad_kernels(betas))
-        if seeds.ndim == 1:
-            values = values[:, 0]
+        values = values[:, 0] if seeds.ndim == 1 else values
     return TerminationRunResult(
-        values=values, betas=betas, defect_indices=defect, t_terms=t_terms,
-        detection_rounds=[2 * d + 1 for d in defect],
-        max_defect=max_defect, rounds=engine.tick)
+        values=values, betas=betas, defect_indices=phase.defect_sizes,
+        t_terms=phase.counters.t_term.tolist(),
+        detection_rounds=[2 * d + 1 for d in phase.defect_sizes],
+        max_defect=phase.max_defect, rounds=engine.tick)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +536,7 @@ def composite_objective(objectives, point, regularizer=None) -> float:
     point = np.asarray(point, dtype=float)
     total = float(sum(obj.evaluate(point) for obj in objectives))
     if regularizer is not None:
-        mask = regularizer.penalized_mask(point.size)
-        total += regularizer.mu * float(np.sum(np.abs(point[mask])))
+        total += regularizer.penalty(point)
     return total
 
 
@@ -557,6 +562,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     if any(obj.dim != p for obj in objectives):
         raise ValueError("all local objectives must share one dimension")
     n_prime = config.validate(n)
+    check_strongly_connected(graph)
     rho = config.rho
 
     if regularizer is not None:
@@ -569,11 +575,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     stacks = ObjectiveStacks(objectives, rho)
 
     engine = RoundEngine(graph)
-    kernels = None   # the detected kernels, zero-padded once
-    defect: list = [None] * n
-    t_max: int | None = None
     t1: int | None = None
-    max_defect: int | None = None
 
     hist: dict[str, list] = {key: [] for key in
                              ("objective", "primal", "dual", "eps_pri",
@@ -587,24 +589,13 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
         seeds = x_stack + lam / rho
         flags = warmup[k - 1] if k <= len(warmup) else steady
         if phase is None or phase.flags is not flags:
-            phase = _Phase(engine, flags, p, n_prime=n_prime, t_max=t_max,
-                           defect_sizes=defect, epsilon=config.epsilon)
+            phase = _Phase(engine, flags, p, n_prime=n_prime, after=phase,
+                           epsilon=config.epsilon)
         tick_before = engine.tick
-        phase.run(f"step-{k}", seeds)
+        z_new = phase.run(f"step-{k}", seeds)
         rounds_k = engine.tick - tick_before
-        if flags.detect:
-            defect = phase.detector.defect
-            kernels = pad_kernels(phase.detector.beta)
-        if flags.piggyback:
-            t_max = _agree_int(phase.v[:, 0], "the phase length")
-            max_defect = t_max - 1
-        if flags.terminate:
+        if phase.counters is not None:   # the phase stopped itself
             t1 = rounds_k
-            max_defect = _agreed_max_defect(phase.counters.t_term.tolist(),
-                                            defect)
-            t_max = max_defect + 1
-        z_new = (phase.snap if flags.certify
-                 else fterc_final(phase.traj, kernels))
         if regularizer is not None:
             z_new = l1_z_update(z_new, kappa, mask)
         lam = lam + rho * (x_stack - z_new)
@@ -613,8 +604,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
 
         obj_val = stacks.total(x_stack)
         if regularizer is not None:
-            z_bar = z_new.mean(axis=0)
-            obj_val += regularizer.mu * float(np.sum(np.abs(z_bar[mask])))
+            obj_val += regularizer.penalty(z_new.mean(axis=0))
 
         hist["objective"].append(obj_val)
         hist["primal"].append(report.primal_res)
@@ -631,6 +621,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
             stopped_early = True
             break
 
+    max_defect = phase.max_defect
     record = RunRecord(
         algorithm=algorithm, config=config, steps=steps,
         k=np.arange(1, steps + 1),
@@ -644,7 +635,9 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
         z_hist=np.stack(hist["z"]),
         lam_hist=np.stack(hist["lam"]),
         x0=x0, lam0=lam0, z0=z0,
-        defect_indices=list(defect), t_max=t_max, t1=t1, max_defect=max_defect,
+        defect_indices=list(phase.defect_sizes or [None] * n),
+        t_max=None if max_defect is None else max_defect + 1, t1=t1,
+        max_defect=max_defect,
         schedule=phase_lengths(engine.log), stopped_early=stopped_early,
         log=engine.log, objectives=list(objectives),
         regularizer=regularizer)

@@ -40,23 +40,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import (ALGORITHMS, AdmmConfig, RunRecord, run_dadmm_fterc,
-                   run_epsilon_baseline, run_fdadmm_ftdt)
+from . import admm as solvers
+from .admm import ALGORITHMS, AdmmConfig, RunRecord
 from .errors import ConfigError, ConsensusAdmmError, SchemaMismatch
 from .graph import random_strongly_connected
 from .objectives import (L1Regularizer, LogisticObjective, compute_mu_max,
                          make_least_squares_instance, make_logistic_instance,
-                         split_rows)
+                         read_table, split_rows)
 from .oracle import centralized_least_squares
 
 CSV_COLUMNS = ("k", "objective", "primal_res", "dual_res",
                "consensus_rounds", "bound_lhs", "bound_rhs")
-
-_RUNNERS = {
-    "dadmm_fterc": run_dadmm_fterc,
-    "fdadmm_ftdt": run_fdadmm_ftdt,
-    "epsilon_baseline": run_epsilon_baseline,
-}
 
 # a comment starts at "#" or ";" at the start of a line or after whitespace,
 # as configparser's inline_comment_prefixes read it
@@ -281,7 +275,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
     graph = random_strongly_connected(config.problem.n,
                                       config.graph.extra_edge_prob,
                                       seed=config.graph.seed)
-    runner = _RUNNERS[config.algorithm]
+    # looked up at call time, so a solver patched on the module is the one run
+    runner = getattr(solvers, f"run_{config.algorithm}")
     record = runner(objectives, graph, admm, regularizer=regularizer,
                     reference=reference)
 
@@ -314,25 +309,10 @@ def write_csv(path: str | Path, record: RunRecord) -> None:
 
 def read_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Load a results CSV, enforcing the exact schema."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_COLUMNS:
-            raise SchemaMismatch(f"{path}: expected columns "
-                                 f"{','.join(CSV_COLUMNS)}")
-        rows = []
-        for row in reader:
-            try:
-                if len(row) != len(CSV_COLUMNS):
-                    raise ValueError(f"expected {len(CSV_COLUMNS)} cells, "
-                                     f"got {len(row)}")
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                where = f"{path}:{reader.line_num}"
-                raise SchemaMismatch(f"{where}: {exc}") from None
-    if not rows:
-        raise SchemaMismatch(f"{path}: no data rows")
-    data = np.array(rows)
+    header, data = read_table(path)
+    if tuple(header) != CSV_COLUMNS:
+        raise SchemaMismatch(f"{path}: expected columns "
+                             f"{','.join(CSV_COLUMNS)}")
     return {name: data[:, idx] for idx, name in enumerate(CSV_COLUMNS)}
 
 

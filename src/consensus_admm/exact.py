@@ -58,7 +58,7 @@ import numpy as np
 
 from .consensus import ConsensusResult, check_seeds
 from .errors import NumericBreakdown
-from .graph import Digraph
+from .graph import Digraph, check_strongly_connected
 from .netsim import gather_rows
 
 _MIXES = (3, 5, 7)      # mix r weights difference channel c by r**(c + 1)
@@ -438,6 +438,7 @@ def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
     so intended for verification and for regimes beyond the float64
     detection envelope rather than for inner solver loops.
     """
+    check_strongly_connected(g)
     seeds = check_seeds(y0, g.n)
     traj, base = _exact_trajectories(g, seeds.reshape(g.n, -1), 2 * g.n + 1)
     results = []

@@ -105,6 +105,12 @@ def is_strongly_connected(g: Digraph) -> bool:
     return all(d >= 0 for d in forward) and all(d >= 0 for d in backward)
 
 
+def check_strongly_connected(g: Digraph) -> None:
+    """Raise :class:`Disconnected` unless every node reaches every other."""
+    if not is_strongly_connected(g):
+        raise Disconnected("averaging needs a strongly connected digraph")
+
+
 _DRAW_CHUNK = 1 << 20   # random_strongly_connected draws this many at once
 
 

@@ -15,13 +15,13 @@ round counts, values, and replayable logs.
 
 A phase of ``R`` rounds is ``R`` exchanges. Seed payloads enter via
 :meth:`RoundEngine.prime`, which replaces the wave still undelivered from a
-previous phase (phase boundaries are barriers). The engine copies each wave
-into one ``(n + 1, w)`` buffer whose last row is the pad row, so a caller
-may rewrite its array. Every round gathers the blocks slot by slot into one
-``(slots, n, w)`` buffer, rewritten in place, and hands the update its
-``(n, slots, w)`` transposed view: a reduction over the slots then adds
-whole ``(n, w)`` slabs in slot order. A block is only valid during the
-update call that receives it: a caller that keeps one past that call copies
+previous phase (phase boundaries are barriers) and labels the log entries up
+to the next ``prime``. The engine copies each wave into one ``(n + 1, w)``
+buffer whose last row is the pad row, so a caller may rewrite its array.
+Every round gathers the blocks slot by slot into one ``(slots, n, w)``
+buffer, rewritten in place, and hands the update its ``(n, slots, w)``
+transposed view: a reduction over the slots then adds whole ``(n, w)`` slabs
+in slot order. A block is only valid during the update call that receives
 it. Both buffers are allocated together and only again when ``w`` changes.
 
 With ``audit`` on, each log entry holds one digest of the whole wave:
@@ -153,17 +153,17 @@ class RoundEngine:
     def prime(self, wave, phase: str = "", pad=np.nan) -> RoundRecord:
         """Start a phase: drop the undelivered wave, broadcast ``wave``.
 
-        ``wave`` is an ``(n, w)`` float array, row ``i`` node i's payload.
-        ``pad`` fills the block rows past each node's in-degree until the
-        next ``prime``: a scalar or one value per column, such as the
-        identity of the reduction each column goes through. It is not part
-        of the wave, so it is never hashed.
+        ``wave`` is an ``(n, w)`` float array, row ``i`` node i's payload;
+        ``phase`` labels every log entry and ``pad`` fills the block rows past
+        each node's in-degree until the next ``prime``. A pad is a scalar or
+        one value per column, such as the identity of the reduction each column
+        goes through; it is not part of the wave, so it is never hashed.
         """
         record = self._broadcast(wave, phase, "seed")
         self._wave[-1] = pad
         return record
 
-    def run_round(self, update: Update, phase: str = "") -> RoundRecord:
+    def run_round(self, update: Update) -> RoundRecord:
         """Deliver the last wave, update every node, broadcast the next one.
 
         ``update(block, tick)`` receives the ``(n, slots, w)`` array of every
@@ -181,13 +181,13 @@ class RoundEngine:
         # gather indices are in range by construction; "clip" lets numpy
         # write straight into out= instead of through a temporary
         self._wave.take(self._slot_rows, axis=0, out=self._slabs, mode="clip")
-        return self._broadcast(update(self._block, self.tick), phase,
-                               "exchange")
+        return self._broadcast(update(self._block, self.tick),
+                               self.log[-1].phase, "exchange")
 
-    def run_phase(self, update: Update, rounds: int, phase: str = "") -> None:
-        """Execute exactly ``rounds`` exchanges under one phase label."""
+    def run_phase(self, update: Update, rounds: int) -> None:
+        """Execute exactly ``rounds`` exchanges."""
         for _ in range(rounds):
-            self.run_round(update, phase)
+            self.run_round(update)
 
     def export_jsonl(self, path) -> None:
         """One JSON record per log entry."""

@@ -25,7 +25,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import SchemaMismatch, SolverFailure
 
 
 class LocalObjective(ABC):
@@ -410,6 +410,11 @@ class L1Regularizer:
         mask[-1] = False
         return mask
 
+    def penalty(self, point: np.ndarray) -> float:
+        """``mu`` times the l1 norm of a point's penalized coordinates."""
+        mask = self.penalized_mask(point.size)
+        return self.mu * float(np.sum(np.abs(point[mask])))
+
 
 def compute_mu_max(features, labels) -> float:
     """Smallest l1 weight that zeroes every feature coefficient.
@@ -480,11 +485,32 @@ def save_dataset(path, features, labels) -> None:
             writer.writerow([f"{v:.17g}" for v in row] + [f"{label:.17g}"])
 
 
-def load_dataset(path):
-    """Inverse of :func:`save_dataset`; returns (features, labels)."""
+def read_table(path) -> tuple[list[str], np.ndarray]:
+    """A CSV file of numbers under a header: the header and the rows.
+
+    A row whose length is not the header's, a cell that is not a number
+    and a file without data rows raise :class:`SchemaMismatch` naming the
+    path, and the line where there is one.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
-        rows = [[float(cell) for cell in row] for row in reader]
-    data = np.asarray(rows, dtype=float)
+        header = next(reader, [])
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, "
+                                     f"got {len(row)}")
+                rows.append([float(cell) for cell in row])
+            except ValueError as exc:
+                raise SchemaMismatch(f"{path}:{reader.line_num}: "
+                                     f"{exc}") from None
+    if not rows:
+        raise SchemaMismatch(f"{path}: no data rows")
+    return header, np.array(rows)
+
+
+def load_dataset(path):
+    """Inverse of :func:`save_dataset`; returns (features, labels)."""
+    _, data = read_table(path)
     return data[:, :-1], data[:, -1]

@@ -6,19 +6,22 @@ import weakref
 import numpy as np
 import pytest
 
-from consensus_admm import (AdmmConfig, InsufficientData, L1Regularizer,
-                            LogisticObjective, NonIntegerResult,
-                            NumericBreakdown, PhaseFlags, RoundEngine,
-                            build_digraph, centralized_least_squares,
-                            check_o1k_bound, composite_objective,
-                            compute_mu_max, ergodic_averages, ftdt_run,
-                            fterc_final, make_least_squares_instance,
+from consensus_admm import (AdmmConfig, Disconnected, InsufficientData,
+                            L1Regularizer, LogisticObjective,
+                            NonIntegerResult, NumericBreakdown, PhaseFlags,
+                            RoundEngine, build_digraph,
+                            centralized_least_squares, check_o1k_bound,
+                            composite_objective, compute_mu_max,
+                            ergodic_averages, exact_consensus_run, ftdt_run,
+                            fterc_final, fterc_run,
+                            make_least_squares_instance,
                             make_logistic_instance, minimal_poly_oracle,
                             random_strongly_connected, ratio_weights,
                             rlinear_probe, run_dadmm_fterc,
                             run_epsilon_baseline, run_fdadmm_ftdt,
                             split_rows, stopping_criterion)
-from consensus_admm.admm import _Phase
+from consensus_admm import exact
+from consensus_admm.admm import _SCHEDULES, _Phase
 from consensus_admm.consensus import pad_kernels
 
 
@@ -253,25 +256,27 @@ def test_config_validation_errors():
 
 
 def _detection_phase(n, width, seed):
+    """A detecting phase after one run, and the values that run returned."""
     g = random_strongly_connected(n, extra_edge_prob=0.3, seed=seed)
     seeds = np.random.default_rng(seed).uniform(-5, 5, size=(n, width))
-    return _Phase(RoundEngine(g, audit=False), PhaseFlags(detect=True), width,
-                  n_prime=n).run("detect", seeds)
+    phase = _Phase(RoundEngine(g, audit=False), PhaseFlags(detect=True), width,
+                   n_prime=n)
+    return phase, phase.run("detect", seeds)
 
 
 def test_exact_values_match_per_node_contiguous_calls_bitwise():
-    # Histories stay bitwise reproducible only while the whole trajectory
-    # a phase hands fterc_final gives the values of one fresh
+    # Histories stay bitwise reproducible only while the values a phase
+    # returns, from its whole trajectory, are those of one fresh
     # C-contiguous copy of each node's own [x, y] rows.
     cases = 0
     for seed in range(12):
         for width in (1, 3, 5):
-            phase = _detection_phase(3 + seed % 7, width, seed)
+            phase, values = _detection_phase(3 + seed % 7, width, seed)
             betas, traj = phase.detector.beta, phase.traj
             per_node = np.stack([
                 fterc_final(np.ascontiguousarray(traj[:len(beta), i]), beta)
                 for i, beta in enumerate(betas)])
-            values = fterc_final(traj, pad_kernels(betas))
+            assert phase.kernels.tobytes() == pad_kernels(betas).tobytes()
             assert values.shape == per_node.shape
             assert values.tobytes() == per_node.tobytes()
             cases += len({len(beta) for beta in betas}) > 1
@@ -282,11 +287,16 @@ def test_phase_that_outruns_its_trajectory_raises():
     g = random_strongly_connected(4, extra_edge_prob=0.3, seed=1)
     engine = RoundEngine(g, audit=False)
     seeds = np.random.default_rng(1).uniform(-5, 5, size=(4, 2))
-    phase = _Phase(engine, PhaseFlags(), 2, n_prime=4, t_max=2).run("p", seeds)
-    assert engine.tick == 2
+    phase = None
+    for flags in _SCHEDULES["dadmm_fterc"][0] + (PhaseFlags(),):
+        phase = _Phase(engine, flags, 2, n_prime=4, after=phase)
+        tick = engine.tick
+        phase.run("p", seeds)
+    t_max = phase.max_defect + 1       # the steady length the warm-up found
+    assert engine.tick - tick == t_max
     with pytest.raises(IndexError):
         engine.run_round(phase.update)
-    assert phase.traj.shape == (3, 4, 3)
+    assert phase.traj.shape == (t_max + 1, 4, 3)
 
 
 def test_phase_trajectories_are_sized_by_their_readers():
@@ -295,8 +305,9 @@ def test_phase_trajectories_are_sized_by_their_readers():
     seeds = np.random.default_rng(2).uniform(-5, 5, size=(n, 2))
 
     def phase(flags, **kw):
-        return _Phase(RoundEngine(g, audit=False), flags, 2, n_prime=n,
-                      **kw).run("p", seeds)
+        built = _Phase(RoundEngine(g, audit=False), flags, 2, n_prime=n, **kw)
+        built.run("p", seeds)
+        return built
 
     # a detecting phase keeps the detector's 2n' horizon, also when its
     # counters run on past it
@@ -314,7 +325,8 @@ def test_phase_trajectories_are_sized_by_their_readers():
     assert certify.traj.shape == (1, n, 3)
     piggy = phase(PhaseFlags(piggyback=True), defect_sizes=[3] * n)
     assert piggy.traj.shape == (n + 1, n, 3)
-    assert phase(PhaseFlags(), t_max=4).traj.shape == (5, n, 3)
+    assert piggy.max_defect == 3
+    assert phase(PhaseFlags(), after=piggy).traj.shape == (5, n, 3)
     # a run restarts the phase whatever it carries: fresh detector,
     # counters and certification state, the same rounds and values
     t_term = stopping.counters.t_term.tolist()
@@ -332,15 +344,19 @@ def test_phase_trajectories_are_sized_by_their_readers():
 def test_tied_ring_fires_inside_the_terminating_phase():
     # Tied seeds on a 6-ring. A stopped node keeps mixing its ratio pair,
     # so node 4 fires with the defect a detect-only phase finds; the nodes'
-    # stopping rounds then disagree on the largest defect index, and
-    # ftdt_run refuses the run rather than guess.
+    # stopping rounds then disagree on the largest defect index, and the
+    # phase, so also ftdt_run, refuses the run rather than guess.
     g = random_strongly_connected(6, extra_edge_prob=0.0, seed=5)
     seeds = np.array([[0.0], [0.0], [-2.0], [-2.0], [-2.0], [-2.0]])
     engine = RoundEngine(g, audit=False)
     phase = _Phase(engine, PhaseFlags(detect=True, terminate=True), 1,
-                   n_prime=6).run("t", seeds)
+                   n_prime=6)
+    with pytest.raises(NonIntegerResult,
+                       match=r"largest defect index: \[0, 1, 4\]"):
+        phase.run("t", seeds)
     alone = _Phase(RoundEngine(g, audit=False), PhaseFlags(detect=True), 1,
-                   n_prime=6).run("d", seeds)
+                   n_prime=6)
+    alone.run("d", seeds)
     assert phase.detector.defect == alone.detector.defect == [1, 0, 0, 0, 4, 0]
     assert phase.counters.t_term.tolist() == [7, 5, 11, 3, 19, 3]
     assert engine.tick == 19
@@ -447,6 +463,38 @@ def test_a_finished_run_frees_its_phases(monkeypatch):
         gc.enable()
 
 
+@pytest.mark.parametrize("solver", [run_dadmm_fterc, run_fdadmm_ftdt])
+def test_warmup_phases_are_freed_while_the_steady_phase_runs(monkeypatch,
+                                                             solver):
+    # A phase copies what the phase before it found and keeps no reference
+    # to it, so the detection phase's (2n' + 1, n, p + 1) trajectory is not
+    # held through the steady steps.
+    refs, alive = [], []
+    init, run = _Phase.__init__, _Phase.run
+
+    def tracked(self, *args, **kwargs):
+        refs.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    def counted(self, label, seeds):
+        alive.append(sum(ref() is not None for ref in refs))
+        return run(self, label, seeds)
+
+    monkeypatch.setattr(_Phase, "__init__", tracked)
+    monkeypatch.setattr(_Phase, "run", counted)
+    objectives, graph = _instance()
+    steps = 5
+    gc.disable()
+    try:
+        record = solver(objectives, graph,
+                        AdmmConfig(k_max=steps, stop_on_tolerance=False))
+    finally:
+        gc.enable()
+    assert record.steps == steps
+    assert len(refs) == len(_SCHEDULES[solver.__name__[4:]][0]) + 1
+    assert alive == [1] * steps        # only the phase about to run
+
+
 def test_exact_values_read_only_written_rows(monkeypatch):
     # Trajectories come from np.empty, and fterc_final reads every row
     # below the longest kernel: each of those rows must have been written
@@ -468,10 +516,10 @@ def test_exact_values_read_only_written_rows(monkeypatch):
 
     def outputs():
         for case in cases:
-            phase = _detection_phase(*case)
+            phase, values = _detection_phase(*case)
             betas = phase.detector.beta
             assert np.isfinite(phase.traj[:max(map(len, betas))]).all()
-            yield fterc_final(phase.traj, pad_kernels(betas)).tobytes()
+            yield values.tobytes()
         for solver in solvers:
             yield solver(objectives, graph, config).z_hist.tobytes()
 
@@ -501,3 +549,32 @@ def test_stopping_residuals_equal_linalg_norm_bitwise():
                 scale * eps_abs + eps_rel * max(norm(x), norm(z)))
             assert report.eps_dual == float(
                 scale * eps_abs + eps_rel * float(norm(lam)))
+
+
+@pytest.mark.parametrize("graph, seeds", [
+    # two disjoint directed 3-cycles: each averages alone, to 3 and 11
+    (build_digraph(6, [(1, 0), (2, 1), (0, 2), (4, 3), (5, 4), (3, 5)]),
+     [1.0, 2.0, 6.0, 10.0, 11.0, 12.0]),
+    # a directed path: no certification window ever closes
+    (build_digraph(20, [(i, i + 1) for i in range(19)]),
+     np.arange(20.0)),
+])
+def test_digraphs_not_strongly_connected_are_refused_before_any_round(
+        monkeypatch, graph, seeds):
+    def no_round(*args, **kwargs):
+        raise AssertionError("a round ran")
+
+    monkeypatch.setattr(RoundEngine, "prime", no_round)
+    monkeypatch.setattr(exact, "_exact_trajectories", no_round)
+    objectives, _ = make_least_squares_instance(graph.n, 2, 4, seed=1)
+    config = AdmmConfig(k_max=2)
+    calls = [lambda: fterc_run(graph, seeds),
+             lambda: ftdt_run(graph, seeds),
+             lambda: ftdt_run(graph, seeds, exact=True),
+             lambda: exact_consensus_run(graph, seeds)]
+    calls += [lambda solver=solver: solver(objectives, graph, config)
+              for solver in (run_dadmm_fterc, run_fdadmm_ftdt,
+                             run_epsilon_baseline)]
+    for call in calls:
+        with pytest.raises(Disconnected, match="strongly connected"):
+            call()

@@ -211,14 +211,16 @@ def test_log_records_and_phase_lengths():
     g = _cycle(4)
     engine = RoundEngine(g)
     engine.prime(_column([0, 1, 2, 3]), "warmup")
-    engine.run_phase(_flood(engine), 3, "warmup")
+    engine.run_phase(_flood(engine), 3)
     engine.prime(_column([0, 1, 2, 3]), "steady")
-    engine.run_phase(_flood(engine), 2, "steady")
+    engine.run_phase(_flood(engine), 2)
 
     kinds = [rec.kind for rec in engine.log]
     assert kinds == ["seed", "exchange", "exchange", "exchange",
                      "seed", "exchange", "exchange"]
     assert [rec.tick for rec in engine.log] == [0, 1, 2, 3, 3, 4, 5]
+    # every entry logs under the label of the last prime
+    assert [rec.phase for rec in engine.log] == ["warmup"] * 4 + ["steady"] * 3
     assert all(rec.message_count == g.edge_count for rec in engine.log)
     assert all(isinstance(rec.digest, str) for rec in engine.log)
     assert phase_lengths(engine.log) == [("warmup", 3), ("steady", 2)]
@@ -232,7 +234,7 @@ def test_unaudited_log_keeps_counts_without_digests(monkeypatch):
     g = _cycle(4)
     engine = RoundEngine(g, audit=False)
     engine.prime(_column([0, 1, 2, 3]), "warmup")
-    engine.run_phase(_flood(engine), 2, "warmup")
+    engine.run_phase(_flood(engine), 2)
     assert [rec.digest for rec in engine.log] == [None] * 3
     assert all(rec.message_count == g.edge_count for rec in engine.log)
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from consensus_admm import (AdmmConfig, L1Regularizer, LeastSquaresObjective,
-                            LogisticObjective, SolverFailure,
+                            LogisticObjective, SchemaMismatch, SolverFailure,
                             centralized_l1_logistic,
                             compute_mu_max, l1_z_update, load_dataset,
                             make_least_squares_instance,
@@ -325,6 +325,8 @@ def test_l1_regularizer_accessors():
     assert reg.kappa(n=3, rho=2.0) == pytest.approx(0.1)
     mask = reg.penalized_mask(5)
     assert mask.tolist() == [True, True, True, True, False]
+    # the intercept, last, is not penalized
+    assert reg.penalty(np.array([1.0, -2.0, 0.5, 0.0, 9.0])) == 0.6 * 3.5
 
 
 @pytest.mark.parametrize("mu", [float("nan"), float("inf"), -float("inf"),
@@ -393,6 +395,19 @@ def test_dataset_roundtrip(tmp_path):
     loaded_f, loaded_l = load_dataset(path)
     assert np.array_equal(loaded_f, features)
     assert np.array_equal(loaded_l, labels)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", ": no data rows"),                              # empty
+    ("f0,f1,label\n", ": no data rows"),                 # header only
+    ("f0,f1,label\n1,2,1\n3,4\n", ":3: expected 3 cells, got 2"),  # ragged
+])
+def test_load_dataset_refuses_a_malformed_file_by_name(tmp_path, text, where):
+    path = tmp_path / "data.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaMismatch) as err:
+        load_dataset(path)
+    assert str(err.value) == f"{path}{where}"
 
 
 def test_make_least_squares_instance_refuses_negative_seed():

@@ -260,13 +260,18 @@ def _outcome(run):
 
 
 def _replay_outcome(g, defects):
-    """What ftdt_run must give on these defects, by the node-by-node rule."""
+    """What ftdt_run must give on these defects, by the node-by-node rule:
+    each node derives the largest defect index from its own stopping round,
+    and every node must derive the same one."""
     t_terms = _replay_counters(g, defects)
     try:
-        max_defect = admm._agreed_max_defect(t_terms, defects)
+        derived = {derive_max_defect(t, d) for t, d in zip(t_terms, defects)}
     except NonIntegerResult as exc:
         return repr(exc)
-    return t_terms, max(t_terms), max_defect
+    if len(derived) != 1:
+        return repr(NonIntegerResult(f"nodes disagree on the largest defect "
+                                     f"index: {sorted(derived)}"))
+    return t_terms, max(t_terms), derived.pop()
 
 
 @given(n=st.integers(1, 12), prob=st.sampled_from([0.0, 0.3, 0.6]),

@@ -12,9 +12,11 @@ calls each solver run implies.
 import pytest
 
 from consensus_admm import (AdmmConfig, ftdt_run, make_least_squares_instance,
-                            random_strongly_connected, run_dadmm_fterc,
-                            run_epsilon_baseline, run_fdadmm_ftdt)
+                            parse_config, random_strongly_connected,
+                            run_dadmm_fterc, run_epsilon_baseline,
+                            run_experiment, run_fdadmm_ftdt)
 from consensus_admm import admm, netsim
+from consensus_admm.admm import ALGORITHMS
 
 PATCHED = ((netsim, "stable_digest"), (admm, "ratio_update"),
            (admm, "fterc_final"), (admm, "counter_message"))
@@ -65,3 +67,35 @@ def test_unaudited_phases_make_no_digest_calls(calls):
     result = ftdt_run(graph, [1.0, 2.0, 0.5, -1.0, 3.0, 0.0], exact=True)
     assert calls == {"stable_digest": 0, "ratio_update": 0,
                      "fterc_final": 0, "counter_message": result.rounds + 1}
+
+
+CONFIG = """\
+[problem]
+kind = least_squares
+n = 4
+p = 2
+q = 5
+
+[algorithm]
+name = {name}
+
+[admm]
+k_max = 3
+"""
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_the_cli_looks_its_solver_up_at_call_time(monkeypatch, tmp_path,
+                                                  name):
+    runs = []
+    solver = getattr(admm, f"run_{name}")
+
+    def counting(*args, **kwargs):
+        runs.append(name)
+        return solver(*args, **kwargs)
+
+    monkeypatch.setattr(admm, f"run_{name}", counting)
+    path = tmp_path / "run.ini"
+    path.write_text(CONFIG.format(name=name), encoding="utf-8")
+    _, record = run_experiment(parse_config(path), out=tmp_path)
+    assert runs == [name] and record.algorithm == name
