@@ -180,7 +180,8 @@ class _Phase:
 
     * ``terminate``: until every node's stopping counter fires, refused
       with :class:`NumericBreakdown` past the guard of ``4(n' + 2)`` rounds;
-    * ``certify``: windows of ``n'`` exchanges until every node is certified;
+    * ``certify``: windows of ``n'`` exchanges until every node is certified,
+      refused at the float floor (see ``_certify``) or past 10,000 windows;
     * otherwise a fixed count: ``2n'`` exchanges with ``detect``, ``n'``
       with ``piggyback``, else ``max_defect + 1``.
 
@@ -213,7 +214,8 @@ class _Phase:
     identity of each column's reduction, which the engine copies into every
     block row past a node's in-degree: ``-0.0`` under the ratio pair,
     ``-inf`` under the counters, ``v`` and ``hi``, ``+inf`` under ``lo``.
-    So every reduction over a block is one plain pass.
+    So every reduction over a block is one plain pass, over views of the
+    engine's block buffer taken once for each buffer the engine allocates.
 
     One detector reads ``traj`` for every node; a detecting phase writes
     rounds only while it is open and raises :class:`NumericBreakdown` when
@@ -252,15 +254,17 @@ class _Phase:
         # unbound, so a phase holds no reference cycle and is freed, with
         # the engine it keeps, as soon as its last user drops it
         steps, sends, pads = [], [], []   # sends fill the payload columns
+        reads = {}   # the block's (slots, columns) that each step reduces
         cls = type(self)
 
-        def columns(count: int, pad: float) -> slice:
+        def columns(count: int, pad: float, read: str) -> slice:
             pads.extend([pad] * count)
-            return slice(len(pads) - count, len(pads))
+            reads[read] = slice(None), slice(len(pads) - count, len(pads))
+            return reads[read][1]
 
         carries_ratio = flags.detect or not flags.terminate
         if carries_ratio:
-            self.ratio = columns(width + 1, -0.0)
+            self.ratio = columns(width + 1, -0.0, "ratio_in")
             sends.append(cls._send_ratio)
         if flags.detect:
             steps += [cls._mix, cls._detect]
@@ -269,17 +273,20 @@ class _Phase:
         elif not flags.terminate:
             steps.append(cls._mix_record)
         if flags.terminate:
-            self.counter_cols = columns(2, -np.inf)
+            self.counter_cols = columns(2, -np.inf, "counters_in")
+            # the senders' rows: a node's own counter joins in ftdt_step
+            reads["counters_in"] = slice(1, None), self.counter_cols
             steps.append(cls._count)
             sends.append(cls._send_counters)
         if flags.piggyback:
-            self.v_col = columns(1, -np.inf)
+            self.v_col = columns(1, -np.inf, "v_in")
             steps.append(cls._max_consensus)
         if flags.certify:
-            self.hi_cols = columns(width, -np.inf)
-            self.lo_cols = columns(width, np.inf)
+            self.hi_cols = columns(width, -np.inf, "hi_in")
+            self.lo_cols = columns(width, np.inf, "lo_in")
             steps.append(cls._certify)
         self.steps, self.sends = tuple(steps), tuple(sends)
+        self.reads, self.block = reads, None
         self.pad = np.array(pads)
         self.payload = np.empty((n, self.pad.size))
         if carries_ratio:
@@ -308,7 +315,10 @@ class _Phase:
             self.certified = np.zeros(n, dtype=bool)
             self.snap = self.state[:, 1:] / self.state[:, :1]
             self.hi[...] = self.lo[...] = self.snap
-        engine.prime(self.wave(1), label, pad=self.pad)
+            self.widest = np.inf
+        for send in self.sends:
+            send(self, 1)
+        engine.prime(self.payload, label, pad=self.pad)
         if flags.terminate:
             while not self.counters.t_term.all():
                 if engine.tick - self.t0 >= self.rounds:
@@ -316,13 +326,13 @@ class _Phase:
                                            f"after {self.rounds} rounds")
                 engine.run_round(self.update)
         elif flags.certify:
-            windows = 0
-            while not self.certified.all():
-                if windows >= 10_000:
-                    raise NumericBreakdown(
-                        "certification made no progress in 10000 windows")
+            for _ in range(10_000):
                 engine.run_phase(self.update, self.rounds)
-                windows += 1
+                if self.certified.all():
+                    break
+            else:
+                raise NumericBreakdown(
+                    "certification made no progress in 10000 windows")
         else:
             engine.run_phase(self.update, self.rounds)
         if flags.detect:
@@ -338,17 +348,17 @@ class _Phase:
             return self.snap if flags.certify else None
         return fterc_final(self.traj, self.kernels)
 
-    def wave(self, next_round: int) -> np.ndarray:
-        """The payload buffer, each send's columns rewritten in place."""
-        for send in self.sends:
-            send(self, next_round)
-        return self.payload
-
     def update(self, block: np.ndarray, tick: int) -> np.ndarray:
+        if block is not self.block:   # a new engine buffer: view it once
+            self.block = block
+            for name, (slots, cols) in self.reads.items():
+                setattr(self, name, block[:, slots, cols])
         k = tick - self.t0   # phase-local round index, from 1
         for step in self.steps:
-            step(self, block, k)
-        return self.wave(k + 1)
+            step(self, k)
+        for send in self.sends:
+            send(self, k + 1)
+        return self.payload
 
     # -- payload columns ------------------------------------------------
 
@@ -360,13 +370,13 @@ class _Phase:
 
     # -- round steps, in the order a round runs them --------------------
 
-    def _mix(self, block, k):
-        self.state = ratio_update(block[:, :, self.ratio])
+    def _mix(self, k):
+        self.state = ratio_update(self.ratio_in)
 
-    def _mix_record(self, block, k):
-        self.state = ratio_update(block[:, :, self.ratio], out=self.traj[k])
+    def _mix_record(self, k):
+        self.state = ratio_update(self.ratio_in, out=self.traj[k])
 
-    def _detect(self, block, k):
+    def _detect(self, k):
         detector = self.detector
         if not detector.open.any():
             return
@@ -380,25 +390,31 @@ class _Phase:
             raise NumericBreakdown(f"node {np.argmax(detector.open)} found "
                                    f"no defect within {k} rounds")
 
-    def _count(self, block, k):
+    def _count(self, k):
         # ftdt_step keeps only the largest counter value a node hears;
         # counters are nonnegative, so 0 stands in for an empty inbox
-        heard = np.max(block[:, 1:, self.counter_cols], axis=(1, 2),
-                       initial=0)
+        heard = np.maximum.reduce(self.counters_in, axis=(1, 2), initial=0)
         ftdt_step(self.counters, k, heard.astype(np.int64))
 
-    def _max_consensus(self, block, k):
-        np.max(block[:, :, self.v_col], axis=1, out=self.v)
+    def _max_consensus(self, k):
+        np.maximum.reduce(self.v_in, axis=1, out=self.v)
 
-    def _certify(self, block, k):
-        np.max(block[:, :, self.hi_cols], axis=1, out=self.hi)
-        np.min(block[:, :, self.lo_cols], axis=1, out=self.lo)
+    def _certify(self, k):
+        np.maximum.reduce(self.hi_in, axis=1, out=self.hi)
+        np.minimum.reduce(self.lo_in, axis=1, out=self.lo)
         if k % self.rounds == 0:
             open_ = ~self.certified
             # a snapshot whose spread is within epsilon a window later
             # is globally certified; the others are taken afresh
-            done = open_ & (np.max(self.hi - self.lo, axis=1)
-                            <= self.epsilon)
+            spread = np.maximum.reduce(self.hi - self.lo, axis=1)
+            done = open_ & (spread <= self.epsilon)
+            # n' >= diameter rounds of a positive mix shrink the spread in
+            # exact arithmetic: a window that does not is at the float floor
+            if not (done.any() or spread.max() < self.widest):
+                raise NumericBreakdown(
+                    f"certified spread {spread.max():.3g} stopped shrinking "
+                    f"above epsilon {self.epsilon:g}")
+            self.widest = spread.max()
             self.certified |= done
             fresh = open_ & ~done
             state = self.state

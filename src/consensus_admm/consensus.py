@@ -106,8 +106,10 @@ class HankelDetector:
         Call it once per round: size m is checked when ``len(traj) == 2m``.
         """
         length = len(traj)
+        if length % 2:
+            return []
         checked = np.flatnonzero(self.open)
-        if length % 2 or checked.size == 0:
+        if checked.size == 0:
             return []
         m = length // 2
         seq = np.asarray(traj)[:, checked]     # (2m, nodes, channels)

@@ -22,7 +22,8 @@ Every round gathers the blocks slot by slot into one ``(slots, n, w)``
 buffer, rewritten in place, and hands the update its ``(n, slots, w)``
 transposed view: a reduction over the slots then adds whole ``(n, w)`` slabs
 in slot order. A block is only valid during the update call that receives
-it. Both buffers are allocated together and only again when ``w`` changes.
+it. ``prime`` checks and converts the seed wave, fixes the wave shape and
+allocates both buffers when ``w`` changes; a round only checks its shape.
 
 With ``audit`` on, each log entry holds one digest of the whole wave:
 :func:`stable_digest` of the ``(n, w)`` payload block in node order, so
@@ -117,31 +118,27 @@ class RoundEngine:
     audit: bool = True
     tick: int = field(default=0, init=False)
     log: list[RoundRecord] = field(default_factory=list, init=False)
-    # the wave buffer (payloads, pad row), every node's gathered block in
-    # slot-major order (_slabs[s, i] is row s of node i's block), and the
-    # (n, slots, w) view of it that updates receive
+    # the wave buffer (payloads, pad row) and its payload rows, every node's
+    # gathered block in slot-major order (_slabs[s, i] is row s of node i's
+    # block), the (n, slots, w) view of it updates receive, the wave shape
     _wave: np.ndarray | None = field(default=None, init=False)
+    _payloads: np.ndarray | None = field(default=None, init=False)
     _slabs: np.ndarray | None = field(default=None, init=False)
     _block: np.ndarray | None = field(default=None, init=False)
+    _shape: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.gather = gather_rows(self.graph)
         self._slot_rows = np.ascontiguousarray(self.gather.T)
-        self.share = 1.0 / (1.0 + np.array([[self.graph.out_degree(i)]
-                                            for i in range(self.graph.n)],
-                                           dtype=float))
+        out_degrees = [len(outs) for outs in self.graph.out_neighbors]
+        self.share = 1.0 / (1.0 + np.array(out_degrees, dtype=float)[:, None])
 
     def _broadcast(self, wave, phase: str, kind: str) -> RoundRecord:
-        """Hold one wave of payload rows for delivery, and log it."""
-        wave = np.asarray(wave, dtype=float)
-        if wave.ndim != 2 or wave.shape[0] != self.graph.n:
-            raise ValueError(f"a wave is one payload row per node, got shape "
-                             f"{wave.shape} for {self.graph.n} nodes")
-        if self._wave is None or self._wave.shape[1] != wave.shape[1]:
-            self._wave = np.full((self.graph.n + 1, wave.shape[1]), np.nan)
-            self._slabs = np.empty(self._slot_rows.shape + wave.shape[1:])
-            self._block = self._slabs.transpose(1, 0, 2)
-        payloads = self._wave[:-1]
+        """Hold one wave of the primed shape for delivery, and log it."""
+        if getattr(wave, "shape", None) != self._shape:
+            raise ValueError(f"a wave has the primed shape {self._shape}, "
+                             f"got shape {np.shape(wave)}")
+        payloads = self._payloads
         payloads[...] = wave
         record = RoundRecord(self.tick, phase, kind, self.graph.edge_count,
                              stable_digest(payloads) if self.audit else None)
@@ -153,12 +150,23 @@ class RoundEngine:
     def prime(self, wave, phase: str = "", pad=np.nan) -> RoundRecord:
         """Start a phase: drop the undelivered wave, broadcast ``wave``.
 
-        ``wave`` is an ``(n, w)`` float array, row ``i`` node i's payload;
+        ``wave`` converts to an ``(n, w)`` float array, row ``i`` node i's
+        payload (else ``ValueError``), whose shape every round's wave keeps.
         ``phase`` labels every log entry and ``pad`` fills the block rows past
         each node's in-degree until the next ``prime``. A pad is a scalar or
         one value per column, such as the identity of the reduction each column
         goes through; it is not part of the wave, so it is never hashed.
         """
+        wave = np.asarray(wave, dtype=float)
+        if wave.ndim != 2 or wave.shape[0] != self.graph.n:
+            raise ValueError(f"a wave is one payload row per node, got shape "
+                             f"{wave.shape} for {self.graph.n} nodes")
+        if self._shape is None or self._shape[1] != wave.shape[1]:
+            self._wave = np.full((self.graph.n + 1, wave.shape[1]), np.nan)
+            self._payloads = self._wave[:-1]
+            self._slabs = np.empty(self._slot_rows.shape + wave.shape[1:])
+            self._block = self._slabs.transpose(1, 0, 2)
+        self._shape = wave.shape
         record = self._broadcast(wave, phase, "seed")
         self._wave[-1] = pad
         return record
@@ -168,11 +176,12 @@ class RoundEngine:
 
         ``update(block, tick)`` receives the ``(n, slots, w)`` array of every
         node's block, built from the previous wave only, and returns the next
-        wave. The block is the transposed view of the engine's own
-        ``(slots, n, w)`` buffer, rewritten every round: it is only valid
-        during the call, and a reduction over its slots adds one ``(n, w)``
-        slab per slot, in slot order. Raises :class:`ProtocolViolation`
-        before the first :meth:`prime`, when there is no wave to deliver.
+        wave, an array of the primed shape (else ``ValueError``). The block
+        is the transposed view of the engine's own ``(slots, n, w)`` buffer,
+        rewritten every round: it is only valid during the call, and a
+        reduction over its slots adds one ``(n, w)`` slab per slot, in slot
+        order. Raises :class:`ProtocolViolation` before the first
+        :meth:`prime`, when there is no wave to deliver.
         """
         if self._wave is None:
             raise ProtocolViolation("run_round before prime: no seed wave "

@@ -14,7 +14,8 @@ maximum terminates at ``t1 = 4(d_max+1) - 1``, which is also the length of
 the first solver step that hosts this protocol.
 
 Every node's counter lives in one :class:`Counters` record of integer
-arrays, and each function below steps the whole network at once.
+arrays, and each function below steps the whole network at once, with no
+mask: an unset cap is stored as :data:`UNSET_CAP`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 
 from .errors import AlreadyFrozen, NonIntegerResult
 
+UNSET_CAP = np.iinfo(np.int64).max   # min(k, cap) is k; r never reaches it
+
 
 class Counters:
     """Every node's counter machinery, entry ``i`` belonging to node ``i``.
@@ -30,29 +33,34 @@ class Counters:
     ``theta`` is the relayed maximum, ``r`` the number of consecutive rounds
     theta has held its current value (inclusive of the round it changed),
     ``cap`` the frozen target ``2(d+1)`` and ``t_term`` the round the node
-    terminated. ``cap`` and ``t_term`` are 0 until set: a node has
-    terminated exactly when ``t_term > 0``.
+    terminated. ``cap`` is :data:`UNSET_CAP`, the int64 maximum, until set,
+    so a counter is ``min(k, cap)`` either way; ``t_term`` is 0 until set:
+    a node has terminated exactly when ``t_term > 0``.
     """
 
     def __init__(self, n: int):
-        self.theta, self.r, self.cap, self.t_term = np.zeros((4, n),
-                                                             dtype=np.int64)
+        self.theta, self.r, self.t_term = np.zeros((3, n), dtype=np.int64)
+        self.cap = np.full(n, UNSET_CAP)
 
 
 def freeze_counter(counters: Counters, nodes, defects) -> None:
-    """Set each node's cap to 2*(d+1) when its defect d fires."""
+    """Set each node's cap to 2*(d+1) when its defect d fires.
+
+    Refuses a node frozen or listed twice (:class:`AlreadyFrozen`), and a
+    node outside ``0..n-1`` or not given one nonnegative defect (ValueError).
+    """
     nodes = np.asarray(nodes, dtype=np.int64)
-    capped = nodes[counters.cap[nodes] > 0]
-    if capped.size:
-        raise AlreadyFrozen(f"node {capped[0]} cap already set to "
-                            f"{counters.cap[capped[0]]}")
-    counters.cap[nodes] = 2 * (np.asarray(defects, dtype=np.int64) + 1)
-
-
-def _own_counter(counters: Counters, k: int, out: np.ndarray) -> np.ndarray:
-    """Each node's counter at round ``k``, ``min(k, cap)`` once capped."""
-    out[...] = k
-    return np.minimum(out, counters.cap, out=out, where=counters.cap > 0)
+    defects = np.asarray(defects, dtype=np.int64)
+    n = counters.cap.size
+    if (nodes.shape != defects.shape or ((nodes < 0) | (nodes >= n)).any()
+            or (defects < 0).any()):
+        raise ValueError(f"nodes {nodes.tolist()} must lie in 0..{n - 1}, "
+                         f"each with a nonnegative defect: {defects.tolist()}")
+    seen = np.bincount(nodes.ravel(), minlength=n) + (counters.cap < UNSET_CAP)
+    if (seen > 1).any():
+        raise AlreadyFrozen(f"node {np.argmax(seen > 1)} is already frozen "
+                            "or listed twice")
+    counters.cap[nodes] = 2 * (defects + 1)
 
 
 def counter_message(counters: Counters, next_round: int) -> np.ndarray:
@@ -63,7 +71,7 @@ def counter_message(counters: Counters, next_round: int) -> np.ndarray:
     """
     message = np.empty((counters.theta.size, 2), dtype=np.int64)
     message[:, 0] = counters.theta
-    _own_counter(counters, next_round, message[:, 1])
+    np.minimum(next_round, counters.cap, out=message[:, 1])
     return message
 
 
@@ -73,16 +81,15 @@ def ftdt_step(counters: Counters, k: int, heard) -> None:
     ``heard[i]`` is the largest theta or counter value node ``i`` received,
     already forward-dated to ``k`` (0 for an empty inbox), as an integer: a
     float ``heard`` is refused with a ``TypeError``. The node's own counter
-    joins the maximum directly.
+    ``min(k, cap)`` joins the maximum directly.
     """
-    theta = _own_counter(counters, k, np.empty_like(counters.theta))
+    theta = np.minimum(k, counters.cap)
     np.maximum(theta, heard, out=theta)
     np.maximum(theta, counters.theta, out=theta)
     counters.r += 1
     counters.r[theta != counters.theta] = 1
     counters.theta = theta
     stops = counters.r >= counters.cap
-    stops &= counters.cap > 0
     stops &= counters.t_term == 0
     counters.t_term[stops] = k
 

@@ -20,7 +20,7 @@ from consensus_admm import (AdmmConfig, Disconnected, InsufficientData,
                             rlinear_probe, run_dadmm_fterc,
                             run_epsilon_baseline, run_fdadmm_ftdt,
                             split_rows, stopping_criterion)
-from consensus_admm import exact
+from consensus_admm import admm, exact
 from consensus_admm.admm import _SCHEDULES, _Phase
 from consensus_admm.consensus import pad_kernels
 
@@ -122,6 +122,26 @@ def test_baseline_rounds_are_window_multiples():
     reference = centralized_least_squares(
         [o.mat for o in record.objectives], [o.rhs for o in record.objectives])
     assert record.final_objective() <= 2.0 * reference.f_star + 1.0
+
+
+def test_certification_refuses_at_the_float_floor(monkeypatch):
+    # The certified spread bottoms out at 2.2e-16 in the 14th window; an
+    # epsilon below it is refused once a window no longer shrinks it,
+    # not after the 10,000-window cap
+    objectives, _ = make_least_squares_instance(6, 3, 5, seed=1)
+    graph = random_strongly_connected(6, 0.2, seed=1)
+    rounds = []
+    original = admm.ratio_update
+
+    def counting(*args, **kwargs):
+        rounds.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(admm, "ratio_update", counting)
+    with pytest.raises(NumericBreakdown, match="epsilon 1e-300"):
+        run_epsilon_baseline(objectives, graph,
+                             AdmmConfig(k_max=1, epsilon=1e-300))
+    assert len(rounds) <= 20 * graph.n
 
 
 @pytest.mark.parametrize("solver", [run_dadmm_fterc, run_fdadmm_ftdt,

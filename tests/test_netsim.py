@@ -103,6 +103,9 @@ def test_broadcast_reaches_exactly_the_in_neighbours():
         senders = blocks[0][i, 1:][_live(engine)[i, 1:]]
         assert senders[:, 0].tolist() == list(g.in_neighbors[i])
         assert blocks[0][i, 0, 0] == i
+    # a round's wave keeps the primed shape: only prime sets a new one
+    with pytest.raises(ValueError, match=r"primed shape \(4, 1\)"):
+        engine.run_round(lambda block, tick: np.zeros((4, 2)))
 
 
 def test_prime_discards_pending_messages():

@@ -15,6 +15,7 @@ from consensus_admm import (AlreadyFrozen, Counters, NonIntegerResult,
                             minimal_poly_oracle, random_strongly_connected,
                             ratio_weights)
 from consensus_admm import admm
+from consensus_admm.termination import UNSET_CAP
 
 
 def _out_distances(g, source):
@@ -41,6 +42,7 @@ def _replay_counters(g, defects):
 
     Node j freezes its cap at 2(d_j+1) in round 2(d_j+1)-1 and sends
     (theta, counter) with the counter forward-dated to the next round.
+    Returns ``t_term`` and every round's ``(theta, held, outgoing)``.
     """
     n = g.n
     cap, t_term = [None] * n, [None] * n
@@ -50,6 +52,7 @@ def _replay_counters(g, defects):
         return k if cap[i] is None else min(k, cap[i])
 
     outgoing = [(0, 1)] * n
+    rounds = []
     k = 0
     while None in t_term:
         k += 1
@@ -67,7 +70,8 @@ def _replay_counters(g, defects):
             if t_term[i] is None and cap[i] is not None and held[i] >= cap[i]:
                 t_term[i] = k
         outgoing = [(theta[i], counter(i, k + 1)) for i in range(n)]
-    return t_term
+        rounds.append((theta, held, outgoing))
+    return t_term, rounds
 
 
 def _array_counters(g, defects):
@@ -75,6 +79,7 @@ def _array_counters(g, defects):
     defects = np.asarray(defects)
     counters = Counters(g.n)
     outgoing = counter_message(counters, 1)
+    rounds = []
     k = 0
     while not (counters.t_term > 0).all():
         k += 1
@@ -85,7 +90,9 @@ def _array_counters(g, defects):
                      default=0) for i in range(g.n)]
         ftdt_step(counters, k, np.array(heard))
         outgoing = counter_message(counters, k + 1)
-    return counters.t_term.tolist()
+        rounds.append((counters.theta.tolist(), counters.r.tolist(),
+                       list(map(tuple, outgoing.tolist()))))
+    return counters.t_term.tolist(), rounds
 
 
 def _node(counters):
@@ -97,10 +104,21 @@ def _node(counters):
 def test_freeze_counter_pins():
     counters = Counters(3)
     freeze_counter(counters, [1], [3])
-    assert counters.cap.tolist() == [0, 8, 0]
+    assert counters.cap.tolist() == [UNSET_CAP, 8, UNSET_CAP]
     with pytest.raises(AlreadyFrozen):
         freeze_counter(counters, [0, 1], [3, 3])
-    assert counters.cap.tolist() == [0, 8, 0]   # a refused freeze sets no cap
+    with pytest.raises(AlreadyFrozen):
+        freeze_counter(Counters(3), [1, 1], [2, 3])   # one node, two defects
+    with pytest.raises(ValueError):
+        freeze_counter(counters, [-1], [0])           # no node, not node 2
+    with pytest.raises(ValueError):
+        freeze_counter(counters, [3], [0])
+    with pytest.raises(ValueError):
+        freeze_counter(counters, [0], [-1])           # a cap of 0 never stops
+    with pytest.raises(ValueError):
+        freeze_counter(counters, [0, 2], [1])         # not one defect each
+    # a refused freeze sets no cap
+    assert counters.cap.tolist() == [UNSET_CAP, 8, UNSET_CAP]
 
 
 def test_counter_message_forward_dating():
@@ -237,13 +255,13 @@ def test_heterogeneous_lag_is_refused_not_corrupted():
     g = build_digraph(4, [(3, 0), (2, 1), (3, 1), (0, 2), (1, 3), (2, 3)])
     defects = _oracle_defects(g)
     assert defects == [2, 3, 2, 3]
-    t_terms = _replay_counters(g, defects)
+    t_terms, rounds = _replay_counters(g, defects)
     max_defect = max(defects)
     lag = [1, 0, 0, 0]
     expected = [2 * (max_defect + 1) + g_i + 2 * (m_i + 1) - 1
                 for g_i, m_i in zip(lag, defects)]
     assert t_terms == expected == [14, 15, 13, 15]
-    assert _array_counters(g, defects) == t_terms
+    assert _array_counters(g, defects) == (t_terms, rounds)
     y0 = np.random.default_rng(5).uniform(-5, 5, size=4)
     for exact in (False, True):
         with pytest.raises(NonIntegerResult):
@@ -263,7 +281,7 @@ def _replay_outcome(g, defects):
     """What ftdt_run must give on these defects, by the node-by-node rule:
     each node derives the largest defect index from its own stopping round,
     and every node must derive the same one."""
-    t_terms = _replay_counters(g, defects)
+    t_terms, _ = _replay_counters(g, defects)
     try:
         derived = {derive_max_defect(t, d) for t, d in zip(t_terms, defects)}
     except NonIntegerResult as exc:

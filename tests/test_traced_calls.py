@@ -19,7 +19,8 @@ from consensus_admm import admm, netsim
 from consensus_admm.admm import ALGORITHMS
 
 PATCHED = ((netsim, "stable_digest"), (admm, "ratio_update"),
-           (admm, "fterc_final"), (admm, "counter_message"))
+           (admm, "fterc_final"), (admm, "counter_message"),
+           (admm, "ftdt_step"))
 
 
 @pytest.fixture
@@ -59,6 +60,9 @@ def test_every_layer_call_goes_through_the_module_global(calls, solver):
         # fully distributed solver's first phase
         "counter_message": (record.consensus_rounds[0] + 1
                             if solver is run_fdadmm_ftdt else 0),
+        # and every exchange of that phase steps the counters once
+        "ftdt_step": (record.consensus_rounds[0]
+                      if solver is run_fdadmm_ftdt else 0),
     }
 
 
@@ -66,7 +70,8 @@ def test_unaudited_phases_make_no_digest_calls(calls):
     graph = random_strongly_connected(6, 0.0, seed=2)
     result = ftdt_run(graph, [1.0, 2.0, 0.5, -1.0, 3.0, 0.0], exact=True)
     assert calls == {"stable_digest": 0, "ratio_update": 0,
-                     "fterc_final": 0, "counter_message": result.rounds + 1}
+                     "fterc_final": 0, "counter_message": result.rounds + 1,
+                     "ftdt_step": result.rounds}
 
 
 CONFIG = """\
