@@ -194,15 +194,15 @@ class _Phase:
 
     ``state`` is the ratio pair ``[x, y]``, denominator first, so a row is
     also the node's detector observation: the detector needs one kernel
-    across every channel. ``traj`` is one ``(rounds + 1, n, p + 1)`` array,
-    sized by what reads it: the detector's ``2n'`` horizon, which
-    ``fterc_final`` never reads past, or the rounds of a phase of fixed
-    length; a terminating phase without a detector and a certification
-    phase keep round 0 only. Round ``k`` writes the state to ``traj[k]``,
-    and a phase of fixed length that outruns it raises ``IndexError``
-    rather than drop rows. A phase without a detector, counters or
-    certification (the steady and max-consensus phases) only mixes the
-    ratio pair, reducing each round straight into its ``traj`` row.
+    across every channel. ``traj`` holds one ``(n, p + 1)`` row per round
+    up to ``last``, the last row anything reads, and round ``k`` reduces
+    the ratio pair straight into row ``min(k, last)``, which is then the
+    state: ``last`` is every round of the steady and max-consensus phases,
+    row 0 under certification and on the exact lane, and, for a detecting
+    phase, its ``2n'`` horizon until the detector closes, then the round it
+    closed, past which ``fterc_final`` reads nothing. A phase of known
+    ``last`` keeps ``last + 1`` rows; a detecting phase starts with two and
+    doubles them, copying the rows written, whenever a round fills the last.
 
     A payload is the node's state divided by 1 + its out-degree, so
     receivers never learn sender degrees, followed by the rider columns the
@@ -217,19 +217,19 @@ class _Phase:
     So every reduction over a block is one plain pass, over views of the
     engine's block buffer taken once for each buffer the engine allocates.
 
-    One detector reads ``traj`` for every node; a detecting phase writes
-    rounds only while it is open and raises :class:`NumericBreakdown` when
-    a node is still open at the end of ``traj``, its ``2n'`` horizon, also
-    when its counters could run on. One :class:`~.termination.Counters`
-    record holds every node's stopping counter, which freezes the round the
-    node's detector fires. A terminated node keeps mixing its ratio pair and
-    relaying counters, so its neighbours' detectors keep observing the
-    ratio-consensus sequence. A phase that stops on its counters but does
-    not detect (the exact lane, whose values come from rational arithmetic)
-    carries the counter pair alone, its counters frozen from the start at
-    ``defect_sizes``: a counter reads ``min(k, 2(d + 1))``, which is ``k``
-    through round ``2d + 1``, when a detector would have fired, so every
-    message and stopping round is the one a detector gives.
+    One detector reads ``traj`` for every node while it is open and raises
+    :class:`NumericBreakdown` when a node is still open at its ``2n'``
+    horizon, also when the phase's counters could run on. One
+    :class:`~.termination.Counters` record holds every node's stopping
+    counter, which freezes the round the node's detector fires. A
+    terminated node keeps mixing its ratio pair and relaying counters, so
+    its neighbours' detectors keep observing the ratio-consensus sequence.
+    A phase that stops on its counters but does not detect (the exact lane,
+    whose values come from rational arithmetic) carries the counter pair
+    alone, its counters frozen from the start at ``defect_sizes``: a
+    counter reads ``min(k, 2(d + 1))``, which is ``k`` through round
+    ``2d + 1``, when a detector would have fired, so every message and
+    stopping round is the one a detector gives.
     """
 
     def __init__(self, engine: RoundEngine, flags: PhaseFlags, width: int, *,
@@ -241,15 +241,20 @@ class _Phase:
         self.defect_sizes, self.kernels, self.max_defect = (
             (after.defect_sizes, after.kernels, after.max_defect)
             if after is not None else (defect_sizes, None, None))
-        # exchanges per run, or per certification window; rows kept
+        self.horizon = 2 * n_prime   # a detector still open here refuses
+        # exchanges per run, or per certification window
         self.rounds = (4 * (n_prime + 2) if flags.terminate   # the guard
                        else n_prime if flags.certify
-                       else 2 * n_prime if flags.detect
+                       else self.horizon if flags.detect
                        else n_prime if flags.piggyback
                        else self.max_defect + 1)
-        kept = (2 * n_prime if flags.detect
-                else 0 if flags.terminate or flags.certify else self.rounds)
-        self.traj = np.empty((kept + 1, n, width + 1))
+        # the last trajectory row anything reads; rounds past it rewrite it
+        self.last = (self.horizon if flags.detect
+                     else 0 if flags.terminate or flags.certify
+                     else self.rounds)
+        # a detecting phase grows its rows as rounds arrive (see _detect)
+        self.traj = np.empty((2 if flags.detect else self.last + 1, n,
+                              width + 1))
         self.detector = self.counters = None
         # unbound, so a phase holds no reference cycle and is freed, with
         # the engine it keeps, as soon as its last user drops it
@@ -266,16 +271,11 @@ class _Phase:
         if carries_ratio:
             self.ratio = columns(width + 1, -0.0, "ratio_in")
             sends.append(cls._send_ratio)
-        if flags.detect:
-            steps += [cls._mix, cls._detect]
-        elif flags.certify:
             steps.append(cls._mix)
-        elif not flags.terminate:
-            steps.append(cls._mix_record)
+        if flags.detect:
+            steps.append(cls._detect)
         if flags.terminate:
             self.counter_cols = columns(2, -np.inf, "counters_in")
-            # the senders' rows: a node's own counter joins in ftdt_step
-            reads["counters_in"] = slice(1, None), self.counter_cols
             steps.append(cls._count)
             sends.append(cls._send_counters)
         if flags.piggyback:
@@ -304,7 +304,7 @@ class _Phase:
         self.state = self.traj[0]
         self.state[:, 0], self.state[:, 1:] = 1.0, seeds
         if flags.detect:
-            self.detector = HankelDetector(n)
+            self.detector, self.last = HankelDetector(n), self.horizon
         if flags.terminate:
             self.counters = Counters(n)
             if not flags.detect:
@@ -371,29 +371,36 @@ class _Phase:
     # -- round steps, in the order a round runs them --------------------
 
     def _mix(self, k):
-        self.state = ratio_update(self.ratio_in)
-
-    def _mix_record(self, k):
-        self.state = ratio_update(self.ratio_in, out=self.traj[k])
+        last = self.last
+        self.state = ratio_update(self.ratio_in,
+                                  out=self.traj[k if k < last else last])
 
     def _detect(self, k):
-        detector = self.detector
-        if not detector.open.any():
+        if k > self.last:   # the detector has closed
             return
-        self.traj[k] = self.state
+        detector = self.detector
         fired = detector.feed(self.traj[:k + 1])
-        if fired and self.counters is not None:
-            freeze_counter(self.counters, fired,
-                           [detector.defect[i] for i in fired])
-        if k == len(self.traj) - 1 and detector.open.any():
+        if fired:
+            if self.counters is not None:
+                freeze_counter(self.counters, fired,
+                               [detector.defect[i] for i in fired])
+            if not detector.open.any():
+                self.last = k   # fterc_final reads no row past it
+                return
+        if k == self.horizon:
             # a node fires by round 2n - 1 at the latest: a later fire is noise
             raise NumericBreakdown(f"node {np.argmax(detector.open)} found "
                                    f"no defect within {k} rounds")
+        if k + 1 == len(self.traj):   # double the rows, copying those written
+            traj = np.empty((min(2 * k + 2, self.horizon + 1),)
+                            + self.traj.shape[1:])
+            traj[:k + 1] = self.traj
+            self.traj, self.state = traj, traj[k]
 
     def _count(self, k):
-        # ftdt_step keeps only the largest counter value a node hears;
-        # counters are nonnegative, so 0 stands in for an empty inbox
-        heard = np.maximum.reduce(self.counters_in, axis=(1, 2), initial=0)
+        # ftdt_step keeps only the largest value of a block, in which the
+        # node's own last message changes nothing
+        heard = np.maximum.reduce(self.counters_in, axis=(1, 2))
         ftdt_step(self.counters, k, heard.astype(np.int64))
 
     def _max_consensus(self, k):

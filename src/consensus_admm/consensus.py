@@ -44,8 +44,7 @@ def check_seeds(y0, n: int) -> np.ndarray:
     return seeds
 
 
-def ratio_update(block: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def ratio_update(block: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One receiver-side ratio update for every node at once.
 
     ``block[i]`` holds node i's own ratio row, then its in-neighbours' rows
@@ -58,8 +57,8 @@ def ratio_update(block: np.ndarray,
     alike, as long as a row has more than one column; a block of one column
     is refused, since numpy would sum a contiguous slot axis pairwise, out
     of that order. A ratio row holds the denominator and at least one
-    numerator. Given ``out``, an ``(n, columns)`` array, the sums are
-    written there and ``out`` is returned.
+    numerator. The sums are written to ``out``, an ``(n, columns)`` array,
+    which is returned.
     """
     if block.shape[2] < 2:
         raise ValueError("a ratio row has at least two columns, got "

@@ -135,9 +135,6 @@ class RoundEngine:
 
     def _broadcast(self, wave, phase: str, kind: str) -> RoundRecord:
         """Hold one wave of the primed shape for delivery, and log it."""
-        if getattr(wave, "shape", None) != self._shape:
-            raise ValueError(f"a wave has the primed shape {self._shape}, "
-                             f"got shape {np.shape(wave)}")
         payloads = self._payloads
         payloads[...] = wave
         record = RoundRecord(self.tick, phase, kind, self.graph.edge_count,
@@ -181,17 +178,22 @@ class RoundEngine:
         rewritten every round: it is only valid during the call, and a
         reduction over its slots adds one ``(n, w)`` slab per slot, in slot
         order. Raises :class:`ProtocolViolation` before the first
-        :meth:`prime`, when there is no wave to deliver.
+        :meth:`prime`, when there is no wave to deliver. ``tick`` and the
+        log advance only once the update has returned a wave of the primed
+        shape, so a round that raises leaves both as they were.
         """
         if self._wave is None:
             raise ProtocolViolation("run_round before prime: no seed wave "
                                     "to deliver")
-        self.tick += 1
         # gather indices are in range by construction; "clip" lets numpy
         # write straight into out= instead of through a temporary
         self._wave.take(self._slot_rows, axis=0, out=self._slabs, mode="clip")
-        return self._broadcast(update(self._block, self.tick),
-                               self.log[-1].phase, "exchange")
+        wave = update(self._block, self.tick + 1)
+        if getattr(wave, "shape", None) != self._shape:
+            raise ValueError(f"a wave has the primed shape {self._shape}, "
+                             f"got shape {np.shape(wave)}")
+        self.tick += 1
+        return self._broadcast(wave, self.log[-1].phase, "exchange")
 
     def run_phase(self, update: Update, rounds: int) -> None:
         """Execute exactly ``rounds`` exchanges."""

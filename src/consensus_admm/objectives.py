@@ -212,68 +212,56 @@ def _logistic_newton(design, labels, z, lam, rho):
     x = z.copy()  # the penalty anchors the solution near z
     eye = rho * np.eye(design.shape[-1])
     failures: dict[int, Exception] = {}
-    # the terms still iterating, with their data and iterates aligned
-    open_ = np.arange(x.shape[0])
-    d, lab, zo, lo, xo = design, labels, z, lam, x
-    margins = _margins(d, lab, xo)
-    value = None   # taken at the entry point of the terms that step
+    going = np.ones(x.shape[0], dtype=bool)   # the terms still iterating
+    margins = _margins(design, labels, x)
+    value = None   # taken at the entry point once any term steps
     for it in range(_NEWTON_MAX_ITER + 1):
         sig = _sigmoid(margins)
-        grad = _logistic_gradient(d, lab, sig) + lo + rho * (xo - zo)
+        grad = _logistic_gradient(design, labels, sig) + lam + rho * (x - z)
         grad_norm = np.sqrt(np.vecdot(grad, grad))
-        going = ~(grad_norm <= _NEWTON_TOL)
+        going &= ~(grad_norm <= _NEWTON_TOL)
         if not going.any():
             break
         if it == _NEWTON_MAX_ITER:
-            failures.update((int(t), SolverFailure(
+            failures.update((t, SolverFailure(
                 f"Newton stalled after {_NEWTON_MAX_ITER} iterations "
-                f"(|grad| = {g:.3e})"))
-                for t, g in zip(open_[going], grad_norm[going]))
+                f"(|grad| = {grad_norm[t]:.3e})"))
+                for t in np.flatnonzero(going).tolist())
             break
-        if not going.all():
-            x[open_] = xo
-            open_, d, lab, zo, lo, xo, margins, sig, grad, grad_norm = (
-                a[going] for a in (open_, d, lab, zo, lo, xo, margins, sig,
-                                   grad, grad_norm))
-            if value is not None:
-                value = value[going]
         if value is None:
-            value = _composite_value(margins, zo, lo, rho, xo)
-        hess = _logistic_hessian(d, sig) + eye
+            value = _composite_value(margins, z, lam, rho, x)
+        hess = _logistic_hessian(design, sig) + eye
         try:
             direction, singular = (
                 np.linalg.solve(hess, grad[..., None])[..., 0], {})
         except np.linalg.LinAlgError:
             direction, singular = _solve_each(hess, grad)
         slope = np.vecdot(grad, direction)
-        step = np.ones(open_.size)
-        searching = np.ones(open_.size, dtype=bool)
+        step = np.ones(x.shape[0])
+        searching = going.copy()
         for _ in range(60):
-            candidate = xo - step[:, None] * direction
-            margins = _margins(d, lab, candidate)
-            trial = _composite_value(margins, zo, lo, rho, candidate)
+            candidate = x - step[:, None] * direction
+            trial_margins = _margins(design, labels, candidate)
+            trial = _composite_value(trial_margins, z, lam, rho, candidate)
             searching &= ~(trial <= value - 1e-4 * step * slope)
             if not searching.any():
                 break
             step[searching] *= 0.5
         else:
-            for pos in np.flatnonzero(searching):
-                if pos in singular:
-                    failures[int(open_[pos])] = singular[pos]
+            for t in np.flatnonzero(searching).tolist():
+                if t in singular:
+                    failures[t] = singular[t]
                 # a descent direction, but float64 is flat here: converged
                 # to precision unless the gradient is still large
-                elif not grad_norm[pos] <= 1e3 * _NEWTON_TOL:
-                    failures[int(open_[pos])] = SolverFailure(
+                elif not grad_norm[t] <= 1e3 * _NEWTON_TOL:
+                    failures[t] = SolverFailure(
                         f"no representable decrease at "
-                        f"|grad| = {grad_norm[pos]:.3e}")
-            x[open_] = xo
-            moved = ~searching
-            open_, d, lab, zo, lo, candidate, margins, trial = (
-                a[moved] for a in (open_, d, lab, zo, lo, candidate, margins,
-                                   trial))
+                        f"|grad| = {grad_norm[t]:.3e}")
+            going &= ~searching
         # a term's last trial is its accepted step: the new iterate's value
-        xo, value = candidate, trial
-    x[open_] = xo
+        np.copyto(x, candidate, where=going[:, None])
+        np.copyto(margins, trial_margins, where=going[:, None])
+        np.copyto(value, trial, where=going)
     return x, failures
 
 

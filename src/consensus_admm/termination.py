@@ -81,7 +81,9 @@ def ftdt_step(counters: Counters, k: int, heard) -> None:
     ``heard[i]`` is the largest theta or counter value node ``i`` received,
     already forward-dated to ``k`` (0 for an empty inbox), as an integer: a
     float ``heard`` is refused with a ``TypeError``. The node's own counter
-    ``min(k, cap)`` joins the maximum directly.
+    ``min(k, cap)`` and theta join the maximum directly, so ``heard`` may
+    also cover the node's own last message, ``(theta, min(k, cap))``,
+    without changing ``theta``, ``r`` or ``t_term``.
     """
     theta = np.minimum(k, counters.cap)
     np.maximum(theta, heard, out=theta)

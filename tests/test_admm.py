@@ -303,62 +303,61 @@ def test_exact_values_match_per_node_contiguous_calls_bitwise():
     assert cases                           # kernels of unequal lengths met
 
 
-def test_phase_that_outruns_its_trajectory_raises():
-    g = random_strongly_connected(4, extra_edge_prob=0.3, seed=1)
-    engine = RoundEngine(g, audit=False)
-    seeds = np.random.default_rng(1).uniform(-5, 5, size=(4, 2))
-    phase = None
-    for flags in _SCHEDULES["dadmm_fterc"][0] + (PhaseFlags(),):
-        phase = _Phase(engine, flags, 2, n_prime=4, after=phase)
-        tick = engine.tick
-        phase.run("p", seeds)
-    t_max = phase.max_defect + 1       # the steady length the warm-up found
-    assert engine.tick - tick == t_max
-    with pytest.raises(IndexError):
-        engine.run_round(phase.update)
-    assert phase.traj.shape == (t_max + 1, 4, 3)
-
-
 def test_phase_trajectories_are_sized_by_their_readers():
     n = 6
     g = random_strongly_connected(n, extra_edge_prob=0.3, seed=2)
     seeds = np.random.default_rng(2).uniform(-5, 5, size=(n, 2))
 
-    def phase(flags, **kw):
-        built = _Phase(RoundEngine(g, audit=False), flags, 2, n_prime=n, **kw)
-        built.run("p", seeds)
-        return built
+    def phase(flags, graph=g, **kw):
+        built = _Phase(RoundEngine(graph, audit=False), flags, 2, n_prime=n,
+                       **kw)
+        return built, built.run("p", seeds)
 
-    # a detecting phase keeps the detector's 2n' horizon, also when its
-    # counters run on past it
-    detect = phase(PhaseFlags(detect=True))
-    assert detect.traj.shape == (2 * n + 1, n, 3)
-    stopping = phase(PhaseFlags(detect=True, terminate=True))
-    assert stopping.traj.shape == (2 * n + 1, n, 3)
-    assert (stopping.counters.t_term > 2 * n).any()
-    # the exact lane's counters read no trajectory: round 0 only
-    exact = phase(PhaseFlags(terminate=True),
-                  defect_sizes=detect.detector.defect)
+    # a detecting phase reads rows up to the round its detector closed,
+    # the last node's 2d + 1, and doubles its rows only that far, also
+    # when its counters run on past it
+    detect, _ = phase(PhaseFlags(detect=True))
+    stopping, values = phase(PhaseFlags(detect=True, terminate=True))
+    closed = 2 * max(detect.detector.defect) + 1
+    assert (stopping.counters.t_term > closed).any()
+    for built in (detect, stopping):
+        assert built.last == closed
+        assert closed < len(built.traj) < 2 * (closed + 1)
+    # the exact lane's counters and certification read round 0 only
+    exact, _ = phase(PhaseFlags(terminate=True),
+                     defect_sizes=detect.detector.defect)
     assert exact.traj.shape == (1, n, 3)
     assert exact.counters.t_term.tolist() == stopping.counters.t_term.tolist()
-    certify = phase(PhaseFlags(certify=True), epsilon=1e-3)
+    certify, snap = phase(PhaseFlags(certify=True), epsilon=1e-3)
     assert certify.traj.shape == (1, n, 3)
-    piggy = phase(PhaseFlags(piggyback=True), defect_sizes=[3] * n)
+    # the max-consensus and steady phases read every round
+    piggy, _ = phase(PhaseFlags(piggyback=True), defect_sizes=[3] * n)
     assert piggy.traj.shape == (n + 1, n, 3)
     assert piggy.max_defect == 3
-    assert phase(PhaseFlags(), after=piggy).traj.shape == (5, n, 3)
+    assert phase(PhaseFlags(), after=piggy)[0].traj.shape == (5, n, 3)
     # a run restarts the phase whatever it carries: fresh detector,
     # counters and certification state, the same rounds and values
     t_term = stopping.counters.t_term.tolist()
-    for first in (stopping, exact, certify):
+    for first, found in ((stopping, values), (exact, None), (certify, snap)):
         tick = first.engine.tick
-        first.run("again", seeds)
+        again = first.run("again", seeds)
         assert first.engine.tick == 2 * tick
+        if found is not None:
+            assert again.tobytes() == found.tobytes()
         if first.counters is not None:
             assert first.counters.t_term.tolist() == t_term
     assert stopping.detector.defect == detect.detector.defect
-    assert certify.snap.tobytes() == phase(
-        PhaseFlags(certify=True), epsilon=1e-3).snap.tobytes()
+    assert stopping.last == closed
+    # and it resets the horizon: on a ring, tied seeds close the detector
+    # at round 1, and the next seeds need rows up to round 2n - 1
+    ring = random_strongly_connected(n, extra_edge_prob=0.0, seed=2)
+    tied = _Phase(RoundEngine(ring, audit=False), PhaseFlags(detect=True), 2,
+                  n_prime=n)
+    tied.run("tied", np.ones((n, 2)))
+    assert tied.last == 1 and len(tied.traj) == 2
+    fresh, expected = phase(PhaseFlags(detect=True), graph=ring)
+    assert tied.run("again", seeds).tobytes() == expected.tobytes()
+    assert tied.last == fresh.last == 2 * n - 1
 
 
 def test_tied_ring_fires_inside_the_terminating_phase():
@@ -396,7 +395,8 @@ def test_detector_open_at_its_horizon_is_a_breakdown(flags):
     with pytest.raises(NumericBreakdown,
                        match="node 0 found no defect within 4 rounds"):
         _Phase(engine, flags, 2, n_prime=2).run("t", seeds)
-    assert engine.tick == 4
+    # the round that raised is not counted: tick is the log's last
+    assert engine.tick == engine.log[-1].tick == 3
 
 
 def _l1_logistic_problem():

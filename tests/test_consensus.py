@@ -70,7 +70,7 @@ def test_ratio_update_matches_weight_matrix():
     engine.run_round(lambda block, tick: blocks.append(block) or wave)
     # node 2 hears nodes 0 and 1
     assert np.array_equal(blocks[0][2], wave[[2, 0, 1]])
-    mixed = ratio_update(blocks[0])
+    mixed = ratio_update(blocks[0], np.empty((3, 3)))
     assert np.allclose(mixed[:, :2], w @ y)
     assert np.allclose(mixed[:, 2], w @ x)
 

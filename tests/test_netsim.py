@@ -103,9 +103,12 @@ def test_broadcast_reaches_exactly_the_in_neighbours():
         senders = blocks[0][i, 1:][_live(engine)[i, 1:]]
         assert senders[:, 0].tolist() == list(g.in_neighbors[i])
         assert blocks[0][i, 0, 0] == i
-    # a round's wave keeps the primed shape: only prime sets a new one
+    # a round's wave keeps the primed shape: only prime sets a new one,
+    # and a round refused for it advances neither the tick nor the log
     with pytest.raises(ValueError, match=r"primed shape \(4, 1\)"):
         engine.run_round(lambda block, tick: np.zeros((4, 2)))
+    assert engine.tick == engine.log[-1].tick == 1
+    assert len(engine.log) == 2
 
 
 def test_prime_discards_pending_messages():
@@ -356,10 +359,10 @@ def test_blocks_and_reductions_match_brute_force(g, seed, rounds, width):
     engine.prime(values, pad=pad)
     engine.run_round(_recording(blocks))
     (block, padded), live = blocks, _live(engine)
-    summed = ratio_update(padded[:, :, :3])
+    summed = ratio_update(padded[:, :, :3], np.empty((g.n, 3)))
     top = np.max(padded[:, :, hi], axis=1)
     bottom = np.min(padded[:, :, lo], axis=1)
-    heard = np.max(padded[:, 1:, -2:], axis=(1, 2), initial=0)
+    heard = np.max(padded[:, :, -2:], axis=(1, 2))
     for i, senders in enumerate(g.in_neighbors):
         # the sequential loop over an inbox is the bitwise reference
         inbox_sum = ratio[i]
@@ -385,16 +388,14 @@ def test_blocks_and_reductions_match_brute_force(g, seed, rounds, width):
         assert bottom[i].tobytes() == functools.reduce(
             np.minimum, rows[:, lo]).tobytes()
         assert bottom[i].tobytes() == block_min(block, live)[i, lo].tobytes()
-        # the largest counter value heard from in-neighbours, 0 for none
-        assert heard[i] == (values[list(senders), -2:].max() if senders
-                            else 0)
-    assert heard[g.n - 1] == 0
+        # the largest counter value in the block, the node's own included
+        assert heard[i] == rows[:, -2:].max()
 
     share = 1.0 / (1.0 + np.array([g.out_degree(i) for i in range(g.n)]))
     states = [ratio]
 
     def mix(block, tick):
-        states.append(ratio_update(block))
+        states.append(ratio_update(block, np.empty_like(ratio)))
         return states[-1] * share[:, None]
 
     engine.prime(ratio * share[:, None], pad=-0.0)
@@ -443,10 +444,9 @@ def test_ratio_update_equals_the_inbox_loop_bitwise():
         assert not engine_view.flags.c_contiguous
         copy = np.ascontiguousarray(engine_view)
         for ratio in (engine_view, copy):
-            summed = ratio_update(ratio)
-            out = np.empty_like(summed)  # a phase reduces into its traj row
-            assert ratio_update(ratio, out=out) is out
-            assert out.tobytes() == summed.tobytes()
+            out = np.empty((g.n, width))  # a phase reduces into its traj row
+            summed = ratio_update(ratio, out=out)
+            assert summed is out
             for i, senders in enumerate(g.in_neighbors):
                 inbox_sum = values[i, :width]
                 for j in senders:
@@ -454,9 +454,9 @@ def test_ratio_update_equals_the_inbox_loop_bitwise():
                 assert summed[i].tobytes() == inbox_sum.tobytes()
     assert _delivered_block(complete, np.ones((12, 2)))[1].all()  # 12 slots
     block, live = _delivered_block(sparse, signed)
-    assert np.signbit(ratio_update(block)[:2]).all()
+    assert np.signbit(ratio_update(block, np.empty((4, 2)))[:2]).all()
     with pytest.raises(ValueError, match="at least two columns"):
-        ratio_update(block[:, :, :1])
+        ratio_update(block[:, :, :1], np.empty((4, 1)))
 
 
 def test_stable_digest_discriminates():

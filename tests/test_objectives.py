@@ -236,11 +236,12 @@ def test_stacked_x_update_raises_the_first_failing_node(scales, node, kind):
 
 
 def test_newton_takes_entry_values_only_of_terms_that_step(monkeypatch):
-    # A term already at its optimum leaves at iteration 0 and never needs
-    # the composite value of its entry point.
-    objs = _scaled_logistic_network([1, 1, 1, 1])
+    # A stack whose terms are all at their optimum leaves at iteration 0
+    # and never needs the composite value of its entry point; a stack in
+    # which any term steps values all its terms at once.
+    objs = _scaled_logistic_network([1, 1, 1, 1, 1])
     rng = np.random.default_rng(5)
-    z = rng.uniform(-1.0, 1.0, (4, 4))
+    z = rng.uniform(-1.0, 1.0, (5, 4))
     at_optimum = -np.stack([o.gradient(z[i]) for i, o in enumerate(objs)])
     calls = []
     value = objectives._composite_value
@@ -253,11 +254,13 @@ def test_newton_takes_entry_values_only_of_terms_that_step(monkeypatch):
     stacks = ObjectiveStacks(objs, 1.0)
     assert np.array_equal(stacks.x_update(z, at_optimum), z)
     assert calls == []
-    # terms 1 and 3 step, each one as it does alone
+    # term 1 steps: its stack of terms 0, 1 and 3 is valued whole, each
+    # term as it is alone, and the stack of terms 2 and 4 not at all
     lam = at_optimum.copy()
-    lam[[1, 3]] = rng.uniform(-1.0, 1.0, (2, 4))
+    lam[1] = rng.uniform(-1.0, 1.0, 4)
     x = stacks.x_update(z, lam)
-    assert calls[0] == 2
+    assert calls and set(calls) == {3}
+    assert np.array_equal(np.delete(x, 1, axis=0), np.delete(z, 1, axis=0))
     for i, obj in enumerate(objs):
         assert np.array_equal(x[i], obj.solve_x_update(z[i], lam[i], 1.0))
 

@@ -1,5 +1,6 @@
 """Distributed stopping counters and self-terminating averaging phases."""
 
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -358,3 +359,21 @@ def test_exact_lane_replays_the_counter_pair_alone(monkeypatch):
     res = ftdt_run(g, y0, exact=True)
     assert widths == [2] * (res.rounds + 1)
     assert _outcome(lambda: res) == _replay_outcome(g, defects)
+
+
+def test_terminating_phase_keeps_only_the_rows_it_reads():
+    # The detector closes after about 4(d_max + 1) rounds, far inside its
+    # 2n' horizon, so the trajectory grows to that round and no further:
+    # preallocated to the horizon, this phase traced a 659 MiB peak.
+    n = 3000
+    g = random_strongly_connected(n, 6 / n, seed=1)
+    seeds = np.random.default_rng(1).uniform(-5, 5, (n, 3))
+    tracemalloc.start()
+    try:
+        ftdt_run(g, seeds)
+    except (NonIntegerResult, NumericBreakdown):   # a refusal is an outcome
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 300 * 2**20
