@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -208,14 +209,16 @@ class _Phase:
     receivers never learn sender degrees, followed by the rider columns the
     flags ask for: the counter pair ``(theta, c)``, the max-consensus value
     ``v``, and the certification bounds ``hi`` and ``lo``. The phase keeps
-    one ``(n, columns)`` payload buffer: the ratio and counter columns are
-    rewritten in place before each send, and ``v``, ``hi`` and ``lo`` are
-    views of their columns that the rounds reduce into. ``pad`` holds the
-    identity of each column's reduction, which the engine copies into every
-    block row past a node's in-degree: ``-0.0`` under the ratio pair,
-    ``-inf`` under the counters, ``v`` and ``hi``, ``+inf`` under ``lo``.
-    So every reduction over a block is one plain pass, over views of the
-    engine's block buffer taken once for each buffer the engine allocates.
+    one ``(n, columns)`` payload buffer, and each column has one writer:
+    every round step writes its own columns of the next wave, through a
+    view of them, once it has reduced its block, and :meth:`run` writes
+    round 0's. ``mixes`` says whether the phase carries the ratio pair; only
+    the exact lane does not. ``pad`` holds the identity of each column's
+    reduction, which the engine copies into every block row past a node's
+    in-degree: ``-0.0`` under the ratio pair, ``-inf`` under the counters,
+    ``v`` and ``hi``, ``+inf`` under ``lo``. So every reduction over a block
+    is one plain pass, over views of the engine's block buffer taken once
+    for each buffer the engine allocates.
 
     One detector reads ``traj`` for every node while it is open and raises
     :class:`NumericBreakdown` when a node is still open at its ``2n'``
@@ -258,44 +261,35 @@ class _Phase:
         self.detector = self.counters = None
         # unbound, so a phase holds no reference cycle and is freed, with
         # the engine it keeps, as soon as its last user drops it
-        steps, sends, pads = [], [], []   # sends fill the payload columns
-        reads = {}   # the block's (slots, columns) that each step reduces
+        steps, pads = [], []
+        reads, writes = {}, {}   # view name -> its block or payload columns
         cls = type(self)
 
-        def columns(count: int, pad: float, read: str) -> slice:
+        def columns(count: int, pad: float, read: str, write: str) -> None:
             pads.extend([pad] * count)
-            reads[read] = slice(None), slice(len(pads) - count, len(pads))
-            return reads[read][1]
+            reads[read] = writes[write] = slice(len(pads) - count, len(pads))
 
-        carries_ratio = flags.detect or not flags.terminate
-        if carries_ratio:
-            self.ratio = columns(width + 1, -0.0, "ratio_in")
-            sends.append(cls._send_ratio)
+        self.mixes = flags.detect or not flags.terminate
+        if self.mixes:
+            columns(width + 1, -0.0, "ratio_in", "ratio_out")
             steps.append(cls._mix)
         if flags.detect:
             steps.append(cls._detect)
         if flags.terminate:
-            self.counter_cols = columns(2, -np.inf, "counters_in")
+            columns(2, -np.inf, "counters_in", "counters_out")
             steps.append(cls._count)
-            sends.append(cls._send_counters)
         if flags.piggyback:
-            self.v_col = columns(1, -np.inf, "v_in")
+            columns(1, -np.inf, "v_in", "v")
             steps.append(cls._max_consensus)
         if flags.certify:
-            self.hi_cols = columns(width, -np.inf, "hi_in")
-            self.lo_cols = columns(width, np.inf, "lo_in")
+            columns(width, -np.inf, "hi_in", "hi")
+            columns(width, np.inf, "lo_in", "lo")
             steps.append(cls._certify)
-        self.steps, self.sends = tuple(steps), tuple(sends)
-        self.reads, self.block = reads, None
+        self.steps, self.reads, self.block = tuple(steps), reads, None
         self.pad = np.array(pads)
         self.payload = np.empty((n, self.pad.size))
-        if carries_ratio:
-            self.ratio_out = self.payload[:, self.ratio]
-        if flags.piggyback:
-            self.v = self.payload[:, self.v_col]
-        if flags.certify:
-            self.hi = self.payload[:, self.hi_cols]
-            self.lo = self.payload[:, self.lo_cols]
+        for name, cols in writes.items():
+            setattr(self, name, self.payload[:, cols])
 
     def run(self, label: str, seeds: np.ndarray) -> np.ndarray | None:
         """Restart the phase at the engine's tick from ``seeds``; run it out."""
@@ -303,12 +297,15 @@ class _Phase:
         self.t0 = engine.tick
         self.state = self.traj[0]
         self.state[:, 0], self.state[:, 1:] = 1.0, seeds
+        if self.mixes:
+            np.multiply(self.state, self.share, out=self.ratio_out)
         if flags.detect:
             self.detector, self.last = HankelDetector(n), self.horizon
         if flags.terminate:
             self.counters = Counters(n)
             if not flags.detect:
                 freeze_counter(self.counters, range(n), self.defect_sizes)
+            self.counters_out[...] = counter_message(self.counters, 1)
         if flags.piggyback:
             self.v[:, 0] = np.asarray(self.defect_sizes, dtype=float) + 1.0
         if flags.certify:
@@ -316,8 +313,6 @@ class _Phase:
             self.snap = self.state[:, 1:] / self.state[:, :1]
             self.hi[...] = self.lo[...] = self.snap
             self.widest = np.inf
-        for send in self.sends:
-            send(self, 1)
         engine.prime(self.payload, label, pad=self.pad)
         if flags.terminate:
             while not self.counters.t_term.all():
@@ -351,22 +346,12 @@ class _Phase:
     def update(self, block: np.ndarray, tick: int) -> np.ndarray:
         if block is not self.block:   # a new engine buffer: view it once
             self.block = block
-            for name, (slots, cols) in self.reads.items():
-                setattr(self, name, block[:, slots, cols])
+            for name, cols in self.reads.items():
+                setattr(self, name, block[:, :, cols])
         k = tick - self.t0   # phase-local round index, from 1
         for step in self.steps:
             step(self, k)
-        for send in self.sends:
-            send(self, k + 1)
         return self.payload
-
-    # -- payload columns ------------------------------------------------
-
-    def _send_ratio(self, r):
-        np.multiply(self.state, self.share, out=self.ratio_out)
-
-    def _send_counters(self, r):
-        self.payload[:, self.counter_cols] = counter_message(self.counters, r)
 
     # -- round steps, in the order a round runs them --------------------
 
@@ -374,6 +359,7 @@ class _Phase:
         last = self.last
         self.state = ratio_update(self.ratio_in,
                                   out=self.traj[k if k < last else last])
+        np.multiply(self.state, self.share, out=self.ratio_out)
 
     def _detect(self, k):
         if k > self.last:   # the detector has closed
@@ -395,13 +381,14 @@ class _Phase:
             traj = np.empty((min(2 * k + 2, self.horizon + 1),)
                             + self.traj.shape[1:])
             traj[:k + 1] = self.traj
-            self.traj, self.state = traj, traj[k]
+            self.traj = traj
 
     def _count(self, k):
         # ftdt_step keeps only the largest value of a block, in which the
         # node's own last message changes nothing
         heard = np.maximum.reduce(self.counters_in, axis=(1, 2))
         ftdt_step(self.counters, k, heard.astype(np.int64))
+        self.counters_out[...] = counter_message(self.counters, k + 1)
 
     def _max_consensus(self, k):
         np.maximum.reduce(self.v_in, axis=1, out=self.v)
@@ -451,7 +438,7 @@ def fterc_run(graph: Digraph, y0) -> list[ConsensusResult]:
                    mat.shape[1], n_prime=graph.n)
     values = phase.run("detect", mat)
     return [ConsensusResult(mu[0] if seeds.ndim == 1 else mu,
-                            d, beta.copy(), 2 * d + 1) for d, beta, mu
+                            d, beta, 2 * d + 1) for d, beta, mu
             in zip(phase.defect_sizes, phase.detector.beta, values)]
 
 
@@ -575,8 +562,6 @@ def _initialize(n: int, p: int, config: AdmmConfig):
 
 def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
          regularizer, reference) -> RunRecord:
-    if algorithm not in _SCHEDULES:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     warmup, steady = _SCHEDULES[algorithm]
     n = graph.n
     if len(objectives) != n:
@@ -593,75 +578,55 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
         kappa = regularizer.kappa(n, rho)
 
     x0, lam0, z0 = _initialize(n, p, config)
-    lam = lam0.copy()
-    z_stack = np.tile(z0, (n, 1))
+    lam, z_stack = lam0, np.tile(z0, (n, 1))
     stacks = ObjectiveStacks(objectives, rho)
-
     engine = RoundEngine(graph)
-    t1: int | None = None
-
-    hist: dict[str, list] = {key: [] for key in
-                             ("objective", "primal", "dual", "eps_pri",
-                              "eps_dual", "rounds", "x", "z", "lam")}
-    stopped_early = False
-    steps = 0
+    # one row per step: objective, primal and dual residuals and thresholds
+    rows, x_hist, z_hist, lam_hist = [], [], [], []
     phase = None   # built when the schedule entry changes, then rerun
 
-    for k in range(1, config.k_max + 1):
+    for k, flags in zip(range(1, config.k_max + 1),
+                        chain(warmup, repeat(steady))):
         x_stack = stacks.x_update(z_stack, lam)
         seeds = x_stack + lam / rho
-        flags = warmup[k - 1] if k <= len(warmup) else steady
         if phase is None or phase.flags is not flags:
             phase = _Phase(engine, flags, p, n_prime=n_prime, after=phase,
                            epsilon=config.epsilon)
-        tick_before = engine.tick
         z_new = phase.run(f"step-{k}", seeds)
-        rounds_k = engine.tick - tick_before
-        if phase.counters is not None:   # the phase stopped itself
-            t1 = rounds_k
         if regularizer is not None:
             z_new = l1_z_update(z_new, kappa, mask)
         lam = lam + rho * (x_stack - z_new)
         report = stopping_criterion(x_stack, z_new, z_stack, lam, rho,
                                     config.eps_abs, config.eps_rel)
-
         obj_val = stacks.total(x_stack)
         if regularizer is not None:
             obj_val += regularizer.penalty(z_new.mean(axis=0))
-
-        hist["objective"].append(obj_val)
-        hist["primal"].append(report.primal_res)
-        hist["dual"].append(report.dual_res)
-        hist["eps_pri"].append(report.eps_pri)
-        hist["eps_dual"].append(report.eps_dual)
-        hist["rounds"].append(rounds_k)
-        hist["x"].append(x_stack)
-        hist["z"].append(z_new)
-        hist["lam"].append(lam.copy())
+        rows.append((obj_val, report.primal_res, report.dual_res,
+                     report.eps_pri, report.eps_dual))
+        x_hist.append(x_stack)
+        z_hist.append(z_new)
+        lam_hist.append(lam)
         z_stack = z_new
-        steps = k
         if config.stop_on_tolerance and report.stop:
-            stopped_early = True
             break
 
-    max_defect = phase.max_defect
+    steps, max_defect = len(rows), phase.max_defect
+    schedule = phase_lengths(engine.log)
+    rounds = [count for _, count in schedule]
+    objective, primal, dual, eps_pri, eps_dual = map(np.array, zip(*rows))
     record = RunRecord(
         algorithm=algorithm, config=config, steps=steps,
-        k=np.arange(1, steps + 1),
-        objective=np.array(hist["objective"]),
-        primal_res=np.array(hist["primal"]),
-        dual_res=np.array(hist["dual"]),
-        eps_pri=np.array(hist["eps_pri"]),
-        eps_dual=np.array(hist["eps_dual"]),
-        consensus_rounds=np.array(hist["rounds"], dtype=int),
-        x_hist=np.stack(hist["x"]),
-        z_hist=np.stack(hist["z"]),
-        lam_hist=np.stack(hist["lam"]),
-        x0=x0, lam0=lam0, z0=z0,
+        k=np.arange(1, steps + 1), objective=objective, primal_res=primal,
+        dual_res=dual, eps_pri=eps_pri, eps_dual=eps_dual,
+        consensus_rounds=np.array(rounds, dtype=int),
+        x_hist=np.stack(x_hist), z_hist=np.stack(z_hist),
+        lam_hist=np.stack(lam_hist), x0=x0, lam0=lam0, z0=z0,
         defect_indices=list(phase.defect_sizes or [None] * n),
-        t_max=None if max_defect is None else max_defect + 1, t1=t1,
-        max_defect=max_defect,
-        schedule=phase_lengths(engine.log), stopped_early=stopped_early,
+        t_max=None if max_defect is None else max_defect + 1,
+        # t1: the length of the step whose phase stopped itself
+        t1=next((r for f, r in zip(warmup, rounds) if f.terminate), None),
+        max_defect=max_defect, schedule=schedule,
+        stopped_early=bool(config.stop_on_tolerance and report.stop),
         log=engine.log, objectives=list(objectives),
         regularizer=regularizer)
     if reference is not None and regularizer is None:

@@ -31,9 +31,12 @@ STAB_TOL = 1e-9     # max relative cross-ratio drift tolerated at a defect fire
 def check_seeds(y0, n: int) -> np.ndarray:
     """``y0`` as a float array of ``n`` finite seed rows, or ValueError.
 
-    A seed row is a scalar or a nonempty vector.
+    A seed row is a scalar or a nonempty vector of real numbers.
     """
-    seeds = np.asarray(y0, dtype=float)
+    seeds = np.asarray(y0)
+    if np.iscomplexobj(seeds):
+        raise ValueError(f"seeds must be real, got dtype {seeds.dtype}")
+    seeds = seeds.astype(float, copy=False)
     if seeds.ndim == 0 or seeds.shape[0] != n:
         raise ValueError("seed count must match node count")
     if seeds.ndim > 2 or seeds.size == 0:

@@ -153,11 +153,18 @@ class RoundEngine:
         each node's in-degree until the next ``prime``. A pad is a scalar or
         one value per column, such as the identity of the reduction each column
         goes through; it is not part of the wave, so it is never hashed.
+        Both are checked before anything changes: a refused ``prime`` leaves
+        the engine, its log and its buffers as they were.
         """
         wave = np.asarray(wave, dtype=float)
         if wave.ndim != 2 or wave.shape[0] != self.graph.n:
             raise ValueError(f"a wave is one payload row per node, got shape "
                              f"{wave.shape} for {self.graph.n} nodes")
+        pad = np.asarray(pad, dtype=float)
+        if pad.ndim > 1 or pad.size not in (1, wave.shape[1]):
+            raise ValueError(f"a pad is a scalar or one value per column, got "
+                             f"shape {pad.shape} for a wave of shape "
+                             f"{wave.shape}")
         if self._shape is None or self._shape[1] != wave.shape[1]:
             self._wave = np.full((self.graph.n + 1, wave.shape[1]), np.nan)
             self._payloads = self._wave[:-1]

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from consensus_admm import (AdmmConfig, Disconnected, InsufficientData,
-                            L1Regularizer, LogisticObjective,
-                            NonIntegerResult, NumericBreakdown, PhaseFlags,
+                            L1Regularizer, LeastSquaresObjective,
+                            LogisticObjective, NonIntegerResult,
+                            NumericBreakdown, PhaseFlags,
                             RoundEngine, build_digraph,
                             centralized_least_squares, check_o1k_bound,
                             composite_objective, compute_mu_max,
@@ -233,6 +234,14 @@ def test_stop_on_tolerance_truncates_histories():
                                 record.z_hist[-2], record.lam_hist[-1],
                                 config.rho, config.eps_abs, config.eps_rel)
     assert report.stop
+    # a horizon that ends on the stopping step still reports the stop
+    config.k_max = record.steps
+    again = run_dadmm_fterc(objectives, graph, config)
+    assert again.stopped_early and again.steps == record.steps
+    for name in ("objective", "primal_res", "dual_res", "eps_pri", "eps_dual",
+                 "consensus_rounds", "x_hist", "z_hist", "lam_hist"):
+        assert np.array_equal(getattr(again, name), getattr(record, name))
+    assert again.schedule == record.schedule
 
 
 def test_initialization_modes():
@@ -273,6 +282,9 @@ def test_config_validation_errors():
         run_dadmm_fterc(objectives, graph, AdmmConfig(seed=-1))
     with pytest.raises(ValueError):
         run_dadmm_fterc(objectives[:2], graph)
+    wider = LeastSquaresObjective(np.ones((5, 3)), np.ones(5))
+    with pytest.raises(ValueError, match="share one dimension"):
+        run_dadmm_fterc(objectives[:3] + [wider], graph)
 
 
 def _detection_phase(n, width, seed):

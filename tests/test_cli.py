@@ -113,6 +113,10 @@ def test_parse_config_sets_every_accepted_key(tmp_path):
     (("kind = least_squares", "kind = portfolio"), "unknown problem kind"),
     (("n = 4", "n = 0"), "must be positive"),
     (("seed = 1", "seed = 1\nseed = 2"), "duplicate key"),
+    (("stop_on_tolerance = false", "stop_on_tolerance = maybe"),
+     "stop_on_tolerance expects a bool, got 'maybe'"),
+    (("kind = least_squares", "kind = l1_logistic\nm = 3"),
+     "need at least one sample per node"),
 ])
 def test_parse_config_errors_carry_line_numbers(tmp_path, mutation, fragment):
     old, new = mutation

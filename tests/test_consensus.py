@@ -474,15 +474,19 @@ def test_exact_lane_validates_seed_count():
                 ftdt_run(THREE_CYCLE, seeds, exact=exact)
         with pytest.raises(ValueError, match=match):
             fterc_run(THREE_CYCLE, seeds)
-    # a NaN or infinite seed is refused up front by every lane
-    for bad in (np.nan, np.inf, -np.inf):
+    # a NaN or infinite seed is refused up front by every lane, and so is a
+    # complex one, whose imaginary part a float conversion would drop
+    for bad, match in ((np.nan, "seeds must be finite"),
+                       (np.inf, "seeds must be finite"),
+                       (-np.inf, "seeds must be finite"),
+                       (1 + 5j, "seeds must be real")):
         for seeds in (np.array([1.0, bad, 2.0]), np.full((3, 2), bad)):
-            with pytest.raises(ValueError, match="seeds must be finite"):
+            with pytest.raises(ValueError, match=match):
                 exact_consensus_run(THREE_CYCLE, seeds)
             for exact in (False, True):
-                with pytest.raises(ValueError, match="seeds must be finite"):
+                with pytest.raises(ValueError, match=match):
                     ftdt_run(THREE_CYCLE, seeds, exact=exact)
-            with pytest.raises(ValueError, match="seeds must be finite"):
+            with pytest.raises(ValueError, match=match):
                 fterc_run(THREE_CYCLE, seeds)
 
 

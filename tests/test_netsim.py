@@ -191,6 +191,34 @@ def test_engine_buffers_are_allocated_per_width():
         assert engine._wave is wave
 
 
+def test_a_refused_prime_changes_nothing():
+    # A pad that fits the wave's columns neither as a scalar nor one value
+    # per column is refused before any buffer or log entry changes.
+    g = random_strongly_connected(4, 0.3, seed=1)
+    engine = RoundEngine(g)
+    engine.prime(np.ones((4, 1)), "narrow", pad=-0.0)
+    engine.run_round(lambda block, tick: block[:, 0])
+    log, tick = list(engine.log), engine.tick
+    buffers = engine._wave, engine._slabs, engine._block
+    wave = engine._wave.copy()
+    match = r"shape \(2,\) for a wave of shape \(4, 3\)"
+    with pytest.raises(ValueError, match=match):
+        engine.prime(np.zeros((4, 3)), "x", pad=[1.0, 2.0])
+    assert engine.log == log and engine.tick == tick
+    assert all(now is then for now, then in zip(
+        (engine._wave, engine._slabs, engine._block), buffers))
+    np.testing.assert_array_equal(engine._wave, wave)
+    record = engine.run_round(lambda block, tick: block[:, 0])
+    assert (record.tick, record.phase) == (2, "narrow")
+    # on a fresh engine nothing is primed, so no round can run
+    fresh = RoundEngine(g)
+    with pytest.raises(ValueError, match=match):
+        fresh.prime(np.zeros((4, 3)), "x", pad=[1.0, 2.0])
+    with pytest.raises(ProtocolViolation):
+        fresh.run_round(lambda block, tick: block[:, 0])
+    assert fresh.log == [] and fresh.tick == 0
+
+
 def test_caller_may_reuse_its_wave_arrays():
     g = build_digraph(3, [(2, 0), (2, 1), (0, 2), (1, 2)])
     engine = RoundEngine(g)

@@ -1,0 +1,144 @@
+"""Bitwise fingerprints of the library's outputs, one sha256 per case.
+
+    python tools/fingerprint.py [SRC]
+
+Imports ``consensus_admm`` from ``SRC``, by default the ``src/`` of the
+checkout this script sits in, and prints one line per case, ``<case>
+<sha256>``, then ``total <sha256>`` over all lines. A case hashes everything
+its call returns: values, kernels, defects, stopping rounds, histories,
+bound arrays, log entries (tick, label, kind, message count, digest) and
+schedules, or, when the call refuses, the error's type and message.
+
+Run it on two checkouts and diff the outputs: equal lines mean the change
+kept every case bitwise. It pins no values, so a change that moves iterates
+on purpose needs no edit here; its diff simply names the cases that moved.
+The cases:
+
+* ``fterc_run``, ``ftdt_run`` and ``ftdt_run(exact=True)`` on 224 seeded
+  digraphs: n=2..15, ``extra_edge_prob`` 0, 0.1, 0.3 and 0.6, structure
+  seeds 0 and 1, scalar seeds and width 3;
+* the three solvers on least squares at n=4, 6, 9, 13, 20 and 40: 12 steps,
+  with and without ``stop_on_tolerance`` (tolerances loose enough that
+  most runs with it stop early), n' = n and n + 3, with a reference, so
+  the bound arrays are hashed too;
+* the three solvers on l1 logistic at n=5, 8 and 12, rho 0.1, 1 and 10, 15
+  steps;
+* the epsilon baseline at epsilon from 1e-1 down to 1e-300.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# RunRecord fields that hold the run's inputs as given, not its outputs
+INPUTS = ("objectives", "regularizer")
+
+
+def _feed(h, value) -> None:
+    if isinstance(value, np.ndarray):
+        h.update(f"<{value.dtype.str}{value.shape}>".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif dataclasses.is_dataclass(value):
+        h.update(f"<{type(value).__name__}>".encode())
+        for field in dataclasses.fields(value):
+            if field.name not in INPUTS:
+                h.update(field.name.encode())
+                _feed(h, getattr(value, field.name))
+    elif isinstance(value, (list, tuple)):
+        h.update(f"<{len(value)}>".encode())
+        for item in value:
+            _feed(h, item)
+    else:
+        h.update(f"<{value!r}>".encode())
+
+
+def _digest(call) -> str:
+    try:
+        outcome = call()
+    except Exception as exc:   # a refusal is an outcome like any other
+        outcome = ("refused", type(exc).__name__, str(exc))
+    h = hashlib.sha256()
+    _feed(h, outcome)
+    return h.hexdigest()
+
+
+def cases(ca):
+    """``(name, call)`` pairs over the package ``ca``."""
+    for n in range(2, 16):
+        for prob in (0.0, 0.1, 0.3, 0.6):
+            for structure in (0, 1):
+                graph = ca.random_strongly_connected(n, prob, seed=structure)
+                for width in (1, 3):
+                    rng = np.random.default_rng([n, int(prob * 10),
+                                                 structure, width])
+                    shape = (n,) if width == 1 else (n, width)
+                    seeds = rng.uniform(-5, 5, size=shape)
+                    tag = f"n={n} p={prob} s={structure} w={width}"
+                    yield f"fterc_run {tag}", (
+                        lambda g=graph, y=seeds: ca.fterc_run(g, y))
+                    yield f"ftdt_run {tag}", (
+                        lambda g=graph, y=seeds: ca.ftdt_run(g, y))
+                    yield f"ftdt_run(exact) {tag}", (
+                        lambda g=graph, y=seeds: ca.ftdt_run(g, y, exact=True))
+
+    solvers = (ca.run_dadmm_fterc, ca.run_fdadmm_ftdt, ca.run_epsilon_baseline)
+    for n in (4, 6, 9, 13, 20, 40):
+        objectives, _ = ca.make_least_squares_instance(n, 3, 6, seed=n)
+        reference = ca.centralized_least_squares(
+            [obj.mat for obj in objectives], [obj.rhs for obj in objectives])
+        graph = ca.random_strongly_connected(n, min(0.3, 3 / n), seed=1)
+        for stop in (False, True):
+            for n_prime in (n, n + 3):
+                config = ca.AdmmConfig(k_max=12, eps_abs=1e-2, eps_rel=1e-1,
+                                       n_prime=n_prime, stop_on_tolerance=stop)
+                for solver in solvers:
+                    yield (f"{solver.__name__} least squares n={n} "
+                           f"stop={stop} n'={n_prime}"), (
+                        lambda s=solver, o=objectives, g=graph, c=config,
+                        r=reference: s(o, g, c, reference=r))
+
+    for n in (5, 8, 12):
+        features, labels = ca.make_logistic_instance(20 * n, 3, seed=n)
+        objectives = [ca.LogisticObjective(f, l)
+                      for f, l in ca.split_rows(features, labels, n)]
+        regularizer = ca.L1Regularizer(
+            0.1 * ca.compute_mu_max(features, labels))
+        graph = ca.random_strongly_connected(n, 0.3, seed=1)
+        for rho in (0.1, 1.0, 10.0):
+            config = ca.AdmmConfig(rho=rho, k_max=15, stop_on_tolerance=False)
+            for solver in solvers:
+                yield f"{solver.__name__} l1 logistic n={n} rho={rho}", (
+                    lambda s=solver, o=objectives, g=graph, c=config,
+                    r=regularizer: s(o, g, c, regularizer=r))
+
+    objectives, _ = ca.make_least_squares_instance(5, 2, 5, seed=3)
+    graph = ca.random_strongly_connected(5, 0.3, seed=1)
+    for epsilon in (1e-1, 1e-2, 1e-4, 1e-8, 1e-16, 1e-100, 1e-300):
+        config = ca.AdmmConfig(k_max=6, epsilon=epsilon,
+                               stop_on_tolerance=False)
+        yield f"run_epsilon_baseline epsilon={epsilon:g}", (
+            lambda o=objectives, g=graph, c=config:
+            ca.run_epsilon_baseline(o, g, c))
+
+
+def main(argv: list[str]) -> None:
+    src = Path(argv[0]) if argv else SRC
+    sys.path.insert(0, str(src.resolve()))
+    import consensus_admm
+
+    total = hashlib.sha256()
+    for name, call in cases(consensus_admm):
+        line = f"{name} {_digest(call)}"
+        total.update(line.encode() + b"\n")
+        print(line)
+    print(f"total {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
