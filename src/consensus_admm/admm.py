@@ -33,7 +33,7 @@ Every entry point refuses a digraph that is not strongly connected, raising
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from numbers import Integral, Real
 
@@ -96,6 +96,9 @@ class AdmmConfig:
         for name in ("eps_abs", "eps_rel"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if not isinstance(self.stop_on_tolerance, (bool, np.bool_)):
+            raise ValueError(f"stop_on_tolerance must be a bool, "
+                             f"got {self.stop_on_tolerance!r}")
         if self.init not in ("random", "zero"):
             raise ValueError(f"init must be 'random' or 'zero', "
                              f"got {self.init!r}")
@@ -238,8 +241,10 @@ class _Phase:
     def __init__(self, engine: RoundEngine, flags: PhaseFlags, width: int, *,
                  n_prime: int, after: _Phase | None = None, defect_sizes=None,
                  epsilon: float | None = None):
-        n = engine.graph.n
-        self.engine, self.flags, self.share = engine, flags, engine.share
+        n, self.engine, self.flags = engine.graph.n, engine, flags
+        out_degrees = np.array([len(o) for o in engine.graph.out_neighbors],
+                               dtype=float)
+        self.share = 1.0 / (1.0 + out_degrees[:, None])
         self.epsilon = epsilon
         self.defect_sizes, self.kernels, self.max_defect = (
             (after.defect_sizes, after.kernels, after.max_defect)
@@ -527,8 +532,8 @@ class RunRecord:
     log: list
     objectives: list
     regularizer: L1Regularizer | None
-    bound_lhs: np.ndarray | None = None
-    bound_rhs: np.ndarray | None = None
+    bound_lhs: np.ndarray | None = field(default=None, init=False)
+    bound_rhs: np.ndarray | None = field(default=None, init=False)
 
     @property
     def z_final(self) -> np.ndarray:
@@ -561,7 +566,7 @@ def _initialize(n: int, p: int, config: AdmmConfig):
 
 
 def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
-         regularizer, reference) -> RunRecord:
+         regularizer) -> RunRecord:
     warmup, steady = _SCHEDULES[algorithm]
     n = graph.n
     if len(objectives) != n:
@@ -614,7 +619,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     schedule = phase_lengths(engine.log)
     rounds = [count for _, count in schedule]
     objective, primal, dual, eps_pri, eps_dual = map(np.array, zip(*rows))
-    record = RunRecord(
+    return RunRecord(
         algorithm=algorithm, config=config, steps=steps,
         k=np.arange(1, steps + 1), objective=objective, primal_res=primal,
         dual_res=dual, eps_pri=eps_pri, eps_dual=eps_dual,
@@ -629,14 +634,11 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
         stopped_early=bool(config.stop_on_tolerance and report.stop),
         log=engine.log, objectives=list(objectives),
         regularizer=regularizer)
-    if reference is not None and regularizer is None:
-        check_o1k_bound(record, reference)
-    return record
 
 
 def run_dadmm_fterc(objectives, graph: Digraph,
-                    config: AdmmConfig | None = None, *, regularizer=None,
-                    reference=None) -> RunRecord:
+                    config: AdmmConfig | None = None, *,
+                    regularizer=None) -> RunRecord:
     """Consensus ADMM with finite-time exact averaging on a warm-up schedule.
 
     Step 1 runs a long detection phase, step 2 spreads the largest defect
@@ -644,12 +646,12 @@ def run_dadmm_fterc(objectives, graph: Digraph,
     detected coefficients for the minimal number of exchanges.
     """
     return _run("dadmm_fterc", objectives, graph, config or AdmmConfig(),
-                regularizer, reference)
+                regularizer)
 
 
 def run_fdadmm_ftdt(objectives, graph: Digraph,
-                    config: AdmmConfig | None = None, *, regularizer=None,
-                    reference=None) -> RunRecord:
+                    config: AdmmConfig | None = None, *,
+                    regularizer=None) -> RunRecord:
     """Fully distributed variant: nodes detect, stop, and re-size on their own.
 
     The first phase carries distributed stopping counters; once every node
@@ -657,12 +659,12 @@ def run_fdadmm_ftdt(objectives, graph: Digraph,
     steps from its own stopping round — with zero coordinator input.
     """
     return _run("fdadmm_ftdt", objectives, graph, config or AdmmConfig(),
-                regularizer, reference)
+                regularizer)
 
 
 def run_epsilon_baseline(objectives, graph: Digraph,
                          config: AdmmConfig | None = None, *,
-                         regularizer=None, reference=None) -> RunRecord:
+                         regularizer=None) -> RunRecord:
     """Inexact-averaging baseline with windowed spread certification.
 
     Nodes snapshot their running ratio every ``n'`` exchanges and spend the
@@ -670,7 +672,7 @@ def run_epsilon_baseline(objectives, graph: Digraph,
     window whose spread is within ``epsilon`` ends the phase everywhere.
     """
     return _run("epsilon_baseline", objectives, graph, config or AdmmConfig(),
-                regularizer, reference)
+                regularizer)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +697,7 @@ class BoundReport:
     lower_margin: float
     upper_margin: float
 
-    def holds(self, slack: float = 1e-8) -> bool:
+    def holds(self, slack: float) -> bool:
         return self.lower_margin >= -slack and self.upper_margin >= -slack
 
 
@@ -703,8 +705,16 @@ def check_o1k_bound(record: RunRecord, reference: Reference) -> BoundReport:
     """Check the O(1/k) ergodic gap bound and attach both sides to the record.
 
     The Lagrangian gap at the running means must be nonnegative and below a
-    constant (fixed by the initial dual/shared iterates) divided by k.
+    constant (fixed by the initial dual/shared iterates) divided by k. The
+    bound is the smooth one: a record with a regularizer, or a reference
+    without multipliers, raises ``ValueError``.
     """
+    if record.regularizer is not None:
+        raise ValueError("check_o1k_bound covers smooth runs only, "
+                         "got a record with a regularizer")
+    if reference.lambda_star is None:
+        raise ValueError("check_o1k_bound needs the reference's multipliers, "
+                         "got lambda_star None")
     rho = record.config.rho
     lam_star = np.asarray(reference.lambda_star, dtype=float)
     x_star = np.asarray(reference.x_star, dtype=float)

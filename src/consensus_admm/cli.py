@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import admm as solvers
-from .admm import ALGORITHMS, AdmmConfig, RunRecord
+from .admm import ALGORITHMS, AdmmConfig, RunRecord, check_o1k_bound
 from .errors import ConfigError, ConsensusAdmmError, SchemaMismatch
 from .graph import random_strongly_connected
 from .objectives import (L1Regularizer, LogisticObjective, compute_mu_max,
@@ -266,7 +266,8 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
 
     ``seed`` overrides the solver seed, ``out`` the output directory. The
     CSV is a pure function of the config (plus overrides): reruns are
-    byte-identical.
+    byte-identical. The bound columns are :func:`~.admm.check_o1k_bound`'s
+    on least squares, the one problem with a reference, else ``nan``.
     """
     admm = dataclasses.replace(config.admm)
     if seed is not None:
@@ -277,8 +278,9 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
                                       seed=config.graph.seed)
     # looked up at call time, so a solver patched on the module is the one run
     runner = getattr(solvers, f"run_{config.algorithm}")
-    record = runner(objectives, graph, admm, regularizer=regularizer,
-                    reference=reference)
+    record = runner(objectives, graph, admm, regularizer=regularizer)
+    if reference is not None:
+        check_o1k_bound(record, reference)
 
     out_dir = Path(out) if out is not None else Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

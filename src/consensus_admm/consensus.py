@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericBreakdown
+from .netsim import real_array
 
 # Pinned numerical tolerances for defect detection and final evaluation.
 RANK_TOL = 1e-12    # singular values below RANK_TOL * sigma_max count as zero
@@ -33,10 +34,7 @@ def check_seeds(y0, n: int) -> np.ndarray:
 
     A seed row is a scalar or a nonempty vector of real numbers.
     """
-    seeds = np.asarray(y0)
-    if np.iscomplexobj(seeds):
-        raise ValueError(f"seeds must be real, got dtype {seeds.dtype}")
-    seeds = seeds.astype(float, copy=False)
+    seeds = real_array(y0, "seeds")
     if seeds.ndim == 0 or seeds.shape[0] != n:
         raise ValueError("seed count must match node count")
     if seeds.ndim > 2 or seeds.size == 0:

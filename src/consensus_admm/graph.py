@@ -114,8 +114,8 @@ def check_strongly_connected(g: Digraph) -> None:
 _DRAW_CHUNK = 1 << 20   # random_strongly_connected draws this many at once
 
 
-def random_strongly_connected(n: int, extra_edge_prob: float = 0.0,
-                              seed: int | None = None) -> Digraph:
+def random_strongly_connected(n: int, extra_edge_prob: float,
+                              seed: int | None) -> Digraph:
     """Random strongly connected digraph without rejection sampling.
 
     A random Hamiltonian cycle guarantees strong connectivity; every other

@@ -77,6 +77,20 @@ def stable_digest(row: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def real_array(value, what: str) -> np.ndarray:
+    """``value`` as a float array, or ``ValueError('<what> must be real')``
+    when it holds a complex number, whose imaginary part a float conversion
+    would drop: by its dtype, or inside an object array.
+    """
+    value = np.asarray(value)
+    if value.dtype.kind != "c":
+        try:
+            return value.astype(float, copy=False)
+        except TypeError:   # float() of an element that is not a real number
+            pass
+    raise ValueError(f"{what} must be real, got dtype {value.dtype}")
+
+
 def gather_rows(graph: Digraph) -> np.ndarray:
     """Each node's block rows as an ``(n, slots)`` index array: the node
     itself, then ``in_neighbors`` in sender order, then the pad index ``n``.
@@ -109,29 +123,25 @@ class RoundEngine:
     """Runs whole-network rounds over a fixed digraph, one array step each.
 
     ``gather[i]`` lists the wave rows of node ``i``'s block: ``i`` itself,
-    then ``in_neighbors[i]``, then the pad row ``n``. ``share[i, 0]`` is
-    ``1 / (1 + out-degree)`` of node ``i``: the part of its mass that each
-    copy of its payload carries under ratio consensus.
+    then ``in_neighbors[i]``, then the pad row ``n``.
     """
 
     graph: Digraph
     audit: bool = True
     tick: int = field(default=0, init=False)
     log: list[RoundRecord] = field(default_factory=list, init=False)
-    # the wave buffer (payloads, pad row) and its payload rows, every node's
-    # gathered block in slot-major order (_slabs[s, i] is row s of node i's
-    # block), the (n, slots, w) view of it updates receive, the wave shape
+    # the wave buffer (payloads, pad row), None until the first prime, and
+    # its payload rows, every node's gathered block in slot-major order
+    # (_slabs[s, i] is row s of node i's block), the (n, slots, w) view of
+    # it updates receive
     _wave: np.ndarray | None = field(default=None, init=False)
     _payloads: np.ndarray | None = field(default=None, init=False)
     _slabs: np.ndarray | None = field(default=None, init=False)
     _block: np.ndarray | None = field(default=None, init=False)
-    _shape: tuple | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.gather = gather_rows(self.graph)
         self._slot_rows = np.ascontiguousarray(self.gather.T)
-        out_degrees = [len(outs) for outs in self.graph.out_neighbors]
-        self.share = 1.0 / (1.0 + np.array(out_degrees, dtype=float)[:, None])
 
     def _broadcast(self, wave, phase: str, kind: str) -> RoundRecord:
         """Hold one wave of the primed shape for delivery, and log it."""
@@ -153,24 +163,24 @@ class RoundEngine:
         each node's in-degree until the next ``prime``. A pad is a scalar or
         one value per column, such as the identity of the reduction each column
         goes through; it is not part of the wave, so it is never hashed.
-        Both are checked before anything changes: a refused ``prime`` leaves
-        the engine, its log and its buffers as they were.
+        Both are checked before anything changes, a complex one refused too:
+        a refused ``prime`` leaves the engine, its log and its buffers as they
+        were.
         """
-        wave = np.asarray(wave, dtype=float)
+        wave = real_array(wave, "a wave")
         if wave.ndim != 2 or wave.shape[0] != self.graph.n:
             raise ValueError(f"a wave is one payload row per node, got shape "
                              f"{wave.shape} for {self.graph.n} nodes")
-        pad = np.asarray(pad, dtype=float)
+        pad = real_array(pad, "a pad")
         if pad.ndim > 1 or pad.size not in (1, wave.shape[1]):
             raise ValueError(f"a pad is a scalar or one value per column, got "
                              f"shape {pad.shape} for a wave of shape "
                              f"{wave.shape}")
-        if self._shape is None or self._shape[1] != wave.shape[1]:
+        if self._wave is None or self._wave.shape[1] != wave.shape[1]:
             self._wave = np.full((self.graph.n + 1, wave.shape[1]), np.nan)
             self._payloads = self._wave[:-1]
             self._slabs = np.empty(self._slot_rows.shape + wave.shape[1:])
             self._block = self._slabs.transpose(1, 0, 2)
-        self._shape = wave.shape
         record = self._broadcast(wave, phase, "seed")
         self._wave[-1] = pad
         return record
@@ -196,8 +206,9 @@ class RoundEngine:
         # write straight into out= instead of through a temporary
         self._wave.take(self._slot_rows, axis=0, out=self._slabs, mode="clip")
         wave = update(self._block, self.tick + 1)
-        if getattr(wave, "shape", None) != self._shape:
-            raise ValueError(f"a wave has the primed shape {self._shape}, "
+        shape = self._payloads.shape
+        if getattr(wave, "shape", None) != shape:
+            raise ValueError(f"a wave has the primed shape {shape}, "
                              f"got shape {np.shape(wave)}")
         self.tick += 1
         return self._broadcast(wave, self.log[-1].phase, "exchange")

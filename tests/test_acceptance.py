@@ -184,8 +184,7 @@ def test_criterion_5_ergodic_gap_bound(ls6):
     with _criterion(5):
         objectives, graph, reference = ls6
         record = run_dadmm_fterc(
-            objectives, graph, AdmmConfig(k_max=500, init="zero", **_CFG),
-            reference=reference)
+            objectives, graph, AdmmConfig(k_max=500, init="zero", **_CFG))
         assert not record.lam0.any() and not record.z0.any()
         report = check_o1k_bound(record, reference)
         assert report.lhs.size == 500

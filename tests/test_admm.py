@@ -9,8 +9,9 @@ import pytest
 from consensus_admm import (AdmmConfig, Disconnected, InsufficientData,
                             L1Regularizer, LeastSquaresObjective,
                             LogisticObjective, NonIntegerResult,
-                            NumericBreakdown, PhaseFlags,
+                            NumericBreakdown, PhaseFlags, Reference,
                             RoundEngine, build_digraph,
+                            centralized_l1_logistic,
                             centralized_least_squares, check_o1k_bound,
                             composite_objective, compute_mu_max,
                             ergodic_averages, exact_consensus_run, ftdt_run,
@@ -179,14 +180,42 @@ def test_gap_bound_smoke():
     reference = centralized_least_squares([o.mat for o in objectives],
                                           [o.rhs for o in objectives])
     config = AdmmConfig(k_max=40, stop_on_tolerance=False, init="zero")
-    record = run_dadmm_fterc(objectives, graph, config,
-                             reference=reference)
-    # the run attached both sides itself
-    assert record.bound_lhs is not None and record.bound_lhs.size == 40
+    record = run_dadmm_fterc(objectives, graph, config)
+    # the run leaves the bound alone; the check attaches both sides
+    assert record.bound_lhs is None and record.bound_rhs is None
     report = check_o1k_bound(record, reference)
     assert report.holds(slack=1e-8)
     assert report.rhs[0] == pytest.approx(2.0 * report.rhs[1])
     assert np.array_equal(record.bound_lhs, report.lhs)
+    assert record.bound_lhs.size == 40
+
+
+def test_gap_bound_refuses_what_it_does_not_cover():
+    # The bound is the smooth one. On an l1 record the l1 reference, which
+    # has no multipliers, once failed inside numpy's einsum, and a reference
+    # with multipliers gave a smooth-only bound that did not hold.
+    features, labels = make_logistic_instance(60, 3, seed=2)
+    objectives = [LogisticObjective(f, l)
+                  for f, l in split_rows(features, labels, 5)]
+    mu = 0.1 * compute_mu_max(features, labels)
+    record = run_dadmm_fterc(
+        objectives, random_strongly_connected(5, 0.3, seed=1),
+        AdmmConfig(k_max=20, stop_on_tolerance=False),
+        regularizer=L1Regularizer(mu))
+    l1_reference = centralized_l1_logistic(features, labels, mu)
+    with_multipliers = Reference(l1_reference.x_star, l1_reference.f_star,
+                                 np.zeros((5, objectives[0].dim)),
+                                 "made up", 0.0)
+    for reference in (l1_reference, with_multipliers):
+        with pytest.raises(ValueError, match="smooth runs only"):
+            check_o1k_bound(record, reference)
+    assert record.bound_lhs is None and record.bound_rhs is None
+    # a smooth record still needs the reference's multipliers
+    objectives, graph = _instance()
+    smooth = run_dadmm_fterc(objectives, graph, AdmmConfig(k_max=5))
+    with pytest.raises(ValueError, match="lambda_star None"):
+        check_o1k_bound(smooth, Reference(np.zeros(2), 0.0, None, "x", 0.0))
+    assert smooth.bound_lhs is None
 
 
 def test_rlinear_probe_geometric():
@@ -285,6 +314,26 @@ def test_config_validation_errors():
     wider = LeastSquaresObjective(np.ones((5, 3)), np.ones(5))
     with pytest.raises(ValueError, match="share one dimension"):
         run_dadmm_fterc(objectives[:3] + [wider], graph)
+    # a stopping switch is a bool: the string 'false' once read as true
+    for value in ("false", 1, None):
+        with pytest.raises(ValueError, match="^stop_on_tolerance must be"):
+            run_dadmm_fterc(objectives, graph,
+                            AdmmConfig(stop_on_tolerance=value))
+    fixed = run_dadmm_fterc(objectives, graph, AdmmConfig(
+        k_max=30, eps_abs=1e-3, eps_rel=1e-2, stop_on_tolerance=np.False_))
+    assert fixed.steps == 30 and not fixed.stopped_early
+
+
+def test_open_stopping_counters_are_refused_at_the_guard():
+    # counters frozen at defect 5 fire at round 12 at the earliest, which
+    # is past the guard of 4(n' + 2) = 12 rounds that n' = 1 allows
+    ring6 = random_strongly_connected(6, 0.0, seed=1)
+    phase = _Phase(RoundEngine(ring6, audit=False),
+                   PhaseFlags(terminate=True), 1, n_prime=1,
+                   defect_sizes=[5] * 6)
+    with pytest.raises(NumericBreakdown, match="stopping counters still "
+                                               "open after 12 rounds"):
+        phase.run("terminate", np.ones((6, 1)))
 
 
 def _detection_phase(n, width, seed):

@@ -480,7 +480,8 @@ def test_exact_lane_validates_seed_count():
                        (np.inf, "seeds must be finite"),
                        (-np.inf, "seeds must be finite"),
                        (1 + 5j, "seeds must be real")):
-        for seeds in (np.array([1.0, bad, 2.0]), np.full((3, 2), bad)):
+        for seeds in (np.array([1.0, bad, 2.0]), np.full((3, 2), bad),
+                      np.array([bad, Fraction(1, 2), 3], dtype=object)):
             with pytest.raises(ValueError, match=match):
                 exact_consensus_run(THREE_CYCLE, seeds)
             for exact in (False, True):

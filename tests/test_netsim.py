@@ -204,6 +204,16 @@ def test_a_refused_prime_changes_nothing():
     match = r"shape \(2,\) for a wave of shape \(4, 3\)"
     with pytest.raises(ValueError, match=match):
         engine.prime(np.zeros((4, 3)), "x", pad=[1.0, 2.0])
+    # nor is a complex wave or pad, whose imaginary part a float conversion
+    # would drop with a warning
+    complex_wave = np.array([[1 + 1j]] + [[0.0]] * 3)
+    for bad_wave, bad_pad, what in (
+            (complex_wave, np.nan, "a wave"),
+            (complex_wave.astype(object), np.nan, "a wave"),
+            (np.zeros((4, 3)), 1j, "a pad"),
+            (np.zeros((4, 1)), np.array([2 + 0j], dtype=object), "a pad")):
+        with pytest.raises(ValueError, match=f"^{what} must be real"):
+            engine.prime(bad_wave, "x", pad=bad_pad)
     assert engine.log == log and engine.tick == tick
     assert all(now is then for now, then in zip(
         (engine._wave, engine._slabs, engine._block), buffers))

@@ -6,11 +6,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from consensus_admm import (LogisticObjective, build_digraph,
+from consensus_admm import (LogisticObjective, MaxIterations, build_digraph,
                             centralized_l1_logistic,
                             centralized_least_squares, fterc_run,
                             make_logistic_instance, minimal_poly_oracle,
                             random_strongly_connected, ratio_weights)
+from consensus_admm import oracle
 
 
 def test_minimal_poly_degree_on_ring():
@@ -85,6 +86,21 @@ def test_centralized_least_squares_reference():
         bumped = sum(0.5 * np.sum((a @ (ref.x_star + shift) - b) ** 2)
                      for a, b in zip(mats, rhss))
         assert bumped >= ref.f_star
+
+
+def test_centralized_least_squares_ridge_fallback():
+    # a singular Gram matrix takes the flagged 1e-12 ridge instead of failing
+    ref = centralized_least_squares([np.zeros((3, 2))], [np.ones(3)])
+    assert ref.method == "normal_equations+ridge"
+    np.testing.assert_array_equal(ref.x_star, np.zeros(2))
+    assert ref.f_star == pytest.approx(1.5)
+
+
+def test_centralized_l1_logistic_refuses_past_its_step_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "_PROX_MAX_ITER", 1)
+    features, labels = make_logistic_instance(60, 4, seed=3)
+    with pytest.raises(MaxIterations, match="no convergence in 1 proximal"):
+        centralized_l1_logistic(features, labels, 0.4)
 
 
 def test_centralized_l1_logistic_kkt():

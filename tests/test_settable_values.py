@@ -9,7 +9,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "consensus_admm"
-PINNED = 52
+PINNED = 44
 
 
 def _name(node: ast.expr) -> str | None:

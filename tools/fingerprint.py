@@ -1,6 +1,7 @@
 """Bitwise fingerprints of the library's outputs, one sha256 per case.
 
     python tools/fingerprint.py [SRC]
+    python tools/fingerprint.py --against REV
 
 Imports ``consensus_admm`` from ``SRC``, by default the ``src/`` of the
 checkout this script sits in, and prints one line per case, ``<case>
@@ -9,18 +10,22 @@ its call returns: values, kernels, defects, stopping rounds, histories,
 bound arrays, log entries (tick, label, kind, message count, digest) and
 schedules, or, when the call refuses, the error's type and message.
 
-Run it on two checkouts and diff the outputs: equal lines mean the change
-kept every case bitwise. It pins no values, so a change that moves iterates
-on purpose needs no edit here; its diff simply names the cases that moved.
-The cases:
+``--against REV`` is the bitwise check of a change: it exports ``src/`` at
+the git revision ``REV`` into a temporary directory, fingerprints that tree
+and this checkout's ``src/`` in two subprocesses at once, prints each case
+whose lines differ and how many of all cases do, and exits 1 if any do (2
+if a run fails). Equal lines mean the change kept every case bitwise. It
+pins no values, so a change that moves iterates on purpose needs no edit
+here; its report simply names the cases that moved. The cases:
 
 * ``fterc_run``, ``ftdt_run`` and ``ftdt_run(exact=True)`` on 224 seeded
   digraphs: n=2..15, ``extra_edge_prob`` 0, 0.1, 0.3 and 0.6, structure
   seeds 0 and 1, scalar seeds and width 3;
 * the three solvers on least squares at n=4, 6, 9, 13, 20 and 40: 12 steps,
   with and without ``stop_on_tolerance`` (tolerances loose enough that
-  most runs with it stop early), n' = n and n + 3, with a reference, so
-  the bound arrays are hashed too;
+  most runs with it stop early), n' = n and n + 3, each record checked by
+  ``check_o1k_bound`` against the reference, so the bound arrays are hashed
+  too;
 * the three solvers on l1 logistic at n=5, 8 and 12, rho 0.1, 1 and 10, 15
   steps;
 * the epsilon baseline at epsilon from 1e-1 down to 1e-300.
@@ -28,14 +33,20 @@ The cases:
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
+import io
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 # RunRecord fields that hold the run's inputs as given, not its outputs
 INPUTS = ("objectives", "regularizer")
 
@@ -66,6 +77,12 @@ def _digest(call) -> str:
     h = hashlib.sha256()
     _feed(h, outcome)
     return h.hexdigest()
+
+
+def _checked(ca, record, reference):
+    """``record`` with both sides of its O(1/k) bound attached."""
+    ca.check_o1k_bound(record, reference)
+    return record
 
 
 def cases(ca):
@@ -101,7 +118,7 @@ def cases(ca):
                     yield (f"{solver.__name__} least squares n={n} "
                            f"stop={stop} n'={n_prime}"), (
                         lambda s=solver, o=objectives, g=graph, c=config,
-                        r=reference: s(o, g, c, reference=r))
+                        r=reference: _checked(ca, s(o, g, c), r))
 
     for n in (5, 8, 12):
         features, labels = ca.make_logistic_instance(20 * n, 3, seed=n)
@@ -127,8 +144,8 @@ def cases(ca):
             ca.run_epsilon_baseline(o, g, c))
 
 
-def main(argv: list[str]) -> None:
-    src = Path(argv[0]) if argv else SRC
+def fingerprint(src: Path) -> None:
+    """Print every case's line, then the total, for the package in ``src``."""
     sys.path.insert(0, str(src.resolve()))
     import consensus_admm
 
@@ -140,5 +157,48 @@ def main(argv: list[str]) -> None:
     print(f"total {total.hexdigest()}")
 
 
+def _case_lines(text: str) -> dict[str, str]:
+    """``{case: sha256}`` from one fingerprint run's output."""
+    pairs = (line.rsplit(" ", 1) for line in text.splitlines())
+    return {name: digest for name, digest in pairs if name != "total"}
+
+
+def against(rev: str) -> int:
+    """Compare ``rev``'s ``src/`` with this checkout's; 1 if a case differs."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        runs = [subprocess.Popen([sys.executable, __file__, str(src)],
+                                 stdout=subprocess.PIPE, text=True)
+                for src in (Path(tmp) / "src", SRC)]
+        outputs = [run.communicate()[0] for run in runs]
+    if any(run.returncode for run in runs):
+        print("a fingerprint run failed", file=sys.stderr)
+        return 2
+    before, after = map(_case_lines, outputs)
+    names = list(dict.fromkeys([*before, *after]))
+    differ = [name for name in names if before.get(name) != after.get(name)]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} of {len(names)} cases differ between {rev} and "
+          f"this checkout")
+    return 1 if differ else 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", nargs="?", type=Path, default=SRC,
+                        help="the package tree to fingerprint")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare REV's src/ with this checkout's")
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against)
+    fingerprint(args.src)
+    return 0
+
+
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))
