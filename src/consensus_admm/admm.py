@@ -586,7 +586,7 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     lam, z_stack = lam0, np.tile(z0, (n, 1))
     stacks = ObjectiveStacks(objectives, rho)
     engine = RoundEngine(graph)
-    # one row per step: objective, primal and dual residuals and thresholds
+    # one row per step: primal and dual residuals and thresholds
     rows, x_hist, z_hist, lam_hist = [], [], [], []
     phase = None   # built when the schedule entry changes, then rerun
 
@@ -603,11 +603,8 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
         lam = lam + rho * (x_stack - z_new)
         report = stopping_criterion(x_stack, z_new, z_stack, lam, rho,
                                     config.eps_abs, config.eps_rel)
-        obj_val = stacks.total(x_stack)
-        if regularizer is not None:
-            obj_val += regularizer.penalty(z_new.mean(axis=0))
-        rows.append((obj_val, report.primal_res, report.dual_res,
-                     report.eps_pri, report.eps_dual))
+        rows.append((report.primal_res, report.dual_res, report.eps_pri,
+                     report.eps_dual))
         x_hist.append(x_stack)
         z_hist.append(z_new)
         lam_hist.append(lam)
@@ -618,13 +615,18 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     steps, max_defect = len(rows), phase.max_defect
     schedule = phase_lengths(engine.log)
     rounds = [count for _, count in schedule]
-    objective, primal, dual, eps_pri, eps_dual = map(np.array, zip(*rows))
+    primal, dual, eps_pri, eps_dual = map(np.array, zip(*rows))
+    # nothing in the loop reads the objective: one pass over the run
+    x_hist, z_hist = np.stack(x_hist), np.stack(z_hist)
+    objective = stacks.totals(x_hist)
+    if regularizer is not None:
+        objective += regularizer.penalty(z_hist.mean(axis=1))
     return RunRecord(
         algorithm=algorithm, config=config, steps=steps,
         k=np.arange(1, steps + 1), objective=objective, primal_res=primal,
         dual_res=dual, eps_pri=eps_pri, eps_dual=eps_dual,
         consensus_rounds=np.array(rounds, dtype=int),
-        x_hist=np.stack(x_hist), z_hist=np.stack(z_hist),
+        x_hist=x_hist, z_hist=z_hist,
         lam_hist=np.stack(lam_hist), x0=x0, lam0=lam0, z0=z0,
         defect_indices=list(phase.defect_sizes or [None] * n),
         t_max=None if max_defect is None else max_defect + 1,
@@ -723,7 +725,7 @@ def check_o1k_bound(record: RunRecord, reference: Reference) -> BoundReport:
     n = x_bar.shape[1]
 
     stacks = ObjectiveStacks(record.objectives, rho)
-    f_vals = np.array([stacks.total(x_bar[t]) for t in range(steps)])
+    f_vals = stacks.totals(x_bar)
     coupling = np.einsum("ij,tij->t", lam_star, x_bar - z_bar[:, None, :])
     lhs = f_vals + coupling - reference.f_star
 
@@ -755,10 +757,16 @@ def rlinear_probe(errors) -> ProbeReport:
 
     ``errors[k - 1]`` is the error at step k, such as ``||X^k - X*||``.
     Points at or below 1e-12 are discarded as numerical noise; fewer than 10
-    usable points raises :class:`InsufficientData`. A geometric sequence q^k
-    yields slope ``log10 q`` exactly.
+    usable points raises :class:`InsufficientData`. An error that is not
+    finite, or is negative, raises ``ValueError`` naming the first such
+    index. A geometric sequence q^k yields slope ``log10 q`` exactly.
     """
     errors = np.asarray(errors, dtype=float).ravel()
+    bad = np.flatnonzero(~(np.isfinite(errors) & (errors >= 0.0)))
+    if bad.size:
+        first = int(bad[0])
+        raise ValueError(f"errors must be finite and nonnegative, got "
+                         f"{errors[first]} at index {first}")
     k = np.arange(1, errors.size + 1, dtype=float)
     usable = errors > _PROBE_FLOOR
     if int(usable.sum()) < _PROBE_MIN_POINTS:

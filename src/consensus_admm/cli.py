@@ -291,7 +291,7 @@ def run_experiment(config: ExperimentConfig, *, seed: int | None = None,
 
 
 def write_csv(path: str | Path, record: RunRecord) -> None:
-    """One row per ADMM step, floats at full precision."""
+    """One row per ADMM step, floats to 13 significant digits (``.12e``)."""
     lhs = record.bound_lhs
     rhs = record.bound_rhs
     with open(path, "w", encoding="utf-8", newline="") as fh:

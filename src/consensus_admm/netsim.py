@@ -48,6 +48,9 @@ import numpy as np
 from .errors import ProtocolViolation
 from .graph import Digraph
 
+_FLOAT = np.dtype(float)
+_REAL_KINDS = "biuf"   # bool, signed and unsigned integer, float
+
 # update(block, tick) -> next wave; ``block`` is a view of the engine's
 # gather buffer, rewritten by the next round, so it is only valid during
 # the call
@@ -79,11 +82,14 @@ def stable_digest(row: np.ndarray) -> str:
 
 def real_array(value, what: str) -> np.ndarray:
     """``value`` as a float array, or ``ValueError('<what> must be real')``
-    when it holds a complex number, whose imaginary part a float conversion
-    would drop: by its dtype, or inside an object array.
+    when it holds anything but real numbers, which a float conversion would
+    cast or parse: a complex number (its imaginary part dropped), a string,
+    bytes or a date; by its dtype, or inside an object array.
     """
     value = np.asarray(value)
-    if value.dtype.kind != "c":
+    kind = value.dtype.kind
+    if kind in _REAL_KINDS or kind == "O" and not any(
+            isinstance(v, (str, bytes)) for v in value.flat):
         try:
             return value.astype(float, copy=False)
         except TypeError:   # float() of an element that is not a real number
@@ -190,14 +196,16 @@ class RoundEngine:
 
         ``update(block, tick)`` receives the ``(n, slots, w)`` array of every
         node's block, built from the previous wave only, and returns the next
-        wave, an array of the primed shape (else ``ValueError``). The block
+        wave, an array of real numbers of the primed shape (else
+        ``ValueError``; a complex or string array is not cast). The block
         is the transposed view of the engine's own ``(slots, n, w)`` buffer,
         rewritten every round: it is only valid during the call, and a
         reduction over its slots adds one ``(n, w)`` slab per slot, in slot
         order. Raises :class:`ProtocolViolation` before the first
         :meth:`prime`, when there is no wave to deliver. ``tick`` and the
-        log advance only once the update has returned a wave of the primed
-        shape, so a round that raises leaves both as they were.
+        log advance only once the update has returned a real wave of the
+        primed shape, so a round that raises leaves both, and the payloads,
+        as they were.
         """
         if self._wave is None:
             raise ProtocolViolation("run_round before prime: no seed wave "
@@ -210,6 +218,8 @@ class RoundEngine:
         if getattr(wave, "shape", None) != shape:
             raise ValueError(f"a wave has the primed shape {shape}, "
                              f"got shape {np.shape(wave)}")
+        if wave.dtype is not _FLOAT and wave.dtype.kind not in _REAL_KINDS:
+            raise ValueError(f"a wave must be real, got dtype {wave.dtype}")
         self.tick += 1
         return self._broadcast(wave, self.log[-1].phase, "exchange")
 

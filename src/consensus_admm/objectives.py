@@ -270,6 +270,7 @@ class _LeastSquaresStack:
 
     def __init__(self, terms, rho: float):
         self.mat = np.stack([t.mat for t in terms])
+        self.rows = self.mat.shape[1]
         self.rhs = np.stack([t.rhs for t in terms])
         self.atb = np.stack([t._atb for t in terms])
         self.lhs = (np.stack([t._gram for t in terms])
@@ -288,6 +289,7 @@ class _LogisticStack:
 
     def __init__(self, terms, rho: float):
         self.design = np.stack([t.design for t in terms])
+        self.rows = self.design.shape[1]
         self.labels = np.stack([t.labels for t in terms])
         self.rho = rho
 
@@ -296,6 +298,9 @@ class _LogisticStack:
 
     def values(self, x):
         return _logistic_loss(_margins(self.design, self.labels, x))
+
+
+_TOTALS_BLOCK = 1 << 14   # floats one block of stacked values may hold
 
 
 class ObjectiveStacks:
@@ -345,15 +350,30 @@ class ObjectiveStacks:
             raise failures[min(failures)]
         return x
 
-    def total(self, x) -> float:
-        """Sum of every node's value at its own row of ``x``, in node order."""
-        values = [None] * len(self.objectives)
+    def totals(self, xs) -> np.ndarray:
+        """Each step's sum of every node's value at its own row of ``xs``.
+
+        ``xs`` is ``(steps, n, p)``; the result holds one total per step,
+        the nodes' values added in node order starting from ``+0.0``, as
+        ``sum`` adds them one step at a time. Per-node terms call their own
+        ``evaluate`` step by step. Stacked terms are evaluated in blocks of
+        steps whose temporaries hold at most about ``_TOTALS_BLOCK`` floats
+        each, so a long run needs no ``(steps, n, rows)`` array.
+        """
+        steps = xs.shape[0]
+        values = np.empty((len(self.objectives), steps))
         for i in self.per_node:
-            values[i] = self.objectives[i].evaluate(x[i])
+            values[i] = [self.objectives[i].evaluate(x) for x in xs[:, i]]
         for nodes, stack in self.stacks:
-            for i, v in zip(nodes.tolist(), stack.values(x[nodes]).tolist()):
-                values[i] = v
-        return float(sum(values))
+            per_step = len(nodes) * max(stack.rows, xs.shape[-1], 1)
+            block = max(1, _TOTALS_BLOCK // per_step)
+            for first in range(0, steps, block):
+                values[nodes, first:first + block] = stack.values(
+                    xs[first:first + block, nodes]).T
+        totals = np.zeros(steps)
+        for column in values:
+            totals += column
+        return totals
 
 
 def soft_threshold(values, kappa: float) -> np.ndarray:
@@ -398,10 +418,17 @@ class L1Regularizer:
         mask[-1] = False
         return mask
 
-    def penalty(self, point: np.ndarray) -> float:
-        """``mu`` times the l1 norm of a point's penalized coordinates."""
-        mask = self.penalized_mask(point.size)
-        return self.mu * float(np.sum(np.abs(point[mask])))
+    def penalty(self, point: np.ndarray):
+        """``mu`` times the l1 norm of a point's penalized coordinates.
+
+        ``point`` is one point, which gives a float, or a stack of points
+        along its last axis, which gives one value per point.
+        """
+        mask = self.penalized_mask(point.shape[-1])
+        # C order, so that each point's sum runs over contiguous memory and
+        # adds its coordinates exactly as the sum over one point does
+        norms = np.sum(np.abs(point[..., mask], order="C"), axis=-1)
+        return self.mu * (float(norms) if norms.ndim == 0 else norms)
 
 
 def compute_mu_max(features, labels) -> float:

@@ -1,8 +1,11 @@
 """Centralized reference solutions used by tests and bound instrumentation.
 
 Nothing in this module ever runs on the message path: the distributed
-algorithms must work without any of these values. References verify their own
-first-order optimality before they are handed out.
+algorithms must work without any of these values. Each reference reports its
+first-order residual. ``centralized_l1_logistic`` iterates until that residual
+is within its tolerance and raises :class:`~.errors.MaxIterations` otherwise;
+``centralized_least_squares`` checks nothing and only reports the residual of
+the normal equations it solved.
 """
 
 from __future__ import annotations

@@ -66,6 +66,79 @@ def test_composite_objective():
     assert with_penalty == pytest.approx(plain + 2.0 * 0.4)
 
 
+def _l1_network(n=5, rows=200, features=10, seed=4):
+    """Logistic shards and the l1 penalty at a tenth of its zeroing weight;
+    10 features make the penalty sum more than 8 coordinates."""
+    data, labels = make_logistic_instance(rows, features, seed=seed)
+    objectives = [LogisticObjective(f, y)
+                  for f, y in split_rows(data, labels, n)]
+    return objectives, L1Regularizer(0.1 * compute_mu_max(data, labels))
+
+
+@pytest.mark.parametrize("solver", [run_dadmm_fterc, run_fdadmm_ftdt,
+                                    run_epsilon_baseline])
+def test_objective_column_equals_the_per_step_formula_bitwise(solver):
+    # the column the step loop used to write: sum() of every node's value at
+    # its x_k in node order, plus mu * ||z_k node mean||_1 over the features
+    ls, graph6 = _instance(n=6, p=3, extra=0.2)
+    ls[0] = type("PerNode", (LeastSquaresObjective,), {})(ls[0].mat,
+                                                           ls[0].rhs)
+    l1, reg = _l1_network()
+    graph5 = random_strongly_connected(5, 0.2, seed=1)
+    config = AdmmConfig(k_max=40, stop_on_tolerance=False)
+    for objectives, graph, regularizer in ((ls, graph6, None),
+                                           (l1, graph5, reg)):
+        record = solver(objectives, graph, config, regularizer=regularizer)
+        expected = []
+        for x, z in zip(record.x_hist, record.z_hist):
+            value = float(sum(obj.evaluate(x[i])
+                              for i, obj in enumerate(objectives)))
+            if regularizer is not None:
+                point = z.mean(axis=0)
+                value += regularizer.mu * float(np.sum(np.abs(point[:-1])))
+            expected.append(value)
+        assert record.objective.tolist() == expected
+
+
+def test_objective_column_is_one_pass_after_the_step_loop(monkeypatch):
+    calls = []
+    totals = admm.ObjectiveStacks.totals
+    penalty = L1Regularizer.penalty
+    monkeypatch.setattr(admm.ObjectiveStacks, "totals",
+                        lambda self, xs: calls.append(len(xs))
+                        or totals(self, xs))
+    monkeypatch.setattr(L1Regularizer, "penalty",
+                        lambda self, points: calls.append(len(points))
+                        or penalty(self, points))
+    objectives, reg = _l1_network()
+    graph = random_strongly_connected(5, 0.2, seed=1)
+    run_dadmm_fterc(objectives, graph,
+                    AdmmConfig(k_max=12, stop_on_tolerance=False),
+                    regularizer=reg)
+    assert calls == [12, 12]
+
+
+def test_a_raising_per_node_value_raises_after_the_last_step():
+    # the objective column is taken after the loop, so an evaluate that
+    # raises does so once every step has run
+    steps = []
+
+    class Failing(LeastSquaresObjective):
+        def solve_x_update(self, z, lam, rho):
+            steps.append(len(steps) + 1)
+            return super().solve_x_update(z, lam, rho)
+
+        def evaluate(self, x):
+            raise ArithmeticError("no value here")
+
+    objectives, graph = _instance()
+    objectives[2] = Failing(objectives[2].mat, objectives[2].rhs)
+    with pytest.raises(ArithmeticError, match="no value here"):
+        run_fdadmm_ftdt(objectives, graph,
+                        AdmmConfig(k_max=7, stop_on_tolerance=False))
+    assert steps == list(range(1, 8))
+
+
 def test_warmup_schedule_with_coordinator():
     objectives, graph = _instance()
     config = AdmmConfig(k_max=5, stop_on_tolerance=False)
@@ -224,6 +297,23 @@ def test_rlinear_probe_geometric():
     assert report.slope == pytest.approx(np.log10(0.5), abs=1e-12)
     with pytest.raises(InsufficientData):
         rlinear_probe(np.full(30, 1e-15))
+
+
+@pytest.mark.parametrize("bad, index", [
+    ([0.5 ** k for k in range(20)] + [np.inf], 20),
+    ([0.5 ** k for k in range(20)] + [np.nan, -1.0], 20),
+    ([1.0, -1e-300] + [0.5 ** k for k in range(20)], 1),
+    ([-np.inf] * 3, 0),
+])
+def test_rlinear_probe_refuses_errors_that_are_not_finite_and_nonnegative(
+        bad, index):
+    # an infinite error gave a NaN slope, and NaN or negative ones were
+    # dropped as if they were below the noise floor
+    with pytest.raises(ValueError, match=f"at index {index}$"):
+        rlinear_probe(bad)
+    # zeros, either sign, are errors below the noise floor
+    assert rlinear_probe([-0.0, 0.0] + [0.5 ** k for k in range(20)]).slope \
+        == pytest.approx(np.log10(0.5), abs=1e-12)
 
 
 def test_rlinear_probe_on_run():

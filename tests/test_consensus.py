@@ -489,6 +489,21 @@ def test_exact_lane_validates_seed_count():
                     ftdt_run(THREE_CYCLE, seeds, exact=exact)
             with pytest.raises(ValueError, match=match):
                 fterc_run(THREE_CYCLE, seeds)
+    # nor are numeric strings, bytes or dates parsed as seeds, by dtype or
+    # inside an object array beside real numbers
+    for seeds in (np.array(["1", "2", "6"]), np.array([b"1", b"2", b"6"]),
+                  np.array(["2020-01-01", "2020-01-02", "2020-01-06"],
+                           dtype="datetime64[D]"),
+                  np.array(["1", Fraction(2), 6.0], dtype=object),
+                  np.array([[1.0, 2.0], [b"3", 4.0], [5.0, 6.0]],
+                           dtype=object)):
+        with pytest.raises(ValueError, match="seeds must be real"):
+            exact_consensus_run(THREE_CYCLE, seeds)
+        for exact in (False, True):
+            with pytest.raises(ValueError, match="seeds must be real"):
+                ftdt_run(THREE_CYCLE, seeds, exact=exact)
+        with pytest.raises(ValueError, match="seeds must be real"):
+            fterc_run(THREE_CYCLE, seeds)
 
 
 def _stacked_block(ints, m):

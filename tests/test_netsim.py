@@ -3,7 +3,9 @@
 import functools
 import hashlib
 import json
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -211,7 +213,13 @@ def test_a_refused_prime_changes_nothing():
             (complex_wave, np.nan, "a wave"),
             (complex_wave.astype(object), np.nan, "a wave"),
             (np.zeros((4, 3)), 1j, "a pad"),
-            (np.zeros((4, 1)), np.array([2 + 0j], dtype=object), "a pad")):
+            (np.zeros((4, 1)), np.array([2 + 0j], dtype=object), "a pad"),
+            # nor a string one, which a float conversion would parse
+            (np.full((4, 1), "7"), np.nan, "a wave"),
+            (np.array([[b"1"], [2.0], [3.0], [4.0]], dtype=object), np.nan,
+             "a wave"),
+            (np.zeros((4, 1)), "-0.0", "a pad"),
+            (np.zeros((4, 2)), np.array([1.0, "2"], dtype=object), "a pad")):
         with pytest.raises(ValueError, match=f"^{what} must be real"):
             engine.prime(bad_wave, "x", pad=bad_pad)
     assert engine.log == log and engine.tick == tick
@@ -227,6 +235,32 @@ def test_a_refused_prime_changes_nothing():
     with pytest.raises(ProtocolViolation):
         fresh.run_round(lambda block, tick: block[:, 0])
     assert fresh.log == [] and fresh.tick == 0
+
+
+def test_a_round_refuses_a_wave_that_is_not_real():
+    # A complex or string wave of the primed shape is refused by name, not
+    # cast: before the tick, the log or the payloads change.
+    engine = RoundEngine(random_strongly_connected(4, 0.3, seed=1))
+    engine.prime(np.ones((4, 1)), "x", pad=-0.0)
+    log, wave = list(engine.log), engine._wave.copy()
+    for bad in (np.full((4, 1), 1 + 2j), np.full((4, 1), "7"),
+                np.full((4, 1), b"7"), np.full((4, 1), 7.0, dtype=object)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"^a wave must be real, got dtype "
+                                     f"{re.escape(str(bad.dtype))}$"):
+                engine.run_round(lambda block, tick, bad=bad: bad)
+        assert engine.log == log and engine.tick == 0
+        np.testing.assert_array_equal(engine._wave, wave)
+    # real waves of any real dtype are sent as floats
+    for good in (np.full((4, 1), 3), np.full((4, 1), True),
+                 np.full((4, 1), 2.5, dtype=">f8"),
+                 np.full((4, 1), 0.5, dtype=np.float32)):
+        engine.run_round(lambda block, tick, good=good: good)
+        assert engine._payloads.dtype == float
+        np.testing.assert_array_equal(engine._payloads, good)
+    assert engine.tick == 4
 
 
 def test_caller_may_reuse_its_wave_arrays():

@@ -1,5 +1,8 @@
 """Local objective terms, proximal updates, and dataset utilities."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -188,8 +191,109 @@ def test_stacked_x_updates_equal_node_by_node_bitwise(seed):
             assert np.array_equal(x[i], alone), (name, i)
             assert np.array_equal(alone,
                                   _reference_x_update(obj, z[i], lam[i], rho))
-        assert stacks.total(x) == float(sum(_reference_value(obj, x[i])
-                                            for i, obj in enumerate(objs)))
+        assert stacks.totals(x[None]).tolist() == [
+            float(sum(_reference_value(obj, x[i])
+                      for i, obj in enumerate(objs)))]
+
+
+def _summed_in_node_order(objs, xs):
+    """Each step's total as the per-step loop took it: ``sum`` of every
+    node's own ``evaluate``, in node order."""
+    return [float(sum(obj.evaluate(x[i]) for i, obj in enumerate(objs)))
+            for x in xs]
+
+
+class _PerNodeLeastSquares(LeastSquaresObjective):
+    """A subclass term: stacks evaluate it through its own methods."""
+
+
+class _NegativeZero(LeastSquaresObjective):
+    """A per-node term whose value is always ``-0.0``."""
+
+    def evaluate(self, x):
+        return -0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("steps", [1, 9])
+def test_totals_equal_each_terms_value_summed_in_node_order(seed, steps):
+    rng = np.random.default_rng(200 + seed)
+    for name, (objs, _) in _networks(seed).items():
+        # node 1 as a subclass term takes the per-node path
+        per_node = list(objs)
+        per_node[1] = (_PerNodeLeastSquares(objs[1].mat, objs[1].rhs)
+                       if type(objs[1]) is LeastSquaresObjective else
+                       type("PerNodeLogistic", (LogisticObjective,), {})(
+                           objs[1].design[:, :-1], objs[1].labels))
+        for network in (objs, per_node):
+            stacks = ObjectiveStacks(network, 1.0)
+            assert stacks.per_node == ([] if network is objs else [1])
+            xs = rng.uniform(-2.0, 2.0, (steps, len(network),
+                                         network[0].dim))
+            totals = stacks.totals(xs)
+            assert totals.shape == (steps,)
+            assert totals.tolist() == _summed_in_node_order(network, xs), \
+                name
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, 123])
+def test_totals_split_into_blocks_of_steps_keep_every_bit(monkeypatch,
+                                                          block):
+    # the network's stacks of 4, 2 and 1 terms of 5, 6 and 4 rows take 20,
+    # 12 and 4 floats a step, so these constants give blocks of 1 to 30
+    # steps, most of them ending mid-run
+    objs, _ = _networks(4)["least_squares"]
+    xs = np.random.default_rng(5).uniform(-2.0, 2.0, (11, len(objs), 3))
+    expected = _summed_in_node_order(objs, xs)
+    monkeypatch.setattr(objectives, "_TOTALS_BLOCK", block)
+    assert ObjectiveStacks(objs, 1.0).totals(xs).tolist() == expected
+
+
+def test_totals_start_from_positive_zero():
+    # sum() starts from +0, so -0.0 terms alone total +0.0
+    rng = np.random.default_rng(6)
+    objs = [_NegativeZero(rng.standard_normal((4, 2)),
+                          rng.standard_normal(4)) for _ in range(3)]
+    xs = rng.uniform(-1.0, 1.0, (4, 3, 2))
+    totals = ObjectiveStacks(objs, 1.0).totals(xs)
+    assert [math.copysign(1.0, t) for t in totals] == [1.0] * 4
+    assert totals.tolist() == _summed_in_node_order(objs, xs)
+    mixed = [objs[0], LeastSquaresObjective(objs[1].mat, objs[1].rhs)]
+    assert ObjectiveStacks(mixed, 1.0).totals(xs[:, :2]).tolist() == \
+        _summed_in_node_order(mixed, xs[:, :2])
+
+
+def test_totals_memory_stays_a_block_not_a_run():
+    # 5 logistic terms of 400 rows over 3,000 steps: evaluated whole, the
+    # margins alone would be 6e6 floats (48 MB), about 370 blocks
+    features, labels = make_logistic_instance(2000, 10, seed=3)
+    objs = [LogisticObjective(f, y) for f, y in split_rows(features, labels,
+                                                           5)]
+    xs = np.random.default_rng(7).uniform(-0.5, 0.5, (3000, 5, 11))
+    stacks = ObjectiveStacks(objs, 1.0)
+    tracemalloc.start()
+    try:
+        stacks.totals(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = objectives._TOTALS_BLOCK * 8
+    assert peak < 6 * block_bytes, peak
+
+
+def test_penalty_over_a_stack_equals_each_point():
+    reg = L1Regularizer(mu=0.3)
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 5, 9, 11, 30):
+        # magnitudes far apart, so any other summation order shows
+        points = rng.standard_normal((17, dim)) * 10.0 ** rng.uniform(
+            -8, 8, (17, dim))
+        stacked = reg.penalty(points)
+        assert stacked.shape == (17,)
+        each = [0.3 * float(np.sum(np.abs(p[:-1]))) for p in points]
+        assert stacked.tolist() == each
+        assert [reg.penalty(p) for p in points] == each
+        assert type(reg.penalty(points[0])) is float
 
 
 def _scaled_logistic_network(scales):

@@ -28,7 +28,14 @@ here; its report simply names the cases that moved. The cases:
   too;
 * the three solvers on l1 logistic at n=5, 8 and 12, rho 0.1, 1 and 10, 15
   steps;
-* the epsilon baseline at epsilon from 1e-1 down to 1e-300.
+* the epsilon baseline at epsilon from 1e-1 down to 1e-300;
+* the three solvers on networks whose node 0 is a subclass term, which
+  ``ObjectiveStacks`` evaluates through its own methods, node by node:
+  least squares at n=6 and 13 (12 steps, checked by ``check_o1k_bound``)
+  and l1 logistic at n=5 and 8 (15 steps);
+* the three solvers for 500 steps on the benchmark's ``steady_small``
+  instances, built as it builds them: least squares at n=6 (p=3, q=5) and
+  l1 logistic at n=5 (200 rows, 10 features), node 0 a subclass term.
 """
 
 from __future__ import annotations
@@ -142,6 +149,59 @@ def cases(ca):
         yield f"run_epsilon_baseline epsilon={epsilon:g}", (
             lambda o=objectives, g=graph, c=config:
             ca.run_epsilon_baseline(o, g, c))
+
+    for n in (6, 13):
+        objectives, reference = _least_squares_network(ca, n, 3, 6, seed=n)
+        graph = ca.random_strongly_connected(n, 0.3, seed=1)
+        config = ca.AdmmConfig(k_max=12, stop_on_tolerance=False)
+        for solver in solvers:
+            yield f"{solver.__name__} least squares n={n} subclass node 0", (
+                lambda s=solver, o=objectives, g=graph, c=config,
+                r=reference: _checked(ca, s(o, g, c), r))
+    for n in (5, 8):
+        objectives, regularizer = _l1_logistic_network(ca, n, 20 * n, 3,
+                                                       seed=n)
+        graph = ca.random_strongly_connected(n, 0.3, seed=1)
+        config = ca.AdmmConfig(k_max=15, stop_on_tolerance=False)
+        for solver in solvers:
+            yield f"{solver.__name__} l1 logistic n={n} subclass node 0", (
+                lambda s=solver, o=objectives, g=graph, c=config,
+                r=regularizer: s(o, g, c, regularizer=r))
+
+    config = ca.AdmmConfig(rho=1.0, eps_abs=1e-4, eps_rel=1e-2,
+                           stop_on_tolerance=False, k_max=500)
+    objectives, _ = _least_squares_network(ca, 6, 3, 5, seed=6)
+    graph = ca.random_strongly_connected(6, 0.2, seed=1)
+    for solver in solvers:
+        yield f"{solver.__name__} steady least squares n=6 500 steps", (
+            lambda s=solver, o=objectives, g=graph: s(o, g, config))
+    objectives, regularizer = _l1_logistic_network(ca, 5, 200, 10, seed=5)
+    graph = ca.random_strongly_connected(5, 0.2, seed=1)
+    for solver in solvers:
+        yield f"{solver.__name__} steady l1 logistic n=5 500 steps", (
+            lambda s=solver, o=objectives, g=graph, r=regularizer:
+            s(o, g, config, regularizer=r))
+
+
+def _least_squares_network(ca, n, p, q, seed):
+    """Least-squares terms with node 0 a subclass term, and the reference."""
+    objectives, _ = ca.make_least_squares_instance(n, p, q, seed=seed)
+    subclass = type("PerNodeLeastSquares", (ca.LeastSquaresObjective,), {})
+    objectives[0] = subclass(objectives[0].mat, objectives[0].rhs)
+    reference = ca.centralized_least_squares(
+        [obj.mat for obj in objectives], [obj.rhs for obj in objectives])
+    return objectives, reference
+
+
+def _l1_logistic_network(ca, n, rows, features, seed):
+    """Logistic shards with node 0 a subclass term, and the l1 penalty at a
+    tenth of the weight that zeroes every feature."""
+    data, labels = ca.make_logistic_instance(rows, features, seed=seed)
+    subclass = type("PerNodeLogistic", (ca.LogisticObjective,), {})
+    shards = ca.split_rows(data, labels, n)
+    objectives = [subclass(*shards[0])]
+    objectives += [ca.LogisticObjective(*shard) for shard in shards[1:]]
+    return objectives, ca.L1Regularizer(0.1 * ca.compute_mu_max(data, labels))
 
 
 def fingerprint(src: Path) -> None:
