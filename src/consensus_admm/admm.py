@@ -574,6 +574,9 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     p = objectives[0].dim
     if any(obj.dim != p for obj in objectives):
         raise ValueError("all local objectives must share one dimension")
+    if p < 1:
+        raise ValueError(f"local objectives must have dimension at least 1, "
+                         f"got {p}")
     n_prime = config.validate(n)
     check_strongly_connected(graph)
     rho = config.rho

@@ -20,19 +20,21 @@ row with its own modulus. ``q_k``, a multiple of the monic degree-``k``
 orthogonal polynomial of that moment sequence, annihilates Hankel rows
 ``0 .. k-1``, and ``q_k . seq[k:2k+1]`` vanishes modulo a prime exactly
 when ``det H_(k+1)`` does. Node by node, the primes that read the latest
-first zero ``m`` are combined by CRT, and rational reconstruction rebuilds
-the kernel as a primitive integer vector; a node whose kernel is not yet
-rebuilt takes the next pass. This is sound:
+first zero ``m`` are combined by CRT. Nodes whose CRT states (size,
+modulus, kernel residues) are equal after a pass form a class: its first
+node, the representative, rebuilds the kernel as a primitive integer
+vector by rational reconstruction, and takes the next pass while it
+cannot; the others, its followers, wait and take no passes. This is sound:
 
 * a nonzero residue of ``det H_k`` proves ``det H_k != 0``. A prime that
   reads a zero before another prime does is dropped, and one that reads no
   zero up to the largest size proves every size nonsingular;
-* a kernel is accepted only once it annihilates all ``m`` Hankel rows
-  exactly, which proves ``det H_m = 0``: ``m`` is then the first singular
-  size and the kernel the only one. Past the Hadamard bound (one per node
-  and size, :class:`_HadamardBounds`) the primes themselves prove
-  ``det H_m = 0`` and reconstruction cannot fail, so reaching it raises
-  ``NumericBreakdown`` as an internal error;
+* a kernel is accepted only once it is proved to annihilate all ``m``
+  Hankel rows exactly, which proves ``det H_m = 0``: ``m`` is then the
+  first singular size and the kernel the only one. Past the Hadamard bound
+  (one per node and size, :class:`_HadamardBounds`) the primes themselves
+  prove ``det H_m = 0`` and reconstruction cannot fail, so reaching it
+  raises ``NumericBreakdown`` as an internal error;
 * every mixed Hankel row is a combination of stacked block rows, so each
   nonzero mixed ``det H_k`` proves the stacked block of size ``k`` has full
   rank: no size before ``m`` is deficient;
@@ -40,12 +42,36 @@ rebuilt takes the next pass. This is sound:
   so the mixed kernel spans their kernel, which holds any kernel of the
   stacked block. A candidate that annihilates every stacked block row is
   accepted (those rows span the mixed ones); one that only annihilates the
-  mixed rows shows a false alarm (the stacked block has full rank).
+  mixed rows shows a false alarm (the stacked block has full rank);
+* one exact product proves a class's kernel for all of its nodes. The
+  trajectory evolves as ``traj[t + 1] = G traj[t]`` for one integer matrix
+  ``G``, so the differences are ``diffs[:, :, t] = G^t w``, and row ``i``
+  of node ``j``'s stacked block of size ``m`` is ``e_j^T G^i u`` with
+  ``u = sum_t beta_t diffs[:, :, t]`` (``t < m``) over every node and
+  channel. ``u = 0`` proves that ``beta`` annihilates every stacked row of
+  every node, for ``n * channels * m`` products against ``channels * m**2``
+  for one node's rows. Each follower's own primes read their first zero at
+  ``m``, which proves every smaller size nonsingular, so ``beta`` is its
+  kernel too. Three rules keep this sound:
+
+  1. the check proves nothing without the whole trajectory. It is made
+     only on the differences of one whole network's exact trajectory, as
+     :func:`exact_consensus_run` has them; on other channels (a single
+     node's, say) a vanishing first window proves nothing, and each
+     representative is checked on its own rows;
+  2. a follower inherits only at its own size. When a later prime moves
+     its representative's size (an earlier prime read a spurious zero),
+     the followers take passes again from their own CRT states;
+  3. when the check fails, the representative is checked on its own rows,
+     accepted, shown a false alarm or sent to the next pass, and its
+     followers take passes on their own again. This covers tied seeds,
+     false alarms and networks with several kernels.
 
 After a false alarm the next mix restarts the recurrence; once the mixes
 are used up, every remaining size is eliminated whole, node by node. No
 size is skipped. There is no one-node path: a single node is the one-row
-case of :func:`_detect_nodes` and :func:`_hankel_kernels`.
+case of :func:`_detect_nodes` and :func:`_hankel_kernels`, checked on its
+own rows.
 """
 
 from __future__ import annotations
@@ -182,7 +208,8 @@ def _differences(traj: np.ndarray, base: int) -> np.ndarray:
     return (traj[1:] - base * traj[:-1]).transpose(1, 2, 0)
 
 
-def _hankel_kernels(seqs: np.ndarray, top: int, blocks: list) -> list:
+def _hankel_kernels(seqs: np.ndarray, top: int, blocks: list,
+                    network: np.ndarray | None) -> list:
     """For every row ``seq`` of the object array ``seqs``: the first size
     ``m <= top`` whose Hankel matrix ``seq[i + j]`` is singular, and the
     primitive integer kernel of its ``m`` rows (gcd 1, last entry
@@ -193,15 +220,26 @@ def _hankel_kernels(seqs: np.ndarray, top: int, blocks: list) -> list:
     one that only annihilates the row's own Hankel rows is a false alarm,
     returned as ``(m, None)``.
 
+    ``network`` is the differences ``diffs[j, c, t]`` of one whole
+    network's exact trajectory when every block is a node's rows of it,
+    and None otherwise. Then a kernel ``beta`` with ``sum_t beta_t
+    network[:, :, t] == 0`` annihilates every node's stacked block of its
+    size, so it is proved for every row that reads the same kernel.
+
     Each lockstep pass runs the recurrence of every unresolved row modulo
     the next :data:`_PAIR` primes of :data:`_PRIMES` at once, until its
     first zero ``det H_k``. Row by row, the primes reading the latest zero
-    are then combined by CRT and the kernel is rebuilt by rational
-    reconstruction and checked exactly; a row whose kernel is not yet
-    rebuilt takes the next pass.
+    are then combined by CRT. Rows whose CRT states are equal form a
+    class: its first row rebuilds the kernel by rational reconstruction,
+    and the others, its followers, take no passes while it cannot. A
+    rebuilt kernel whose network window vanishes is the whole class's;
+    otherwise the first row is checked exactly on its own rows, and its
+    followers take passes on their own again, as they do once the first
+    row's size moves past the size their own primes read.
     """
     results: list = [None] * len(seqs)
     crt = [(0, 1, [])] * len(seqs)       # size m, modulus, kernel residues
+    waiting: dict[int, list[int]] = {}   # a class's first row: followers
     bound = _HadamardBounds(seqs)
     pending = list(range(len(seqs)))
     primes = iter(_PRIMES)
@@ -213,11 +251,13 @@ def _hankel_kernels(seqs: np.ndarray, top: int, blocks: list) -> list:
         residues = np.repeat(seqs[pending], len(pair), axis=0) % moduli
         sizes, monics = _kernels_mod(residues.astype(np.int64), top,
                                      moduli[:, 0].astype(np.int64))
-        still = []
+        still, classes = [], {}
         for at, i in zip(range(0, len(moduli), len(pair)), pending):
             rows = slice(at, at + len(pair))
-            if not sizes[rows].all():
-                continue          # a nonzero det H_k mod prime for every k
+            followers = waiting.pop(i, [])
+            if not sizes[rows].all():   # a nonzero det H_k mod prime for
+                still += followers      # every k of row i, not of theirs
+                continue
             m, modulus, kernel_mod = crt[i]
             for prime, size, monic in zip(pair, sizes[rows].tolist(),
                                           monics[rows]):
@@ -229,9 +269,23 @@ def _hankel_kernels(seqs: np.ndarray, top: int, blocks: list) -> list:
                 kernel_mod = [r + modulus * ((v - r) * lift % prime)
                               for r, v in zip(kernel_mod, monic)]
                 modulus *= prime
+            if m != crt[i][0]:    # past the size the followers' primes read
+                still += followers
+                followers = []
             crt[i] = m, modulus, kernel_mod
-            seq = seqs[i].tolist()
+            classes.setdefault((m, modulus, *kernel_mod), []).extend(
+                [i, *followers])
+        for (m, modulus, *kernel_mod), (i, *followers) in classes.items():
             kernel = _rational_kernel(kernel_mod, modulus)
+            if kernel is not None and network is not None and not (
+                    network[:, :, :m] @ np.array(kernel, dtype=object)).any():
+                for j in (i, *followers):
+                    results[j] = m, kernel
+                continue
+            if kernel is not None:   # the followers take passes on their own
+                still += followers
+                followers = []
+            seq = seqs[i].tolist()
             if kernel is not None and _annihilates(blocks[i] or [seq],
                                                    kernel):
                 results[i] = m, kernel
@@ -243,6 +297,7 @@ def _hankel_kernels(seqs: np.ndarray, top: int, blocks: list) -> list:
                     f"no kernel of Hankel size {m} within its Hadamard bound")
             else:
                 still.append(i)
+                waiting[i] = followers
         pending = still
     return results
 
@@ -362,9 +417,13 @@ class _HadamardBounds:
         return self.exponents[i, m]
 
 
-def _detect_nodes(diffs: np.ndarray) -> list[tuple[int, list[int]]]:
+def _detect_nodes(diffs: np.ndarray, *,
+                  whole_network: bool) -> list[tuple[int, list[int]]]:
     """Exact defect index and integer kernel of every node, from the object
-    array ``diffs[j, c, t]`` of their differences.
+    array ``diffs[j, c, t]`` of their differences. ``whole_network`` says
+    that ``diffs`` are one whole network's exact trajectory differences, so
+    that a kernel shared by several nodes is proved for all of them at once
+    (see :func:`_hankel_kernels`); arbitrary channels check node by node.
 
     Node ``j``'s defect index is ``m - 1`` for the first size ``m`` whose
     stacked block (rows ``(c, i)``, entries ``diffs[j, c, i + k]``,
@@ -384,7 +443,8 @@ def _detect_nodes(diffs: np.ndarray) -> list[tuple[int, list[int]]]:
         weights = np.array([r ** (c + 1) for c in range(channels)],
                            dtype=object)
         outcomes = _hankel_kernels(weights @ diffs[open_], top,
-                                   [blocks[j] for j in open_])
+                                   [blocks[j] for j in open_],
+                                   diffs if whole_network else None)
         still = []
         for j, outcome in zip(open_, outcomes):
             if outcome is None:
@@ -443,7 +503,7 @@ def exact_consensus_run(g: Digraph, y0) -> list[ConsensusResult]:
     traj, base = _exact_trajectories(g, seeds.reshape(g.n, -1), 2 * g.n + 1)
     results = []
     for j, (defect, kernel) in enumerate(
-            _detect_nodes(_differences(traj, base))):
+            _detect_nodes(_differences(traj, base), whole_network=True)):
         if kernel[-1] == 0:
             raise NumericBreakdown("kernel vector has a vanishing last entry")
         # Kernel entry t over base**t meets channel entries over base**t, so

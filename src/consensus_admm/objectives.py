@@ -414,6 +414,9 @@ class L1Regularizer:
         return self.mu / (n * rho)
 
     def penalized_mask(self, dim: int) -> np.ndarray:
+        if dim < 1:
+            raise ValueError(f"a penalized point needs at least the "
+                             f"intercept coordinate, got dimension {dim}")
         mask = np.ones(dim, dtype=bool)
         mask[-1] = False
         return mask

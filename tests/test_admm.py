@@ -414,6 +414,21 @@ def test_config_validation_errors():
     assert fixed.steps == 30 and not fixed.stopped_early
 
 
+@pytest.mark.parametrize("solver", [run_dadmm_fterc, run_fdadmm_ftdt,
+                                    run_epsilon_baseline])
+def test_objectives_of_dimension_zero_are_refused_before_any_round(solver):
+    # they once failed inside the first phase, on a ratio row of one column
+    # or on the penalty mask's intercept index
+    objectives, _ = make_least_squares_instance(4, 0, 5, seed=1)
+    graph = random_strongly_connected(4, 0.3, seed=1)
+    config = AdmmConfig(k_max=3, stop_on_tolerance=False)
+    for regularizer in (None, L1Regularizer(0.1)):
+        with pytest.raises(ValueError, match="dimension at least 1, got 0"):
+            solver(objectives, graph, config, regularizer=regularizer)
+    with pytest.raises(ValueError, match="got dimension 0"):
+        L1Regularizer(0.1).penalized_mask(0)
+
+
 def test_open_stopping_counters_are_refused_at_the_guard():
     # counters frozen at defect 5 fire at round 12 at the earliest, which
     # is past the guard of 4(n' + 2) = 12 rounds that n' = 1 allows

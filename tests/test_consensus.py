@@ -31,13 +31,15 @@ def _hankel_kernel(seq, top, rows=None):
     """The one-sequence case of ``_hankel_kernels``: the first singular
     Hankel size ``m <= top`` of ``seq`` and its primitive kernel, ``(m,
     None)`` for a false alarm against the stacked ``rows``, or None."""
-    return _hankel_kernels(np.array([seq], dtype=object), top, [rows])[0]
+    return _hankel_kernels(np.array([seq], dtype=object), top, [rows],
+                           None)[0]
 
 
 def _detect_node(ints):
     """The one-node case of ``_detect_nodes``: exact defect index and
     integer kernel from one node's difference channels."""
-    return _detect_nodes(np.array([ints], dtype=object))[0]
+    return _detect_nodes(np.array([ints], dtype=object),
+                         whole_network=False)[0]
 
 
 def _hadamard_bits(seq, m):
@@ -871,16 +873,87 @@ def test_exact_lane_kernels_match_whole_block_bareiss(network):
     # primes) and need several lockstep passes per node.
     g, y0 = network
     diffs = _differences(*_exact_trajectories(g, y0, 2 * g.n + 1))
-    blocks = diffs.tolist()
     for primes in (exact._PRIMES, _TINY_PRIMES):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(exact, "_PRIMES", primes)
-            found = exact._detect_nodes(diffs)
-        for ints, (defect, kernel) in zip(blocks, found):
-            m = defect + 1
-            assert all(_bareiss_echelon(_stacked_block(ints, k), k)[0] == k
-                       for k in range(1, m))
-            assert _primitive(kernel) == _primitive(_exact_kernel(ints, m))
+            found = _detect_nodes(diffs, whole_network=True)
+        assert _whole_block_referee(diffs, found)
+
+
+def _whole_block_referee(diffs, found):
+    """Whether every node's defect is its first deficient stacked size and
+    its kernel the primitive whole-block Bareiss kernel there."""
+    for ints, (defect, kernel) in zip(diffs.tolist(), found):
+        m = defect + 1
+        if not all(_bareiss_echelon(_stacked_block(ints, k), k)[0] == k
+                   for k in range(1, m)):
+            return False
+        if _primitive(kernel) != _primitive(_exact_kernel(ints, m)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n, prob, seed, shape, defects", [
+    # nodes 0 and 2 share a kernel that misses nodes 1 and 3: node 2 must
+    # check its own rows once node 0's check fails over the network
+    (4, 0.6, 0, (4, 1), [2, 3, 2, 3]),
+    # under tiny primes a spurious zero moves a first node's size past the
+    # size its waiting followers' own primes read
+    (6, 0.6, 6, (6, 1), [5, 4, 4, 4, 4, 5]),
+    # two kernel classes: the network proves one, node 11 checks its own
+    (12, 0.3, 0, 12, [11] * 11 + [10]),
+])
+def test_shared_kernels_match_whole_block_bareiss(n, prob, seed, shape,
+                                                  defects):
+    # A class of nodes shares one rebuilt kernel. A node inherits it only
+    # when the whole network's first window proves it at the node's own
+    # size; otherwise every node checks and resolves on its own.
+    g = random_strongly_connected(n, prob, seed=seed)
+    y0 = np.random.default_rng(seed).uniform(-5, 5, shape)
+    truth = _true_mean(y0)
+    diffs = _differences(*_exact_trajectories(g, y0.reshape(n, -1),
+                                              2 * n + 1))
+    for primes in (exact._PRIMES, _TINY_PRIMES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_PRIMES", primes)
+            found = _detect_nodes(diffs, whole_network=True)
+            results = exact_consensus_run(g, y0)
+        assert [defect for defect, _ in found] == defects
+        assert _whole_block_referee(diffs, found)
+        assert [r.defect for r in results] == defects
+        assert all(np.array_equal(r.mu, truth) for r in results)
+
+
+def test_one_nodes_channels_are_checked_on_their_own_rows():
+    # A kernel that vanishes on one node's first window annihilates every
+    # row of a network only when the channels are that network's
+    # trajectory differences. These are not: the size-2 kernel [1, 1]
+    # cancels the first window but not the stacked rows, and no size up
+    # to 4 is singular.
+    ints = [[-1, 1, -4, 2, -1, -2, 2], [-1, 1, 0, 0, 1, -3, 4]]
+    assert not _annihilates(ints, [1, 1])
+    with pytest.raises(NumericBreakdown, match="no exact defect within 7"):
+        _detect_node(ints)
+
+
+def test_a_shared_kernel_is_rebuilt_once_per_pass(monkeypatch):
+    # Every node of this digraph shares one kernel of size 60: one row per
+    # pass rebuilds it, one product with the network's first window proves
+    # it for every node, and no node's block is checked on its own.
+    g = random_strongly_connected(60, 0.1, seed=1)
+    y0 = np.random.default_rng(1).uniform(-5, 5, 60)
+    calls = {"_annihilates": 0, "_rational_kernel": 0, "_kernels_mod": 0}
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(exact, name)):
+            calls[_name] += 1
+            return _call(*args)
+        monkeypatch.setattr(exact, name, counted)
+    results = exact_consensus_run(g, y0)
+    passes = calls["_kernels_mod"]
+    assert calls["_annihilates"] == 0
+    assert passes <= calls["_rational_kernel"] <= passes + 1
+    truth = _true_mean(y0)
+    assert all(r.defect == 59 and r.mu == truth for r in results)
 
 
 def test_exact_lane_fallback_matches_the_screen(monkeypatch):

@@ -21,6 +21,10 @@ here; its report simply names the cases that moved. The cases:
 * ``fterc_run``, ``ftdt_run`` and ``ftdt_run(exact=True)`` on 224 seeded
   digraphs: n=2..15, ``extra_edge_prob`` 0, 0.1, 0.3 and 0.6, structure
   seeds 0 and 1, scalar seeds and width 3;
+* ``exact_consensus_run`` and ``ftdt_run(exact=True)`` on larger digraphs,
+  where most nodes share one kernel: n=30 and 60, rings and
+  ``extra_edge_prob`` 0.1 (structure seed 0), scalar seeds, width 3, and
+  tied width-3 seeds from ``-2 .. 2``;
 * the three solvers on least squares at n=4, 6, 9, 13, 20 and 40: 12 steps,
   with and without ``stop_on_tolerance`` (tolerances loose enough that
   most runs with it stop early), n' = n and n + 3, each record checked by
@@ -110,6 +114,19 @@ def cases(ca):
                         lambda g=graph, y=seeds: ca.ftdt_run(g, y))
                     yield f"ftdt_run(exact) {tag}", (
                         lambda g=graph, y=seeds: ca.ftdt_run(g, y, exact=True))
+    for n in (30, 60):
+        for prob in (0.0, 0.1):
+            graph = ca.random_strongly_connected(n, prob, seed=0)
+            rng = np.random.default_rng([n, int(prob * 10)])
+            for kind, seeds in (
+                    ("scalar", rng.uniform(-5, 5, size=n)),
+                    ("w=3", rng.uniform(-5, 5, size=(n, 3))),
+                    ("tied w=3", rng.integers(-2, 3, size=(n, 3)) * 1.0)):
+                tag = f"n={n} p={prob} {kind}"
+                yield f"exact_consensus_run {tag}", (
+                    lambda g=graph, y=seeds: ca.exact_consensus_run(g, y))
+                yield f"ftdt_run(exact) {tag}", (
+                    lambda g=graph, y=seeds: ca.ftdt_run(g, y, exact=True))
 
     solvers = (ca.run_dadmm_fterc, ca.run_fdadmm_ftdt, ca.run_epsilon_baseline)
     for n in (4, 6, 9, 13, 20, 40):
