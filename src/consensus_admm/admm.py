@@ -45,7 +45,8 @@ from .errors import InsufficientData, NonIntegerResult, NumericBreakdown
 from .exact import exact_consensus_run
 from .graph import Digraph, check_strongly_connected
 from .netsim import RoundEngine, phase_lengths
-from .objectives import L1Regularizer, ObjectiveStacks, l1_z_update
+from .objectives import (_TOTALS_BLOCK, L1Regularizer, ObjectiveStacks,
+                         l1_z_update)
 from .oracle import Reference
 from .termination import (Counters, counter_message, derive_max_defect,
                           freeze_counter, ftdt_step)
@@ -126,6 +127,18 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(a.dot(a))
 
 
+def _step_test(primal, dz, x, z, lam, scale, rho, eps_abs, eps_rel):
+    """One step's ``(primal, dual, eps_pri, eps_dual)`` from its norms
+    ``||X - Z||``, ``||Z - Z_prev||``, ``||X||``, ``||Z||`` and ``||Lam||``,
+    each a float, and ``scale = sqrt(N)``: the stopping test's formulas, in
+    scalar expressions, so a numpy scalar ``rho``, ``eps_abs`` or
+    ``eps_rel`` rounds the dual residual and the thresholds as it would in
+    any plain expression. Neither threshold is rounded to a float yet.
+    """
+    return (primal, float(rho * dz), scale * eps_abs + eps_rel * max(x, z),
+            scale * eps_abs + eps_rel * lam)
+
+
 def stopping_criterion(x_stack, z_stack, z_prev_stack, lam_stack, rho: float,
                        eps_abs: float, eps_rel: float) -> StoppingReport:
     """Standard two-residual ADMM stopping test on stacked iterates.
@@ -139,13 +152,39 @@ def stopping_criterion(x_stack, z_stack, z_prev_stack, lam_stack, rho: float,
     z_stack = np.asarray(z_stack, dtype=float)
     z_prev_stack = np.asarray(z_prev_stack, dtype=float)
     lam_stack = np.asarray(lam_stack, dtype=float)
-    scale = np.sqrt(x_stack.size)
-    primal = _norm(x_stack - z_stack)
-    dual = float(rho * _norm(z_stack - z_prev_stack))
-    eps_pri = scale * eps_abs + eps_rel * max(_norm(x_stack), _norm(z_stack))
-    eps_dual = scale * eps_abs + eps_rel * _norm(lam_stack)
+    primal, dual, eps_pri, eps_dual = _step_test(
+        _norm(x_stack - z_stack), _norm(z_stack - z_prev_stack),
+        _norm(x_stack), _norm(z_stack), _norm(lam_stack),
+        np.sqrt(x_stack.size), rho, eps_abs, eps_rel)
     return StoppingReport(primal <= eps_pri and dual <= eps_dual,
                           primal, dual, float(eps_pri), float(eps_dual))
+
+
+def _residual_columns(xs, zs, z_prevs, lams, rho, eps_abs, eps_rel):
+    """The ``primal_res``, ``dual_res``, ``eps_pri`` and ``eps_dual`` columns
+    of a run: :func:`stopping_criterion`'s values at every step, bitwise.
+
+    ``xs``, ``zs``, ``z_prevs`` and ``lams`` are C-ordered ``(steps, n, p)``
+    stacks, step ``k``'s iterates in row ``k``. Each step's squared norms
+    are the row-wise ``np.vecdot`` of its flattened row, which is that row's
+    ``dot``, as in ``_norm``; they are taken in blocks of steps whose
+    temporaries hold at most about ``_TOTALS_BLOCK`` floats each, so a long
+    run needs no ``(steps, n, p)`` difference. The formulas then run one
+    step at a time (see ``_step_test``).
+    """
+    steps, size = len(xs), xs[0].size
+    squares = np.empty((5, steps))
+    block = max(1, _TOTALS_BLOCK // size)
+    for first in range(0, steps, block):
+        rows = slice(first, first + block)
+        x, z, lam = xs[rows], zs[rows], lams[rows]
+        for i, stack in enumerate((x - z, z - z_prevs[rows], x, z, lam)):
+            flat = stack.reshape(len(stack), -1)
+            squares[i, rows] = np.vecdot(flat, flat)
+    scale = np.sqrt(size)
+    tests = [_step_test(*norms, scale, rho, eps_abs, eps_rel)
+             for norms in zip(*np.sqrt(squares).tolist())]
+    return [np.array(column, dtype=float) for column in zip(*tests)]
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +283,9 @@ class _Phase:
         n, self.engine, self.flags = engine.graph.n, engine, flags
         out_degrees = np.array([len(o) for o in engine.graph.out_neighbors],
                                dtype=float)
-        self.share = 1.0 / (1.0 + out_degrees[:, None])
+        # a whole (n, p + 1) block, so a round's multiply broadcasts nothing
+        self.share = np.repeat(1.0 / (1.0 + out_degrees[:, None]), width + 1,
+                               axis=1)
         self.epsilon = epsilon
         self.defect_sizes, self.kernels, self.max_defect = (
             (after.defect_sizes, after.kernels, after.max_defect)
@@ -589,9 +630,10 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
     lam, z_stack = lam0, np.tile(z0, (n, 1))
     stacks = ObjectiveStacks(objectives, rho)
     engine = RoundEngine(graph)
-    # one row per step: primal and dual residuals and thresholds
-    rows, x_hist, z_hist, lam_hist = [], [], [], []
+    # z_hist opens with the initial z, the first step's z_prev
+    x_hist, z_hist, lam_hist = [], [z_stack], []
     phase = None   # built when the schedule entry changes, then rerun
+    stopped = False
 
     for k, flags in zip(range(1, config.k_max + 1),
                         chain(warmup, repeat(steady))):
@@ -604,23 +646,27 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
         if regularizer is not None:
             z_new = l1_z_update(z_new, kappa, mask)
         lam = lam + rho * (x_stack - z_new)
-        report = stopping_criterion(x_stack, z_new, z_stack, lam, rho,
-                                    config.eps_abs, config.eps_rel)
-        rows.append((report.primal_res, report.dual_res, report.eps_pri,
-                     report.eps_dual))
         x_hist.append(x_stack)
         z_hist.append(z_new)
         lam_hist.append(lam)
-        z_stack = z_new
-        if config.stop_on_tolerance and report.stop:
+        if config.stop_on_tolerance and stopping_criterion(
+                x_stack, z_new, z_stack, lam, rho, config.eps_abs,
+                config.eps_rel).stop:
+            stopped = True
             break
+        z_stack = z_new
 
-    steps, max_defect = len(rows), phase.max_defect
+    steps, max_defect = len(x_hist), phase.max_defect
     schedule = phase_lengths(engine.log)
     rounds = [count for _, count in schedule]
-    primal, dual, eps_pri, eps_dual = map(np.array, zip(*rows))
-    # nothing in the loop reads the objective: one pass over the run
-    x_hist, z_hist = np.stack(x_hist), np.stack(z_hist)
+    # nothing in the loop reads the objective or the residual columns, so
+    # each is one pass over the run; the residuals are stopping_criterion's
+    # at every step, bitwise
+    x_hist, zs, lam_hist = map(np.stack, (x_hist, z_hist, lam_hist))
+    z_hist = zs[1:]
+    primal, dual, eps_pri, eps_dual = _residual_columns(
+        x_hist, z_hist, zs[:-1], lam_hist, rho, config.eps_abs,
+        config.eps_rel)
     objective = stacks.totals(x_hist)
     if regularizer is not None:
         objective += regularizer.penalty(z_hist.mean(axis=1))
@@ -630,13 +676,13 @@ def _run(algorithm: str, objectives, graph: Digraph, config: AdmmConfig,
         dual_res=dual, eps_pri=eps_pri, eps_dual=eps_dual,
         consensus_rounds=np.array(rounds, dtype=int),
         x_hist=x_hist, z_hist=z_hist,
-        lam_hist=np.stack(lam_hist), x0=x0, lam0=lam0, z0=z0,
+        lam_hist=lam_hist, x0=x0, lam0=lam0, z0=z0,
         defect_indices=list(phase.defect_sizes or [None] * n),
         t_max=None if max_defect is None else max_defect + 1,
         # t1: the length of the step whose phase stopped itself
         t1=next((r for f, r in zip(warmup, rounds) if f.terminate), None),
         max_defect=max_defect, schedule=schedule,
-        stopped_early=bool(config.stop_on_tolerance and report.stop),
+        stopped_early=stopped,
         log=engine.log, objectives=list(objectives),
         regularizer=regularizer)
 

@@ -72,11 +72,20 @@ def stable_digest(row: np.ndarray) -> str:
     """Deterministic short hex digest of an array, such as a payload wave.
 
     A copy of the cached header digest of its dtype and shape, fed its
-    bytes in C order (also for a non-contiguous view). A subclass array
-    hashes as the plain array it views; anything else raises.
+    bytes in C order through the buffer protocol: a C-contiguous array as
+    it is, with no copy, a non-contiguous view, which numpy exports no
+    buffer of, as a C-ordered copy. A subclass array hashes as the plain
+    array it views; anything else, a numpy scalar included, raises
+    ``TypeError``.
     """
+    if not isinstance(row, np.ndarray):
+        raise TypeError(f"stable_digest hashes arrays, got "
+                        f"{type(row).__name__}")
     h = _header_hash(row.dtype, row.shape).copy()
-    h.update(np.ndarray.tobytes(row))
+    try:
+        h.update(row)
+    except ValueError:   # "ndarray is not C-contiguous"
+        h.update(np.ascontiguousarray(row))
     return h.hexdigest()
 
 

@@ -1,6 +1,7 @@
 """Solver runs: schedules, equivalence, stopping, and analysis helpers."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -139,6 +140,131 @@ def test_a_raising_per_node_value_raises_after_the_last_step():
     assert steps == list(range(1, 8))
 
 
+def _per_step_reports(record):
+    """``stopping_criterion`` at each step of a record's histories, and the
+    same test spelled out in plain expressions over ``np.linalg.norm``."""
+    config, n = record.config, record.x_hist.shape[1]
+    rho, eps_abs, eps_rel = config.rho, config.eps_abs, config.eps_rel
+    z_prevs = [np.tile(record.z0, (n, 1)), *record.z_hist[:-1]]
+    scale = np.sqrt(record.x_hist[0].size)
+    reports, plain = [], []
+    for x, z, z_prev, lam in zip(record.x_hist, record.z_hist, z_prevs,
+                                 record.lam_hist):
+        reports.append(stopping_criterion(x, z, z_prev, lam, rho, eps_abs,
+                                          eps_rel))
+        plain.append((
+            _norm(x - z), float(rho * _norm(z - z_prev)),
+            float(scale * eps_abs + eps_rel * max(_norm(x), _norm(z))),
+            float(scale * eps_abs + eps_rel * _norm(lam))))
+    return reports, plain
+
+
+def _norm(a) -> float:
+    return float(np.linalg.norm(a))
+
+
+# numpy scalars round a plain expression to their own precision (NEP 50):
+# rho * ||z - z_prev|| is a float32 here, which a float64 array expression,
+# the residuals of every step at once, is not
+_NUMPY_SCALARS = dict(rho=np.float32(1.7), eps_abs=np.float32(1e-4),
+                      eps_rel=np.float16(1e-2))
+
+
+@pytest.mark.parametrize("solver", [run_dadmm_fterc, run_fdadmm_ftdt,
+                                    run_epsilon_baseline])
+def test_residual_columns_are_the_per_step_test_bitwise(solver):
+    ls, graph6 = _instance(n=6, p=3, extra=0.2)
+    ls[0] = type("PerNode", (LeastSquaresObjective,), {})(ls[0].mat,
+                                                           ls[0].rhs)
+    l1, reg = _l1_network()
+    graph5 = random_strongly_connected(5, 0.2, seed=1)
+    for objectives, graph, regularizer in ((ls, graph6, None),
+                                           (l1, graph5, reg)):
+        def run(**fields):
+            record = solver(objectives, graph, AdmmConfig(**fields),
+                            regularizer=regularizer)
+            reports, plain = _per_step_reports(record)
+            names = ("primal_res", "dual_res", "eps_pri", "eps_dual")
+            for name, spelled in zip(names, zip(*plain)):
+                column = getattr(record, name)
+                expected = np.array([getattr(r, name) for r in reports])
+                assert column.dtype == float
+                assert column.tobytes() == expected.tobytes(), name
+                assert column.tobytes() == np.array(spelled).tobytes(), name
+            # a run with the test stops at the first step it passes, if any
+            if fields["stop_on_tolerance"]:
+                stops = [r.stop for r in reports]
+                assert not any(stops[:-1])
+                assert record.stopped_early == stops[-1]
+            return record
+
+        loose = dict(eps_abs=1e-3, eps_rel=1e-2)
+        fixed = run(k_max=30, stop_on_tolerance=False, **loose)
+        assert not fixed.stopped_early
+        stopped = run(k_max=300, stop_on_tolerance=True, **loose)
+        assert stopped.stopped_early and stopped.steps < 300
+        # a horizon that ends on the stopping step
+        last = run(k_max=stopped.steps, stop_on_tolerance=True, **loose)
+        assert last.stopped_early and last.steps == stopped.steps
+        run(k_max=20, stop_on_tolerance=False, **_NUMPY_SCALARS)
+        run(k_max=300, stop_on_tolerance=True, **_NUMPY_SCALARS)
+
+
+def test_stopping_test_runs_in_the_loop_only_to_stop(monkeypatch):
+    calls = []
+    criterion = admm.stopping_criterion
+
+    def counting(*args):
+        calls.append(args)
+        return criterion(*args)
+
+    monkeypatch.setattr(admm, "stopping_criterion", counting)
+    objectives, graph = _instance(n=6, p=3, extra=0.2)
+    fixed = run_dadmm_fterc(objectives, graph,
+                            AdmmConfig(k_max=25, stop_on_tolerance=False))
+    assert calls == [] and fixed.steps == 25
+    # zero tolerances: the test runs at every step and never passes
+    exhaustive = run_dadmm_fterc(objectives, graph, AdmmConfig(
+        k_max=25, eps_abs=0.0, eps_rel=0.0, stop_on_tolerance=True))
+    assert len(calls) == 25 and not exhaustive.stopped_early
+    for name in ("primal_res", "dual_res", "x_hist", "z_hist"):
+        assert np.array_equal(getattr(exhaustive, name),
+                              getattr(fixed, name))
+
+
+@pytest.mark.parametrize("steps_per_block", [None, 1, 7, 40])
+def test_residual_columns_split_into_blocks_keep_every_bit(monkeypatch,
+                                                          steps_per_block):
+    # 45 steps of 6 x 3 iterates: blocks of 1, 7 and 40 steps, the last two
+    # ending mid-run, and a constant below one step's size
+    objectives, graph = _instance(n=6, p=3, extra=0.2)
+    config = AdmmConfig(k_max=45, stop_on_tolerance=False)
+    expected = run_fdadmm_ftdt(objectives, graph, config)
+    block = 1 if steps_per_block is None else steps_per_block * 18
+    monkeypatch.setattr(admm, "_TOTALS_BLOCK", block)
+    record = run_fdadmm_ftdt(objectives, graph, config)
+    for name in ("primal_res", "dual_res", "eps_pri", "eps_dual"):
+        assert getattr(record, name).tobytes() == \
+            getattr(expected, name).tobytes()
+
+
+def test_residual_pass_memory_stays_a_block_not_a_run():
+    # 2,000 steps of 60 x 11 iterates: each stack is 10.6 MB, and one
+    # difference of two whole stacks would be as large again
+    rng = np.random.default_rng(9)
+    xs, zs, z_prevs, lams = rng.standard_normal((4, 2000, 60, 11))
+    tracemalloc.start()
+    try:
+        admm._residual_columns(xs, zs, z_prevs, lams, 1.0, 1e-4, 1e-2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = admm._TOTALS_BLOCK * 8
+    # two block differences, plus each step's norms and column values
+    assert peak < 3 * block_bytes + 300 * len(xs), peak
+    assert peak < xs.nbytes / 10
+
+
 def test_warmup_schedule_with_coordinator():
     objectives, graph = _instance()
     config = AdmmConfig(k_max=5, stop_on_tolerance=False)
@@ -166,6 +292,34 @@ def test_warmup_schedule_fully_distributed():
     assert record.consensus_rounds.tolist() == (
         [record.t1] + [record.t_max] * 3)
     assert record.t_max == record.max_defect + 1
+
+
+def test_fully_distributed_runs_read_no_size_bound():
+    # n' sizes only the simulator's refusal guards (the 2n' detection
+    # horizon, the 4(n' + 2) counter guard) and its buffers: every iterate,
+    # schedule, log entry and refusal is the same for any n' >= n
+    refused = 0
+    for n in range(3, 12):
+        objectives, _ = make_least_squares_instance(n, 2, 4, seed=n)
+        for seed in range(4):
+            graph = random_strongly_connected(n, 0.3, seed=seed)
+            outcomes = set()
+            for n_prime in (n, n + 1, n + 7, 3 * n):
+                config = AdmmConfig(k_max=3, stop_on_tolerance=False,
+                                    n_prime=n_prime)
+                try:
+                    record = run_fdadmm_ftdt(objectives, graph, config)
+                except (NonIntegerResult, NumericBreakdown) as exc:
+                    outcomes.add((type(exc), str(exc)))
+                    continue
+                outcomes.add((record.x_hist.tobytes(),
+                              record.z_hist.tobytes(),
+                              tuple(record.schedule),
+                              tuple((rec.tick, rec.kind, rec.digest)
+                                    for rec in record.log)))
+            assert len(outcomes) == 1, (n, seed)
+            refused += isinstance(outcomes.pop()[0], type)
+    assert 0 < refused < 36   # the refusals are covered too
 
 
 def test_oversized_bound_stretches_warmup_only():

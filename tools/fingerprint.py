@@ -39,7 +39,14 @@ here; its report simply names the cases that moved. The cases:
   and l1 logistic at n=5 and 8 (15 steps);
 * the three solvers for 500 steps on the benchmark's ``steady_small``
   instances, built as it builds them: least squares at n=6 (p=3, q=5) and
-  l1 logistic at n=5 (200 rows, 10 features), node 0 a subclass term.
+  l1 logistic at n=5 (200 rows, 10 features), node 0 a subclass term;
+  once over a fixed horizon and once with ``stop_on_tolerance`` and
+  ``eps_abs = eps_rel = 0``, so that the stopping test runs at every step
+  and never passes;
+* the three solvers on least squares at n=5 for 20 steps, with and without
+  ``stop_on_tolerance``, under a config of numpy scalars (``rho`` and
+  ``eps_abs`` float32, ``eps_rel`` float16), whose residual thresholds
+  round as plain scalar expressions do.
 """
 
 from __future__ import annotations
@@ -185,19 +192,35 @@ def cases(ca):
                 lambda s=solver, o=objectives, g=graph, c=config,
                 r=regularizer: s(o, g, c, regularizer=r))
 
-    config = ca.AdmmConfig(rho=1.0, eps_abs=1e-4, eps_rel=1e-2,
-                           stop_on_tolerance=False, k_max=500)
-    objectives, _ = _least_squares_network(ca, 6, 3, 5, seed=6)
-    graph = ca.random_strongly_connected(6, 0.2, seed=1)
-    for solver in solvers:
-        yield f"{solver.__name__} steady least squares n=6 500 steps", (
-            lambda s=solver, o=objectives, g=graph: s(o, g, config))
-    objectives, regularizer = _l1_logistic_network(ca, 5, 200, 10, seed=5)
-    graph = ca.random_strongly_connected(5, 0.2, seed=1)
-    for solver in solvers:
-        yield f"{solver.__name__} steady l1 logistic n=5 500 steps", (
-            lambda s=solver, o=objectives, g=graph, r=regularizer:
-            s(o, g, config, regularizer=r))
+    fixed = ca.AdmmConfig(rho=1.0, eps_abs=1e-4, eps_rel=1e-2,
+                          stop_on_tolerance=False, k_max=500)
+    tested = ca.AdmmConfig(rho=1.0, eps_abs=0.0, eps_rel=0.0,
+                           stop_on_tolerance=True, k_max=500)
+    ls_objectives, _ = _least_squares_network(ca, 6, 3, 5, seed=6)
+    ls_graph = ca.random_strongly_connected(6, 0.2, seed=1)
+    l1_objectives, regularizer = _l1_logistic_network(ca, 5, 200, 10, seed=5)
+    l1_graph = ca.random_strongly_connected(5, 0.2, seed=1)
+    for config, tag in ((fixed, ""), (tested, " tested every step")):
+        for solver in solvers:
+            yield (f"{solver.__name__} steady least squares n=6 500 steps"
+                   f"{tag}"), (
+                lambda s=solver, o=ls_objectives, g=ls_graph, c=config:
+                s(o, g, c))
+        for solver in solvers:
+            yield (f"{solver.__name__} steady l1 logistic n=5 500 steps"
+                   f"{tag}"), (
+                lambda s=solver, o=l1_objectives, g=l1_graph, c=config,
+                r=regularizer: s(o, g, c, regularizer=r))
+
+    objectives, _ = ca.make_least_squares_instance(5, 3, 4, seed=2)
+    graph = ca.random_strongly_connected(5, 0.3, seed=1)
+    for stop in (False, True):
+        config = ca.AdmmConfig(rho=np.float32(1.7), eps_abs=np.float32(1e-4),
+                               eps_rel=np.float16(1e-2), k_max=20,
+                               stop_on_tolerance=stop)
+        for solver in solvers:
+            yield f"{solver.__name__} numpy scalar config stop={stop}", (
+                lambda s=solver, o=objectives, g=graph, c=config: s(o, g, c))
 
 
 def _least_squares_network(ca, n, p, q, seed):
